@@ -44,7 +44,7 @@ assert recovered == theta
 assert is_circular_split_system(system) == theta
 
 # the fast engine agrees with the direct computation exactly
-o_fast = order_distance_circular(d, p=2)
+o_fast = order_distance_circular(d, OrderParams(2, 1))
 o_direct = order_distance_eq1(d, OrderParams(2, 1))
 assert o_fast == o_direct
 print(f"engines agree, O(a,b) = {o_fast.by_label('a', 'b')}")
@@ -57,7 +57,7 @@ for n in (16, 32, 64):
     _, big = random_maximum_circular_system(n, rng)
     big_d = generate_distance(big)
     t0 = time.perf_counter()
-    fast = order_distance_circular(big_d, 2)
+    fast = order_distance_circular(big_d, OrderParams(2, 1))
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     direct = order_distance_eq1(big_d, OrderParams(2, 1))

@@ -38,6 +38,7 @@ from .core import (
     DistanceMatrix,
     GroundSet,
     OrderParams,
+    PreconditionError,
     Rational,
     Split,
     WeightedSplitSystem,
@@ -110,6 +111,7 @@ __all__ = [
     "DistanceMatrix",
     "WeightedSplitSystem",
     "OrderParams",
+    "PreconditionError",
     "split_metric",
     "generate_distance",
     "restrict_split_system",

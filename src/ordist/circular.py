@@ -27,10 +27,13 @@ from typing import Iterable, Mapping
 from .core import (
     DistanceMatrix,
     GroundSet,
+    OrderParams,
+    PreconditionError,
     Split,
     WeightedSplitSystem,
     as_rational,
     generate_distance,
+    ground_and_splits,
 )
 
 __all__ = [
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 
-class NotCircularError(ValueError):
+class NotCircularError(PreconditionError):
     """Raised when an operation requires circular input and recovery of a
     valid ordering failed."""
 
@@ -177,35 +180,9 @@ def interval_weight_map(
 def kalmanson_check(
     matrix: DistanceMatrix, theta: CircularOrdering
 ) -> tuple[int, int, int, int] | None:
-    """First position quadruple of the ordering violating the circular
-    quadruple condition, returned as elements, or None if all pass."""
-    if matrix.ground != theta.ground:
-        raise ValueError("ground set mismatch")
-    rows = matrix.comparison_rows()
-    seq = theta.sequence
-    n = len(seq)
-    for i in range(n):
-        ei = seq[i]
-        row_i = rows[ei]
-        for j in range(i + 1, n):
-            ej = seq[j]
-            row_j = rows[ej]
-            d_ij = row_i[ej]
-            for k in range(j + 1, n):
-                ek = seq[k]
-                row_k = rows[ek]
-                d_ik = row_i[ek]
-                d_jk = row_j[ek]
-                for l in range(k + 1, n):
-                    el = seq[l]
-                    rhs = d_ik + row_j[el]
-                    if d_ij + row_k[el] > rhs or row_i[el] + d_jk > rhs:
-                        return (ei, ej, ek, el)
-    return None
-
-
-def _quadruples_ok(rows: list[list[int]], seq: list[int]) -> bool:
-    """Full quadruple-condition verification of one ordering.
+    """A position quadruple of the ordering violating the circular
+    quadruple condition, returned as elements in position order, or None
+    if all quadruples pass.
 
     Only the instances over two disjoint edges of the circle are tested:
     for edges (a, a+1) and (b, b+1) the inequality
@@ -213,9 +190,15 @@ def _quadruples_ok(rows: list[list[int]], seq: list[int]) -> bool:
         D(e_a, e_b) + D(e_a+1, e_b+1) >= D(e_a, e_b+1) + D(e_a+1, e_b).
 
     Summing these along the two paths between a general quadruple's four
-    positions telescopes into both of its inequalities, so the O(n^2)
-    family is equivalent to checking every quadruple directly.
+    positions telescopes into both of its inequalities, so this O(n^2)
+    family is equivalent to checking every quadruple directly (Christopher,
+    Farach and Trick, "The structure of circular decomposable metrics",
+    ESA 1996).  A violated instance is itself a violating quadruple.
     """
+    if matrix.ground != theta.ground:
+        raise ValueError("ground set mismatch")
+    rows = matrix.comparison_rows()
+    seq = theta.sequence
     n = len(seq)
     for a in range(n):
         ea = seq[a]
@@ -226,8 +209,10 @@ def _quadruples_ok(rows: list[list[int]], seq: list[int]) -> bool:
             eb = seq[b]
             eb1 = seq[(b + 1) % n]
             if row_a[eb] + row_a1[eb1] < row_a[eb1] + row_a1[eb]:
-                return False
-    return True
+                if b == n - 1:
+                    return (eb1, ea, ea1, eb)
+                return (ea, ea1, eb, eb1)
+    return None
 
 
 def _new_edges_ok(rows: list[list[int]], seq: list[int], pz: int) -> bool:
@@ -294,12 +279,14 @@ def recover_circular_ordering(matrix: DistanceMatrix) -> CircularOrdering | None
     seq = [0, 1, 2]
     for z in range(3, n):
         seq.insert(_insertion_positions(rows, seq, z)[0], z)
-    if _quadruples_ok(rows, seq):
-        return CircularOrdering(matrix.ground, seq)
+    theta = CircularOrdering(matrix.ground, seq)
+    if kalmanson_check(matrix, theta) is None:
+        return theta
     found = _dfs_insert(rows, [0, 1, 2], 3, n)
-    if found is not None and _quadruples_ok(rows, found):
-        return CircularOrdering(matrix.ground, found)
-    return None
+    if found is None:
+        return None
+    theta = CircularOrdering(matrix.ground, found)
+    return theta if kalmanson_check(matrix, theta) is None else None
 
 
 def is_circular_split_system(
@@ -311,14 +298,7 @@ def is_circular_split_system(
     generates a circular distance whose valid orderings are exactly the
     orderings the system fits on, and the fit is re-checked explicitly.
     """
-    if isinstance(splits, WeightedSplitSystem):
-        ground = splits.ground
-        split_list = list(splits.splits)
-    else:
-        split_list = sorted(set(splits), key=lambda s: s.bits)
-        if not split_list:
-            raise ValueError("cannot infer the ground set of an empty collection")
-        ground = split_list[0].ground
+    ground, split_list = ground_and_splits(splits)
     if not split_list:
         return CircularOrdering(ground, range(ground.n))
     system = WeightedSplitSystem.unit(ground, split_list)
@@ -390,9 +370,6 @@ def evaluate_circular_distance(
     return DistanceMatrix(theta.ground, out)
 
 
-_USE_BINARY_SEARCH = True
-
-
 def _locate_true_arc(
     rows: list[list[int]], seq: tuple[int, ...], pos: dict[int, int], u: int, v: int
 ) -> tuple[int, int]:
@@ -402,40 +379,47 @@ def _locate_true_arc(
     n = len(seq)
     row_u, row_v = rows[u], rows[v]
     pu, pv = pos[u], pos[v]
+    cw_len = (pv - pu) % n
+    lo, hi = 0, cw_len
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        e = seq[(pu + mid) % n]
+        if row_u[e] < row_v[e]:
+            lo = mid
+        else:
+            hi = mid
+    cw_last = lo
+    ccw_len = (pu - pv) % n
+    lo, hi = 0, ccw_len
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        e = seq[(pu - mid) % n]
+        if row_u[e] < row_v[e]:
+            lo = mid
+        else:
+            hi = mid
+    ccw_last = lo
+    start = (pu - ccw_last) % n
+    end = (pu + cw_last) % n
+    e_start, e_end = seq[start], seq[end]
+    e_before, e_after = seq[(start - 1) % n], seq[(end + 1) % n]
+    if (
+        row_u[e_start] < row_v[e_start]
+        and row_u[e_end] < row_v[e_end]
+        and not row_u[e_before] < row_v[e_before]
+        and not row_u[e_after] < row_v[e_after]
+    ):
+        return start, end
+    return _scan_true_arc(rows, seq, u, v)
 
-    if _USE_BINARY_SEARCH:
-        cw_len = (pv - pu) % n
-        lo, hi = 0, cw_len
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            e = seq[(pu + mid) % n]
-            if row_u[e] < row_v[e]:
-                lo = mid
-            else:
-                hi = mid
-        cw_last = lo
-        ccw_len = (pu - pv) % n
-        lo, hi = 0, ccw_len
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            e = seq[(pu - mid) % n]
-            if row_u[e] < row_v[e]:
-                lo = mid
-            else:
-                hi = mid
-        ccw_last = lo
-        start = (pu - ccw_last) % n
-        end = (pu + cw_last) % n
-        e_start, e_end = seq[start], seq[end]
-        e_before, e_after = seq[(start - 1) % n], seq[(end + 1) % n]
-        if (
-            row_u[e_start] < row_v[e_start]
-            and row_u[e_end] < row_v[e_end]
-            and not row_u[e_before] < row_v[e_before]
-            and not row_u[e_after] < row_v[e_after]
-        ):
-            return start, end
 
+def _scan_true_arc(
+    rows: list[list[int]], seq: tuple[int, ...], u: int, v: int
+) -> tuple[int, int]:
+    """The arc of _locate_true_arc found by scanning every position; raises
+    NotCircularError when the strict-comparison side is not an arc."""
+    n = len(seq)
+    row_u, row_v = rows[u], rows[v]
     members = [p for p in range(n) if row_u[seq[p]] < row_v[seq[p]]]
     breaks = [
         p for p in members if (p - 1) % n not in members
@@ -448,18 +432,20 @@ def _locate_true_arc(
     return start, (start + len(members) - 1) % n
 
 
-def order_distance_circular(matrix: DistanceMatrix, p: object = 2) -> DistanceMatrix:
-    """Order distance at parameters (p, p/2) for a circular input distance.
+def order_distance_circular(
+    matrix: DistanceMatrix, params: OrderParams
+) -> DistanceMatrix:
+    """Order distance of a circular input distance; needs q = p/2.
 
     Recovers and verifies an ordering, locates every strict-comparison arc
     by binary search, and evaluates the weighted arc system with the O(n^2)
-    recurrence.  Raises NotCircularError when no ordering passes
-    verification or when a zero-distance pair shows the input cannot come
-    from non-negative arc weights.
+    recurrence.  Raises PreconditionError when q != p/2, and its subclass
+    NotCircularError when no ordering passes verification or when a
+    zero-distance pair shows the input cannot come from non-negative arc
+    weights.
     """
-    p = as_rational(p)
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if params.q != params.half_p:
+        raise PreconditionError("the circular engine requires q = p/2")
     theta = recover_circular_ordering(matrix)
     if theta is None:
         raise NotCircularError("no circular ordering fits this distance")
@@ -491,7 +477,7 @@ def order_distance_circular(matrix: DistanceMatrix, p: object = 2) -> DistanceMa
     for (i, j), c in counts.items():
         table[i][j] = c
     dist = _evaluate_table(table, n)
-    half_p = p / 2
+    half_p = params.half_p
     out = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):
         ea = seq[a]

@@ -15,9 +15,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .circular import (
-    NotCircularError,
     evaluate_circular_distance,
     interval_weight_map,
     is_circular_split_system,
@@ -27,12 +27,12 @@ from .compat import incompatible_pair, is_compatible, six_point_witness
 from .core import (
     DistanceMatrix,
     OrderParams,
+    PreconditionError,
     WeightedSplitSystem,
     as_rational,
 )
 from .flatlab import (
     CounterexampleFound,
-    DependentBasisError,
     FLAT_FIXTURE_NAMES,
     express_in_basis,
     flat_fixture,
@@ -107,6 +107,16 @@ def _verdict(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _engines() -> dict[str, Callable[[DistanceMatrix, OrderParams], DistanceMatrix]]:
+    """Order distance engines by name.  Built on each call, so the engine
+    that runs is whatever this module's attribute holds at that time."""
+    return {
+        "eq1": order_distance_eq1,
+        "kendall": order_distance_kendall,
+        "circular": order_distance_circular,
+    }
+
+
 def _cmd_order(args: argparse.Namespace) -> CommandOutcome:
     matrix = _load_matrix(args.input)
     p = _parse_rational_flag(args.p, "-p")
@@ -117,16 +127,7 @@ def _cmd_order(args: argparse.Namespace) -> CommandOutcome:
         return CommandOutcome(PRECONDITION, f"error: {exc}")
     lines = [f"algo: {args.algo}", f"p: {format_rational(params.p)}",
              f"q: {format_rational(params.q)}"]
-    if args.algo == "eq1":
-        order = order_distance_eq1(matrix, params)
-    elif args.algo == "kendall":
-        order = order_distance_kendall(matrix, params)
-    else:
-        if params.q != params.half_p:
-            return CommandOutcome(
-                PRECONDITION, "error: the circular engine requires q = p/2"
-            )
-        order = order_distance_circular(matrix, params.p)
+    order = _engines()[args.algo](matrix, params)
     _write_output(args.output, format_distance_matrix(order), lines)
     return CommandOutcome(OK, "\n".join(lines))
 
@@ -136,7 +137,7 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
     n = matrix.n
     decomp = midpath_split_system(matrix)
     splits = sorted(decomp.x_splits, key=lambda s: s.bits)
-    compatible = is_compatible(splits) if splits else True
+    compatible = is_compatible(splits)
     lines = [
         f"elements: {n}",
         f"x-splits: {len(decomp.x_splits)}",
@@ -173,13 +174,12 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
 def _cmd_check(args: argparse.Namespace) -> CommandOutcome:
     system = _load_splits(args.splits)
     labels = system.ground.labels
-    splits = list(system.splits)
     lines: list[str] = []
     if args.kind == "compat":
-        ok = is_compatible(splits)
+        ok = is_compatible(system)
         lines.append(f"compat: {_verdict(ok)}")
         if not ok:
-            pair = incompatible_pair(splits)
+            pair = incompatible_pair(system)
             lines.append(f"incompatible-pair: [{pair[0]}] [{pair[1]}]")
     elif args.kind == "circular":
         theta = is_circular_split_system(system)
@@ -188,21 +188,21 @@ def _cmd_check(args: argparse.Namespace) -> CommandOutcome:
             lines.append(f"ordering: {theta}")
         ok = theta is not None
     elif args.kind == "independent":
-        ok = is_linearly_independent(splits)
+        ok = is_linearly_independent(system)
         lines.append(f"independent: {_verdict(ok)}")
-        lines.append(f"rank: {split_rank(splits)}")
-        lines.append(f"size: {len(splits)}")
+        lines.append(f"rank: {split_rank(system)}")
+        lines.append(f"size: {len(system)}")
     elif args.kind == "flat":
-        ok = is_maximum_flat(splits)
+        ok = is_maximum_flat(system)
         lines.append(f"flat: {_verdict(ok)}")
     elif args.kind == "closed":
-        bad = is_closed(splits)
+        bad = is_closed(system)
         ok = bad is None
         lines.append(f"closed: {_verdict(ok)}")
         if bad is not None:
             lines.append(f"violating-pair: [{bad[0]}] [{bad[1]}]")
     else:
-        bad_pair = pairwise_separation_check(splits, exhaustive=args.exhaustive)
+        bad_pair = pairwise_separation_check(system, exhaustive=args.exhaustive)
         ok = bad_pair is None
         lines.append(f"pairsep: {_verdict(ok)}")
         if bad_pair is not None:
@@ -217,7 +217,7 @@ def _cmd_decompose(args: argparse.Namespace) -> CommandOutcome:
     system = _load_splits(args.splits)
     if system.ground != matrix.ground:
         raise FormatError("matrix and splits use different ground sets")
-    weights = express_in_basis(matrix, system.splits)
+    weights = express_in_basis(matrix, system)
     if weights is None:
         return CommandOutcome(OK, "result: NOT-IN-SPAN")
     lines = []
@@ -230,7 +230,7 @@ def _cmd_decompose(args: argparse.Namespace) -> CommandOutcome:
 
 def _cmd_orderly(args: argparse.Namespace) -> CommandOutcome:
     system = _load_splits(args.splits)
-    verdict = orderly_test(system.splits, trials=args.trials, seed=args.seed)
+    verdict = orderly_test(system, trials=args.trials, seed=args.seed)
     lines = []
     if isinstance(verdict, CounterexampleFound):
         lines.append("verdict: counterexample")
@@ -273,17 +273,12 @@ def _cmd_bench(args: argparse.Namespace) -> CommandOutcome:
     matrix = evaluate_circular_distance(theta, interval_weight_map(theta, system))
     params = OrderParams(2, 1)
     timings: dict[str, float] = {}
-
-    def timed(name, func, *fargs):
+    results = []
+    for name, engine in _engines().items():
         start = time.perf_counter()
-        result = func(*fargs)
+        results.append(engine(matrix, params))
         timings[name] = time.perf_counter() - start
-        return result
-
-    by_eq1 = timed("eq1", order_distance_eq1, matrix, params)
-    by_kendall = timed("kendall", order_distance_kendall, matrix, params)
-    by_circular = timed("circular", order_distance_circular, matrix, params.p)
-    agree = by_eq1 == by_kendall == by_circular
+    agree = all(result == results[0] for result in results)
     lines = [
         f"n: {args.n}",
         f"seed: {args.seed}",
@@ -308,9 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("-i", "--input", required=True, help="distance matrix file")
     p_order.add_argument("-p", required=True, help="parameter p > 0")
     p_order.add_argument("-q", required=True, help="parameter q >= p/2")
-    p_order.add_argument(
-        "--algo", choices=("eq1", "kendall", "circular"), default="eq1"
-    )
+    p_order.add_argument("--algo", choices=tuple(_engines()), default="eq1")
     p_order.add_argument("-o", "--output", help="write the matrix here instead of stdout")
 
     p_mid = sub.add_parser("midpath", help="midpath split system of a distance")
@@ -396,7 +389,7 @@ def run(argv: list[str] | None = None) -> CommandOutcome:
         return _HANDLERS[args.command](args)
     except FormatError as exc:
         return CommandOutcome(INPUT_ERROR, f"error: {exc}")
-    except (DependentBasisError, NotCircularError) as exc:
+    except PreconditionError as exc:
         return CommandOutcome(PRECONDITION, f"error: {exc}")
     except ValueError as exc:
         return CommandOutcome(INPUT_ERROR, f"error: {exc}")

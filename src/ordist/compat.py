@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import DistanceMatrix, GroundSet, Split, WeightedSplitSystem
+from .core import (
+    DistanceMatrix,
+    GroundSet,
+    Split,
+    WeightedSplitSystem,
+    ground_and_splits,
+)
 
 __all__ = [
     "XTree",
@@ -41,19 +47,16 @@ def is_compatible_pair(s1: Split, s2: Split) -> bool:
     return not (a1 & a2) or not (a1 & b2) or not (b1 & a2) or not (b1 & b2)
 
 
-def _sorted_splits(splits: Iterable[Split]) -> list[Split]:
-    items = list(splits)
-    if items:
-        ground = items[0].ground
-        for s in items:
-            if s.ground != ground:
-                raise ValueError("ground set mismatch")
-    return sorted(set(items), key=lambda s: s.bits)
-
-
-def incompatible_pair(splits: Iterable[Split]) -> tuple[Split, Split] | None:
-    """The first incompatible pair in canonical order, or None."""
-    items = _sorted_splits(splits)
+def incompatible_pair(
+    splits: WeightedSplitSystem | Iterable[Split],
+) -> tuple[Split, Split] | None:
+    """The first incompatible pair in canonical order, or None.  An empty
+    collection has no pairs, so it needs no ground set."""
+    if not isinstance(splits, WeightedSplitSystem):
+        splits = list(splits)
+        if not splits:
+            return None
+    _, items = ground_and_splits(splits)
     for i, s1 in enumerate(items):
         for s2 in items[i + 1 :]:
             if not is_compatible_pair(s1, s2):
@@ -61,10 +64,28 @@ def incompatible_pair(splits: Iterable[Split]) -> tuple[Split, Split] | None:
     return None
 
 
-def is_compatible(splits: Iterable[Split]) -> bool:
+def is_compatible(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
     """True when every pair of splits is compatible.  An empty collection
     is vacuously compatible."""
     return incompatible_pair(splits) is None
+
+
+def _component_mask(
+    adjacency: Sequence[Iterable[int]], bag_masks: Sequence[int], start: int, blocked: int
+) -> int:
+    """Union of the bag masks of the vertices reachable from start without
+    passing through blocked."""
+    mask = 0
+    stack = [start]
+    visited = {blocked, start}
+    while stack:
+        v = stack.pop()
+        mask |= bag_masks[v]
+        for w in adjacency[v]:
+            if w not in visited:
+                visited.add(w)
+                stack.append(w)
+    return mask
 
 
 class XTree:
@@ -102,18 +123,8 @@ class XTree:
             adjacency[v].append(u)
         if len(edge_list) != v_count - 1:
             raise ValueError("a tree on k vertices needs k-1 edges")
-        # connectivity: BFS from vertex 0
-        reached = {0} if v_count else set()
-        frontier = [0] if v_count else []
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in reached:
-                        reached.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(reached) != v_count:
+        vertex_bits = [1 << v for v in range(v_count)]
+        if _component_mask(adjacency, vertex_bits, 0, 0) != (1 << v_count) - 1:
             raise ValueError("tree is not connected")
         for v in range(v_count):
             if degree[v] <= 2 and not bags[v]:
@@ -154,20 +165,6 @@ def xtree_from_compatible(system: WeightedSplitSystem) -> XTree:
     full = (1 << n) - 1
     bags: list[int] = [full]  # element bitmask per vertex
     adjacency: list[dict[int, Fraction]] = [{}]
-
-    def component_mask(start: int, blocked: int) -> int:
-        mask = 0
-        stack = [start]
-        visited = {blocked, start}
-        while stack:
-            v = stack.pop()
-            mask |= bags[v]
-            for w in adjacency[v]:
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        return mask
-
     ordered = sorted(
         system.items(), key=lambda it: (-it[0].min_side_size, it[0].bits)
     )
@@ -180,7 +177,7 @@ def xtree_from_compatible(system: WeightedSplitSystem) -> XTree:
             side_b_neighbors = []
             pure = True
             for w in adjacency[v]:
-                comp = component_mask(w, v)
+                comp = _component_mask(adjacency, bags, w, v)
                 if comp & a_mask and comp & b_mask:
                     pure = False
                     break
@@ -226,19 +223,12 @@ def splits_from_xtree(tree: XTree) -> WeightedSplitSystem:
         adjacency[v].append(u)
     bag_masks = [sum(1 << e for e in bag) for bag in tree.bags]
 
-    entries = []
-    for u, v, w in tree.edges:
-        mask = 0
-        stack = [u]
-        visited = {v, u}
-        while stack:
-            a = stack.pop()
-            mask |= bag_masks[a]
-            for b in adjacency[a]:
-                if b not in visited:
-                    visited.add(b)
-                    stack.append(b)
-        entries.append((Split.from_bits(tree.ground, mask), w))
+    # random_binary_tree_system puts each new leaf at v, so walking from v
+    # stays on the small side of its leaf edges
+    entries = [
+        (Split.from_bits(tree.ground, _component_mask(adjacency, bag_masks, v, u)), w)
+        for u, v, w in tree.edges
+    ]
     return WeightedSplitSystem(tree.ground, entries)
 
 

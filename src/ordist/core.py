@@ -21,6 +21,7 @@ __all__ = [
     "DistanceMatrix",
     "WeightedSplitSystem",
     "OrderParams",
+    "PreconditionError",
     "split_metric",
     "generate_distance",
     "restrict_split_system",
@@ -103,6 +104,12 @@ def _check_same_ground(a: GroundSet, b: GroundSet) -> None:
         raise ValueError("ground set mismatch")
 
 
+def canonical_mask(mask: int, full: int) -> int:
+    """The side of the bipartition (mask, full ^ mask) that does not contain
+    element 0, which is how a split is stored."""
+    return (full ^ mask) if mask & 1 else mask
+
+
 class Split:
     """A bipartition A|B of a ground set with both sides non-empty.
 
@@ -127,7 +134,7 @@ class Split:
         if mask == 0 or mask == full:
             raise ValueError("both sides of a split must be non-empty")
         self.ground = ground
-        self.bits = (full ^ mask) if (mask & 1) else mask
+        self.bits = canonical_mask(mask, full)
 
     @classmethod
     def from_bits(cls, ground: GroundSet, bits: int) -> "Split":
@@ -137,7 +144,7 @@ class Split:
         if n < 2 or bits <= 0 or bits >= full:
             raise ValueError("invalid split bitmask")
         split.ground = ground
-        split.bits = (full ^ bits) if (bits & 1) else bits
+        split.bits = canonical_mask(bits, full)
         return split
 
     def separates(self, x: int, y: int) -> bool:
@@ -339,6 +346,28 @@ class WeightedSplitSystem:
 
     def __repr__(self) -> str:
         return f"WeightedSplitSystem({len(self)} splits on n={self.ground.n})"
+
+
+def ground_and_splits(
+    splits: WeightedSplitSystem | Iterable[Split],
+) -> tuple[GroundSet, tuple[Split, ...]]:
+    """The ground set and the distinct splits in canonical bitmask order.
+
+    A WeightedSplitSystem keeps its ground set even when it has no splits.
+    A bare collection takes its ground set from its splits, so it must not
+    be empty, and all its splits must share one ground set.
+    """
+    if not isinstance(splits, WeightedSplitSystem):
+        distinct = set(splits)
+        if not distinct:
+            raise ValueError("cannot infer the ground set of an empty collection")
+        splits = WeightedSplitSystem.unit(next(iter(distinct)).ground, distinct)
+    return splits.ground, splits.splits
+
+
+class PreconditionError(ValueError):
+    """Raised when the input is well formed but outside the domain an
+    operation needs, such as non-circular input to the circular engine."""
 
 
 class OrderParams:

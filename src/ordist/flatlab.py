@@ -26,9 +26,11 @@ from .core import (
     DistanceMatrix,
     GroundSet,
     OrderParams,
+    PreconditionError,
     Split,
     WeightedSplitSystem,
     generate_distance,
+    ground_and_splits,
     restrict_split_system,
 )
 from .order import order_distance_eq1
@@ -52,22 +54,9 @@ __all__ = [
 ]
 
 
-class DependentBasisError(ValueError):
+class DependentBasisError(PreconditionError):
     """Raised when an operation needs linearly independent splits but the
     given ones are dependent."""
-
-
-def _split_list(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[GroundSet, list[Split]]:
-    if isinstance(splits, WeightedSplitSystem):
-        return splits.ground, list(splits.splits)
-    out = sorted(set(splits), key=lambda s: s.bits)
-    if not out:
-        raise ValueError("cannot infer the ground set of an empty collection")
-    ground = out[0].ground
-    for s in out:
-        if s.ground != ground:
-            raise ValueError("splits live on different ground sets")
-    return ground, out
 
 
 class _ExactSolver:
@@ -84,8 +73,6 @@ class _ExactSolver:
         rows: list[list[Fraction]] = []
         mults: list[list[Fraction]] = []
         for idx, split in enumerate(self.splits):
-            if split.ground != ground:
-                raise ValueError("splits live on different ground sets")
             rows.append([one if split.separates(i, j) else zero for i, j in self.pairs])
             mults.append([one if t == idx else zero for t in range(k)])
         self.pivot_cols: list[int] = []
@@ -143,12 +130,12 @@ class _ExactSolver:
 
 def split_rank(splits: WeightedSplitSystem | Iterable[Split]) -> int:
     """Rank over the rationals of the split incidence vectors."""
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     return _ExactSolver(ground, split_list).rank
 
 
 def is_linearly_independent(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     return _ExactSolver(ground, split_list).is_independent
 
 
@@ -162,7 +149,7 @@ def express_in_basis(
     weights would not be unique.  Weights may be negative; callers that
     need a non-negative weighting must check.
     """
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     solver = _ExactSolver(ground, split_list)
     if not solver.is_independent:
         raise DependentBasisError("splits are linearly dependent")
@@ -191,7 +178,7 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
           corner splits belong to it.
     A system without incompatible pairs is closed by default.
     """
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     have = set(split_list)
 
     def _in(mask: int) -> bool:
@@ -249,7 +236,7 @@ def pairwise_separation_check(
     exhaustive flag re-checks with every subset of the other elements
     instead (small ground sets only) and exists as a cross-check.
     """
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     n = ground.n
     if exhaustive and n > 16:
         raise ValueError("exhaustive search is limited to 16 elements")
@@ -292,7 +279,7 @@ def is_maximum_flat(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
     routes are equivalent for maximum independent systems and both are
     computed; disagreement would mean a bug and raises.
     """
-    ground, split_list = _split_list(splits)
+    ground, split_list = ground_and_splits(splits)
     n = ground.n
     m = n * (n - 1) // 2
     if len(split_list) != m:
@@ -304,7 +291,8 @@ def is_maximum_flat(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
         len(restrict_split_system(split_list, quad)) == 6
         for quad in combinations(range(n), 4)
     )
-    by_separation = pairwise_separation_check(split_list) is None
+    system = WeightedSplitSystem.unit(ground, split_list)
+    by_separation = pairwise_separation_check(system) is None
     if by_restriction != by_separation:
         raise AssertionError(
             "flatness routes disagree: "
@@ -358,7 +346,8 @@ class AllowablePair:
         for k in self.kappa:
             out.add(Split(self.ground, cur[: k + 1]))
             cur[k], cur[k + 1] = cur[k + 1], cur[k]
-        assert len(out) == len(self.kappa), "swap splits must be distinct"
+        if len(out) != len(self.kappa):
+            raise AssertionError("swap splits must be distinct")
         return frozenset(out)
 
 
@@ -411,7 +400,9 @@ def orderly_test(
     independence so that expressions are unique; a verdict of
     NoCounterexampleFound is evidence, not proof.
     """
-    ground, split_list = _split_list(splits)
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    ground, split_list = ground_and_splits(splits)
     solver = _ExactSolver(ground, split_list)
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")

@@ -10,7 +10,8 @@ import random
 from itertools import combinations
 
 from .circular import CircularOrdering, maximum_circular_splits
-from .core import DistanceMatrix, GroundSet, Split, WeightedSplitSystem
+from .compat import XTree, splits_from_xtree
+from .core import DistanceMatrix, GroundSet, WeightedSplitSystem
 from .flatlab import AllowablePair, allowable_splits
 
 __all__ = [
@@ -49,30 +50,9 @@ def random_binary_tree_system(
         mid = next_vertex
         next_vertex += 1
         edges.extend([(u, mid), (mid, v), (mid, leaf)])
-    adjacency: dict[int, list[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-
-    def leaves_beyond(start: int, blocked: int) -> list[int]:
-        seen = {blocked, start}
-        stack = [start]
-        found = []
-        while stack:
-            w = stack.pop()
-            if w < n:
-                found.append(w)
-            for nb in adjacency[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return found
-
-    weighted = []
-    for u, v in edges:
-        side = leaves_beyond(v, u)
-        weighted.append((Split(ground, side), rng.randint(1, max_weight)))
-    return WeightedSplitSystem(ground, weighted)
+    bags = [[i] for i in range(n)] + [[]] * (next_vertex - n)
+    weighted = [(u, v, rng.randint(1, max_weight)) for u, v in edges]
+    return splits_from_xtree(XTree(ground, bags, weighted))
 
 
 def random_maximum_circular_system(

@@ -28,6 +28,7 @@ from .core import (
     OrderParams,
     Split,
     WeightedSplitSystem,
+    canonical_mask,
     generate_distance,
 )
 from .rankings import kendall_counts, ranking_from_distance
@@ -116,14 +117,15 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
                 elif du == dv:
                     e_mask |= 1 << z
             if 0 < x_mask < full:
-                key = (full ^ x_mask) if (x_mask & 1) else x_mask
+                key = canonical_mask(x_mask, full)
                 x_masks[key] = x_masks.get(key, 0) + 1
             if u < v and 0 < e_mask < full:
-                key = (full ^ e_mask) if (e_mask & 1) else e_mask
+                key = canonical_mask(e_mask, full)
                 e_masks[key] = e_masks.get(key, 0) + 1
+    if len(x_masks) > n * (n - 1):
+        raise AssertionError("split count exceeds the n(n-1) bound")
     x_splits = {Split.from_bits(ground, m): c for m, c in x_masks.items()}
     e_splits = {Split.from_bits(ground, m): c for m, c in e_masks.items()}
-    assert len(x_splits) <= n * (n - 1), "split count exceeds the n(n-1) bound"
     return MidpathDecomposition(x_splits, e_splits)
 
 

@@ -194,8 +194,8 @@ def test_acceptance_07_engine_agreement():
             theta, system = random_maximum_circular_system(n, rng)
             d = generate_distance(system)
             p = Fraction(rng.randint(1, 4))
-            fast = order_distance_circular(d, p)
-            assert fast == order_distance_eq1(d, OrderParams(p, p / 2))
+            params = OrderParams(p, p / 2)
+            assert order_distance_circular(d, params) == order_distance_eq1(d, params)
 
     # report-only timing note at n = 64; agreement above is the gate
     theta, system = random_maximum_circular_system(64, random.Random(20271))
@@ -204,7 +204,7 @@ def test_acceptance_07_engine_agreement():
     order_distance_eq1(d, OrderParams(2, 1))
     eq1_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    order_distance_circular(d, 2)
+    order_distance_circular(d, OrderParams(2, 1))
     circular_seconds = time.perf_counter() - start
     print(
         f"note 7: n=64 eq1 {eq1_seconds:.2f}s vs circular engine "

@@ -13,6 +13,7 @@ from ordist import (
     IntervalSplit,
     NotCircularError,
     OrderParams,
+    PreconditionError,
     Split,
     WeightedSplitSystem,
     all_interval_splits,
@@ -103,15 +104,18 @@ def test_kalmanson_check_matches_direct_scan(matrix):
     st.randoms(use_true_random=False),
 )
 def test_edge_pair_scan_equals_full_quadruple_scan(matrix, rnd):
-    # recovery verifies orderings through the O(n^2) disjoint-edge family,
-    # which must accept exactly the orderings the full scan accepts
+    # kalmanson_check tests only the O(n^2) disjoint-edge family, which must
+    # accept exactly the orderings the full quadruple scan accepts, and
+    # report a position-ordered quadruple that really violates
     seq = list(range(matrix.n))
     rnd.shuffle(seq)
     theta = CircularOrdering(matrix.ground, seq)
-    fast = circular_module._quadruples_ok(
-        matrix.comparison_rows(), list(theta.sequence)
-    )
-    assert fast == (kalmanson_check(matrix, theta) is None)
+    found = kalmanson_check(matrix, theta)
+    assert (found is None) == quadruple_condition_holds(matrix, theta.sequence)
+    if found is not None:
+        positions = [theta.position(e) for e in found]
+        assert positions == sorted(positions)
+        assert not quadruple_condition_holds(matrix, found)
 
 
 @given(distance_matrices(min_n=4, max_n=6, values=st.integers(0, 3)))
@@ -168,16 +172,22 @@ def test_interval_evaluation_rejects_foreign_and_negative():
 def test_circular_engine_matches_eq1(n, seed, p):
     theta, system = random_maximum_circular_system(n, random.Random(seed))
     d = generate_distance(system)
-    fast = order_distance_circular(d, p)
-    assert fast == order_distance_eq1(d, OrderParams(p, Fraction(p) / 2))
+    params = OrderParams(p, Fraction(p) / 2)
+    assert order_distance_circular(d, params) == order_distance_eq1(d, params)
 
 
-def test_circular_engine_with_linear_scan(monkeypatch):
+def test_circular_engine_with_linear_scan():
     theta, system = random_maximum_circular_system(7, random.Random(21))
     d = generate_distance(system)
-    expected = order_distance_circular(d)
-    monkeypatch.setattr(circular_module, "_USE_BINARY_SEARCH", False)
-    assert order_distance_circular(d) == expected
+    rows = d.comparison_rows()
+    seq = theta.sequence
+    pos = {e: i for i, e in enumerate(seq)}
+    for u in range(d.n):
+        for v in range(d.n):
+            if u != v:
+                assert circular_module._locate_true_arc(
+                    rows, seq, pos, u, v
+                ) == circular_module._scan_true_arc(rows, seq, u, v)
 
 
 def test_quadruple_condition_without_decomposability_still_works():
@@ -186,18 +196,20 @@ def test_quadruple_condition_without_decomposability_still_works():
     g = index_ground(4)
     d = DistanceMatrix(g, [[0, 1, 5, 1], [1, 0, 1, 1], [5, 1, 0, 1], [1, 1, 1, 0]])
     assert recover_circular_ordering(d) is not None
-    assert order_distance_circular(d, 2) == order_distance_eq1(d, OrderParams(2, 1))
+    params = OrderParams(2, 1)
+    assert order_distance_circular(d, params) == order_distance_eq1(d, params)
 
 
 def test_zero_distance_pairs():
     g = index_ground(3)
     twins = DistanceMatrix(g, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    assert order_distance_circular(twins, 2) == order_distance_eq1(
-        twins, OrderParams(2, 1)
+    params = OrderParams(2, 1)
+    assert order_distance_circular(twins, params) == order_distance_eq1(
+        twins, params
     )
     skewed = DistanceMatrix(g, [[0, 0, 1], [0, 0, 2], [1, 2, 0]])
     with pytest.raises(NotCircularError):
-        order_distance_circular(skewed, 2)
+        order_distance_circular(skewed, params)
 
 
 def test_engine_rejects_non_circular_distance():
@@ -205,9 +217,9 @@ def test_engine_rejects_non_circular_distance():
     assert circular_orderings_brute(d) == []
     assert recover_circular_ordering(d) is None
     with pytest.raises(NotCircularError):
-        order_distance_circular(d, 2)
-    with pytest.raises(ValueError):
-        order_distance_circular(d.restricted([0, 1]), 0)
+        order_distance_circular(d, OrderParams(2, 1))
+    with pytest.raises(PreconditionError, match="q = p/2"):
+        order_distance_circular(d.restricted([0, 1]), OrderParams(2, 2))
 
 
 def test_circular_recognition_of_split_systems():

@@ -1,6 +1,8 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,8 +256,27 @@ def test_orderly_command(tmp_path):
         line.startswith("pair-probes: ") for line in outcome.report.splitlines()
     )
 
+    negative = run(["orderly", "-s", circ, "--trials", "-3", "--seed", "3"])
+    assert negative.exit_code == 2
+    assert "trials" in negative.report
+
     with pytest.raises(SystemExit):
         run(["orderly", "-s", "S1_5"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"check {kind}" for kind in
+     ("compat", "circular", "flat", "independent", "closed", "pairsep")]
+    + ["decompose", "orderly"],
+)
+def test_empty_split_system(tmp_path, command):
+    # a split system file may list no splits; its ground set still counts
+    empty = write(tmp_path, "empty.splits", "4\na b c d\n")
+    zero = write(tmp_path, "zero.dist", "4\n" + "".join(f"{c} 0 0 0 0\n" for c in "abcd"))
+    extra = {"decompose": ["-i", zero], "orderly": ["--seed", "0"]}.get(command, [])
+    outcome = run(command.split() + extra + ["-s", empty])
+    assert outcome.exit_code == 0, outcome.report
 
 
 def test_gen_round_trips(tmp_path):
@@ -307,11 +328,15 @@ def test_thread_cap_env(monkeypatch, quartet_file):
 
 
 def test_console_entry_point(tmp_path, quartet_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ordist.cli", "check", "compat", "-s", "S1_5",
          "--strict"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 1
     assert "compat: false" in result.stderr
@@ -320,6 +345,7 @@ def test_console_entry_point(tmp_path, quartet_file):
          "-p", "2", "-q", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert ok.returncode == 0
     assert ok.stdout.startswith("algo: eq1")

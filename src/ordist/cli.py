@@ -29,7 +29,6 @@ from .core import (
     OrderParams,
     PreconditionError,
     WeightedSplitSystem,
-    as_rational,
 )
 from .flatlab import (
     CounterexampleFound,
@@ -50,6 +49,7 @@ from .formats import (
     format_split_system,
     parse_distance_matrix,
     parse_split_system,
+    parse_value,
 )
 from .generators import (
     random_binary_tree_system,
@@ -98,9 +98,9 @@ def _load_splits(arg: str) -> WeightedSplitSystem:
 
 def _parse_rational_flag(raw: str, flag: str) -> Fraction:
     try:
-        return as_rational(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad value for {flag}: {raw!r}") from exc
+        return parse_value(raw, flag)
+    except FormatError:
+        raise FormatError(f"bad value for {flag}: {raw!r}") from None
 
 
 def _verdict(value: bool) -> str:

@@ -423,20 +423,30 @@ def split_metric(split: Split) -> DistanceMatrix:
 def generate_distance(system: WeightedSplitSystem) -> DistanceMatrix:
     """The distance generated by a weighted split system:
     D(x, y) = sum of weights of the splits separating x and y.
+
+    The weights are scaled to integers by their common denominator, summed
+    as ints and turned back into one Fraction per entry.
     """
     n = system.ground.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for split, w in system.items():
-        if w == 0:
-            continue
+    weighted = [(split, w) for split, w in system.items() if w != 0]
+    scale = lcm(*(w.denominator for _, w in weighted))
+    totals = [[0] * n for _ in range(n)]
+    for split, w in weighted:
+        w = int(w * scale)
         a_side, b_side = split.index_lists()
         for i in a_side:
-            row = rows[i]
+            row = totals[i]
             for j in b_side:
                 row[j] += w
+    values: dict[int, Fraction] = {}
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[j][i] = rows[i][j] = rows[i][j] + rows[j][i]
+            total = totals[i][j] + totals[j][i]
+            value = values.get(total)
+            if value is None:
+                value = values[total] = Fraction(total, scale)
+            rows[j][i] = rows[i][j] = value
     return DistanceMatrix(system.ground, rows)
 
 

@@ -23,6 +23,7 @@ either format reproduces the object exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
 __all__ = [
     "FormatError",
     "format_rational",
+    "parse_value",
     "parse_distance_matrix",
     "format_distance_matrix",
     "parse_split_system",
@@ -62,11 +64,27 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_value(token: str, context: str) -> Fraction:
+def parse_value(token: str, context: str) -> Fraction:
+    """Read one exact value, or raise ``FormatError`` naming the token and
+    ``context``.  A value whose numerator or denominator could not be
+    printed back (more digits than ``sys.get_int_max_str_digits()``) is
+    refused like the same number written out in digits."""
+    limit = sys.get_int_max_str_digits()
+    # shorter than the limit and without an exponent, a token cannot spell
+    # a numerator or denominator with more digits than the limit
+    long_form = limit and (len(token) >= limit or "e" in token or "E" in token)
     try:
-        return as_rational(token)
+        if long_form:
+            exponent = token.lower().partition("e")[2]
+            # refuse huge exponents before Fraction expands them
+            if exponent and abs(int(exponent)) > limit + len(token):
+                raise ValueError(token)
+        value = as_rational(token)
+        if long_form and max(abs(value.numerator), value.denominator) >= 10**limit:
+            raise ValueError(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad value {token!r} in {context}") from None
+    return value
 
 
 def parse_distance_matrix(text: str) -> DistanceMatrix:
@@ -88,7 +106,7 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
         if len(tokens) != n + 1:
             raise FormatError(f"expected label plus {n} values: {line!r}")
         labels.append(tokens[0])
-        rows.append([_parse_value(t, f"row {tokens[0]!r}") for t in tokens[1:]])
+        rows.append([parse_value(t, f"row {tokens[0]!r}") for t in tokens[1:]])
     try:
         return DistanceMatrix(GroundSet(labels), rows)
     except ValueError as exc:
@@ -133,7 +151,7 @@ def parse_split_system(text: str) -> WeightedSplitSystem:
         body, _, weight_part = line.partition(":")
         weight = Fraction(1)
         if weight_part.strip():
-            weight = _parse_value(weight_part.strip(), f"split line {line!r}")
+            weight = parse_value(weight_part.strip(), f"split line {line!r}")
         sides = body.split("|")
         if len(sides) != 2:
             raise FormatError(f"expected exactly one '|' in split line {line!r}")

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import hypothesis
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,3 +14,13 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on digits in int <-> str conversion, set for
+    the test whatever the environment chose."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

@@ -279,6 +279,27 @@ def test_empty_split_system(tmp_path, command):
     assert outcome.exit_code == 0, outcome.report
 
 
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["decompose", "-i", "big.dist", "-s", "one.splits"], "bad value '1e5000' in row 'a'"),
+        (["order", "-i", "big.dist", "-p", "2", "-q", "1"], "bad value '1e5000' in row 'a'"),
+        (["order", "-i", "one.dist", "-p", "1e5000", "-q", "1e5000"],
+         "bad value for -p: '1e5000'"),
+    ],
+)
+def test_value_too_long_to_print_is_an_input_error(tmp_path, command, message, digit_limit):
+    # 1e5000 has more digits than a report may print, so it is refused at
+    # parse time, as the same number written out in digits is
+    write(tmp_path, "one.splits", "3\na b c\na | b,c\n")
+    write(tmp_path, "one.dist", "3\na 0 1 1\nb 1 0 0\nc 1 0 0\n")
+    write(tmp_path, "big.dist", "3\na 0 1e5000 1e5000\nb 1e5000 0 0\nc 1e5000 0 0\n")
+    args = [str(tmp_path / a) if "." in a else a for a in command]
+    outcome = run(args)
+    assert outcome.exit_code == 2
+    assert outcome.report == "error: " + message
+
+
 def test_gen_round_trips(tmp_path):
     tree_path = str(tmp_path / "gen_tree.splits")
     outcome = run(["gen", "tree", "-n", "6", "--seed", "4", "-o", tree_path])
@@ -349,3 +370,12 @@ def test_console_entry_point(tmp_path, quartet_file):
     )
     assert ok.returncode == 0
     assert ok.stdout.startswith("algo: eq1")
+    package = subprocess.run(
+        [sys.executable, "-m", "ordist", "order", "-i", quartet_file,
+         "-p", "2", "-q", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert package.returncode == 0
+    assert package.stdout == ok.stdout

@@ -168,6 +168,27 @@ def test_generate_distance_matches_metric_sum(system):
             assert total[i, j] == expected
 
 
+def test_generate_distance_with_mixed_denominators():
+    g = index_ground(5)
+    weights = [
+        (Split(g, [1]), Fraction(1, 3)),
+        (Split(g, [1, 2]), Fraction(5, 7)),
+        (Split(g, [0, 3]), Fraction(0)),
+    ]
+    total = generate_distance(WeightedSplitSystem(g, weights))
+    expected = [[Fraction(0)] * 5 for _ in range(5)]
+    for s, w in weights:
+        metric = split_metric(s)
+        for i in range(5):
+            for j in range(5):
+                expected[i][j] += w * metric[i, j]
+    assert total == DistanceMatrix(g, expected)
+    assert total[0, 2] == Fraction(5, 7) and total[1, 2] == Fraction(1, 3)
+    assert generate_distance(WeightedSplitSystem(g, [])) == DistanceMatrix(
+        g, [[0] * 5 for _ in range(5)]
+    )
+
+
 @given(split_systems(), st.data())
 def test_generate_distance_is_linear_in_weights(system, data):
     other = {

@@ -60,6 +60,21 @@ def test_matrix_parse_errors(text):
         parse_distance_matrix(text)
 
 
+def test_values_too_long_to_print_are_refused(digit_limit):
+    limit = digit_limit
+    too_long = ("1e5000", "1e-5000", "1E999999999", "3/" + "1" * (limit + 1), "0." + "1" * limit)
+    for token in too_long:
+        with pytest.raises(FormatError, match="bad value"):
+            parse_distance_matrix(f"2\na 0 {token}\nb {token} 0")
+    # 10**(limit - 1) has exactly limit digits
+    edge = f"0.0001e{limit + 3}"
+    m = parse_distance_matrix(f"2\na 0 {edge}\nb {edge} 0")
+    assert m[0, 1] == 10 ** (limit - 1)
+    assert parse_distance_matrix(format_distance_matrix(m)) == m
+    with pytest.raises(FormatError, match="bad value"):
+        parse_split_system("2\na b\na | b : 1e5000\n")
+
+
 def test_split_parse_weight_defaults_to_one():
     system = parse_split_system("3\na b c\na | b,c\nb | a,c : 2")
     splits = list(system.splits)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ordist import (
     order_distance_eq1,
     order_distance_kendall,
     pair_partition,
+    random_distance_matrix,
     two_split_instance,
     two_split_order_values,
 )
@@ -29,11 +31,26 @@ def order_params(draw):
     return OrderParams(p, p / 2 + extra)
 
 
-@given(distance_matrices(max_n=5), order_params())
+# tie-rich values with off-diagonal zeros: D(u, x) = D(x, x) = 0 puts
+# u = x and v = x into the tie sets
+TIE_RICH = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+
+
+@given(
+    st.one_of(distance_matrices(max_n=5), distance_matrices(max_n=7, values=TIE_RICH)),
+    order_params(),
+)
 def test_eq1_matches_defining_sums(matrix, params):
     fast = order_distance_eq1(matrix, params)
     slow = naive_order_distance(matrix, params.p, params.q)
     assert fast == slow
+
+
+@pytest.mark.parametrize("tie_rich,q", [(False, 1), (True, Fraction(3, 2))])
+def test_eq1_matches_kendall_at_n64(tie_rich, q):
+    matrix = random_distance_matrix(64, random.Random(11), tie_rich=tie_rich)
+    params = OrderParams(2, q)
+    assert order_distance_eq1(matrix, params) == order_distance_kendall(matrix, params)
 
 
 @given(distance_matrices(max_n=6), order_params())

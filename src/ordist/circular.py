@@ -248,16 +248,29 @@ def _insertion_positions(rows: list[list[int]], seq: list[int], z: int) -> list[
     return [pos for _, pos in scored]
 
 
-def _dfs_insert(rows: list[list[int]], seq: list[int], z: int, n: int) -> list[int] | None:
-    if z == n:
-        return list(seq)
-    for pos in _insertion_positions(rows, seq, z):
-        seq.insert(pos, z)
-        if _new_edges_ok(rows, seq, pos):
-            found = _dfs_insert(rows, seq, z + 1, n)
-            if found is not None:
-                return found
-        seq.pop(pos)
+def _search_insertions(rows: list[list[int]], n: int) -> list[int] | None:
+    """Backtracking over insertion positions of elements 3..n-1 into the
+    circle 0, 1, 2, cheapest detour first, on an explicit stack of position
+    iterators (one per element being placed) instead of the call stack."""
+    seq = [0, 1, 2]
+    pending = [iter(_insertion_positions(rows, seq, 3))]
+    placed: list[int] = []  # the position at which each placed element went in
+    while pending:
+        z = 3 + len(placed)
+        for pos in pending[-1]:
+            seq.insert(pos, z)
+            if _new_edges_ok(rows, seq, pos):
+                break
+            seq.pop(pos)
+        else:
+            pending.pop()
+            if placed:
+                seq.pop(placed.pop())
+            continue
+        if z + 1 == n:
+            return seq
+        placed.append(pos)
+        pending.append(iter(_insertion_positions(rows, seq, z + 1)))
     return None
 
 
@@ -282,7 +295,7 @@ def recover_circular_ordering(matrix: DistanceMatrix) -> CircularOrdering | None
     theta = CircularOrdering(matrix.ground, seq)
     if kalmanson_check(matrix, theta) is None:
         return theta
-    found = _dfs_insert(rows, [0, 1, 2], 3, n)
+    found = _search_insertions(rows, n)
     if found is None:
         return None
     theta = CircularOrdering(matrix.ground, found)
@@ -478,10 +491,10 @@ def order_distance_circular(
         table[i][j] = c
     dist = _evaluate_table(table, n)
     half_p = params.half_p
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for a in range(n):
         ea = seq[a]
         for b in range(a + 1, n):
             eb = seq[b]
-            out[ea][eb] = out[eb][ea] = half_p * dist[a][b]
-    return DistanceMatrix(theta.ground, out)
+            out[ea][eb] = out[eb][ea] = half_p.numerator * dist[a][b]
+    return DistanceMatrix.from_scaled(theta.ground, out, half_p.denominator)

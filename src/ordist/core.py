@@ -1,14 +1,15 @@
 """Core types for finite distance matrices and weighted split systems.
 
-All arithmetic is exact: values are `fractions.Fraction` throughout, floats
-are rejected at the boundary.  Splits are stored canonically (the side not
+All arithmetic is exact: values are `fractions.Fraction` at the API and
+ints over one common denominator inside a distance matrix; floats are
+rejected at the boundary.  Splits are stored canonically (the side not
 containing element 0, as an int bitmask), so `A|B` and `B|A` compare equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -176,15 +177,7 @@ class Split:
 
     def restricted(self, keep: Iterable[int]) -> "Split | None":
         """The induced split on a sub ground set, or None if a side empties."""
-        keep = sorted(set(keep))
-        sub = self.ground.restricted(keep)
-        mask = 0
-        for new_i, old_i in enumerate(keep):
-            if (self.bits >> old_i) & 1:
-                mask |= 1 << new_i
-        if mask == 0 or mask == (1 << len(keep)) - 1:
-            return None
-        return Split.from_bits(sub, mask)
+        return next(iter(restrict_split_system([self], keep)), None)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -211,16 +204,34 @@ class DistanceMatrix:
     """A symmetric matrix of exact non-negative values with zero diagonal.
 
     No triangle inequality is assumed; any symmetric dissimilarity matrix
-    fits.  Entries are Fractions and the object is immutable by convention.
+    fits.  Entry (i, j) is stored as the int rows[i][j] over ``scale``, the
+    least common denominator of all entries.  Immutable by convention.
     """
 
-    __slots__ = ("ground", "entries", "_cmp_rows")
+    __slots__ = ("ground", "scale", "_rows")
 
     def __init__(self, ground: GroundSet, entries: Iterable[Iterable[object]]):
+        rows = [[as_rational(v) for v in row] for row in entries]
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+        self._set(ground, ints, scale)
+
+    @classmethod
+    def from_scaled(
+        cls, ground: GroundSet, rows: Iterable[Iterable[int]], scale: int = 1
+    ) -> "DistanceMatrix":
+        """The matrix with entries rows[i][j] / scale, from ints."""
+        matrix = object.__new__(cls)
+        matrix._set(ground, [list(row) for row in rows], scale)
+        return matrix
+
+    def _set(self, ground: GroundSet, rows: list[list[int]], scale: int) -> None:
         n = ground.n
-        rows = tuple(tuple(as_rational(v) for v in row) for row in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected a {n}x{n} matrix")
+        common = gcd(scale, *(gcd(*row) for row in rows))  # TypeError unless ints
+        if scale < 1:
+            raise ValueError(f"scale must be positive, got {scale}")
         for i in range(n):
             if rows[i][i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 0")
@@ -229,9 +240,11 @@ class DistanceMatrix:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
                 if rows[i][j] < 0:
                     raise ValueError(f"negative entry at ({i},{j})")
+        if common > 1:
+            rows = [[v // common for v in row] for row in rows]
         self.ground = ground
-        self.entries = rows
-        self._cmp_rows = None
+        self.scale = scale // common
+        self._rows = rows
 
     @property
     def n(self) -> int:
@@ -239,39 +252,28 @@ class DistanceMatrix:
 
     def __getitem__(self, pair: tuple[int, int]) -> Fraction:
         i, j = pair
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+        return Fraction(self._rows[i][j], self.scale)
 
     def by_label(self, a: str, b: str) -> Fraction:
-        return self.entries[self.ground.index(a)][self.ground.index(b)]
+        return self[self.ground.index(a), self.ground.index(b)]
 
     def comparison_rows(self) -> list[list[int]]:
-        """Rows rescaled to integers by the common denominator.
-
-        Positive rescaling preserves every <, =, > relation between entries,
-        so these rows are safe for comparison-only loops and much faster
-        than Fraction comparisons.
-        """
-        if self._cmp_rows is None:
-            scale = lcm(*(v.denominator for row in self.entries for v in row))
-            self._cmp_rows = [
-                [int(v * scale) for v in row] for row in self.entries
-            ]
-        return self._cmp_rows
+        """The entries as ints over ``scale``, which keeps every <, =, >
+        relation and every sum, so engines read these rows, not Fractions.
+        Callers must not modify them."""
+        return self._rows
 
     def restricted(self, keep: Iterable[int]) -> "DistanceMatrix":
         keep = sorted(set(keep))
         sub = self.ground.restricted(keep)
-        rows = [[self.entries[i][j] for j in keep] for i in keep]
-        return DistanceMatrix(sub, rows)
+        rows = [[self._rows[i][j] for j in keep] for i in keep]
+        return DistanceMatrix.from_scaled(sub, rows, self.scale)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DistanceMatrix)
             and self.ground == other.ground
-            and self.entries == other.entries
+            and (self.scale, self._rows) == (other.scale, other._rows)
         )
 
     def __repr__(self) -> str:
@@ -411,21 +413,16 @@ class OrderParams:
 def split_metric(split: Split) -> DistanceMatrix:
     """The 0/1 distance matrix of one split: 1 exactly for separated pairs."""
     n = split.ground.n
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = [
-        [one if split.separates(i, j) else zero for j in range(n)]
-        for i in range(n)
-    ]
-    return DistanceMatrix(split.ground, rows)
+    rows = [[int(split.separates(i, j)) for j in range(n)] for i in range(n)]
+    return DistanceMatrix.from_scaled(split.ground, rows)
 
 
 def generate_distance(system: WeightedSplitSystem) -> DistanceMatrix:
     """The distance generated by a weighted split system:
     D(x, y) = sum of weights of the splits separating x and y.
 
-    The weights are scaled to integers by their common denominator, summed
-    as ints and turned back into one Fraction per entry.
+    The weights are scaled to integers by their common denominator and
+    summed as ints over that scale.
     """
     n = system.ground.n
     weighted = [(split, w) for split, w in system.items() if w != 0]
@@ -438,16 +435,8 @@ def generate_distance(system: WeightedSplitSystem) -> DistanceMatrix:
             row = totals[i]
             for j in b_side:
                 row[j] += w
-    values: dict[int, Fraction] = {}
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = totals[i][j] + totals[j][i]
-            value = values.get(total)
-            if value is None:
-                value = values[total] = Fraction(total, scale)
-            rows[j][i] = rows[i][j] = value
-    return DistanceMatrix(system.ground, rows)
+    rows = [[totals[i][j] + totals[j][i] for j in range(n)] for i in range(n)]
+    return DistanceMatrix.from_scaled(system.ground, rows, scale)
 
 
 def restrict_split_system(
@@ -459,9 +448,16 @@ def restrict_split_system(
     the result can be smaller than the input; it can even be empty.
     """
     keep = sorted(set(keep))
+    full = (1 << len(keep)) - 1
     out = set()
+    ground = sub = None
     for s in splits:
-        r = s.restricted(keep)
-        if r is not None:
-            out.add(r)
+        if s.ground is not ground:
+            ground, sub = s.ground, s.ground.restricted(keep)
+        mask = 0
+        for new_i, old_i in enumerate(keep):
+            if (s.bits >> old_i) & 1:
+                mask |= 1 << new_i
+        if 0 < mask < full:
+            out.add(Split.from_bits(sub, mask))
     return frozenset(out)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     DistanceMatrix,
@@ -49,10 +50,15 @@ class FormatError(ValueError):
     """Raised for malformed or inconsistent input text."""
 
 
+def _ratio_text(numerator: int, denominator: int) -> str:
+    common = gcd(numerator, denominator)
+    if common == denominator:
+        return str(numerator // common)
+    return f"{numerator // common}/{denominator // common}"
+
+
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio_text(value.numerator, value.denominator)
 
 
 def _content_lines(text: str) -> list[str]:
@@ -115,8 +121,9 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
 
 def format_distance_matrix(matrix: DistanceMatrix) -> str:
     lines = [str(matrix.n)]
-    for label, row in zip(matrix.ground.labels, matrix.entries):
-        lines.append(label + " " + " ".join(format_rational(v) for v in row))
+    scale = matrix.scale
+    for label, row in zip(matrix.ground.labels, matrix.comparison_rows()):
+        lines.append(label + " " + " ".join(_ratio_text(v, scale) for v in row))
     return "\n".join(lines) + "\n"
 
 

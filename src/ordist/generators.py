@@ -125,7 +125,7 @@ def random_distance_matrix(
     rows = [[0] * n for _ in range(n)]
     for (i, j), v in zip(combinations(range(n), 2), values):
         rows[i][j] = rows[j][i] = v
-    return DistanceMatrix(ground, rows)
+    return DistanceMatrix.from_scaled(ground, rows)
 
 
 def random_two_valued_matrix(n: int, rng: random.Random) -> DistanceMatrix:
@@ -137,4 +137,4 @@ def random_two_valued_matrix(n: int, rng: random.Random) -> DistanceMatrix:
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.randint(1, 2)
-    return DistanceMatrix(ground, rows)
+    return DistanceMatrix.from_scaled(ground, rows)

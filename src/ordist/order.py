@@ -192,8 +192,7 @@ def order_distance_eq1(
     rows = matrix.comparison_rows()
     # rows[x] is column x too: the matrix is symmetric
     sets = [_comparison_sets(rows[x], tie_weight != 0) for x in range(n)]
-    values: dict[int, Fraction] = {}
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for x in range(n):
         strict_x, ties_x = sets[x]
         out_x = out[x]
@@ -202,11 +201,8 @@ def order_distance_eq1(
             numerator = strict_weight * (strict_x ^ strict_y).bit_count()
             if ties_x != ties_y:
                 numerator += tie_weight * ((ties_x ^ ties_y).bit_count() // 2)
-            value = values.get(numerator)
-            if value is None:
-                value = values[numerator] = Fraction(numerator, scale)
-            out_x[y] = out[y][x] = value
-    return DistanceMatrix(matrix.ground, out)
+            out_x[y] = out[y][x] = numerator
+    return DistanceMatrix.from_scaled(matrix.ground, out, scale)
 
 
 def order_distance_kendall(

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -24,3 +25,13 @@ def digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a subprocess that imports ordist from this
+    checkout's ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,3 +241,33 @@ def test_circular_recognition_of_split_systems():
         is_circular_split_system([])
     empty = WeightedSplitSystem(g, {})
     assert is_circular_split_system(empty) == CircularOrdering(g, range(5))
+
+
+_DEEP_RECOVERY = """
+import random, sys
+from ordist import (DistanceMatrix, evaluate_circular_distance, interval_weight_map,
+                    random_maximum_circular_system, recover_circular_ordering)
+theta, system = random_maximum_circular_system(200, random.Random(0))
+d = evaluate_circular_distance(theta, interval_weight_map(theta, system))
+rows = [[d[i, j] for j in range(200)] for i in range(200)]
+rows[198][199] = rows[199][198] = rows[198][199] + 1000
+bumped = DistanceMatrix(d.ground, rows)
+sys.setrecursionlimit(150)
+assert recover_circular_ordering(d) == theta
+assert recover_circular_ordering(bumped) is None
+print("ok")
+"""
+
+
+def test_recovery_search_depth_is_not_bounded_by_the_call_stack(src_env):
+    # greedy insertion fails on the bumped matrix, so the backtracking
+    # search places all 200 elements under a recursion limit of 150
+    result = subprocess.run(
+        [sys.executable, "-c", _DEEP_RECOVERY],
+        capture_output=True,
+        text=True,
+        env=src_env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

@@ -1,8 +1,6 @@
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -348,16 +346,13 @@ def test_thread_cap_env(monkeypatch, quartet_file):
     assert run(argv).exit_code == 0
 
 
-def test_console_entry_point(tmp_path, quartet_file):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_console_entry_point(tmp_path, quartet_file, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "ordist.cli", "check", "compat", "-s", "S1_5",
          "--strict"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
     )
     assert result.returncode == 1
     assert "compat: false" in result.stderr
@@ -366,7 +361,7 @@ def test_console_entry_point(tmp_path, quartet_file):
          "-p", "2", "-q", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
     )
     assert ok.returncode == 0
     assert ok.stdout.startswith("algo: eq1")
@@ -375,7 +370,7 @@ def test_console_entry_point(tmp_path, quartet_file):
          "-p", "2", "-q", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
     )
     assert package.returncode == 0
     assert package.stdout == ok.stdout

@@ -100,6 +100,28 @@ def test_distance_matrix_validation():
         DistanceMatrix(g, [[0, -1], [-1, 0]])
     with pytest.raises(ValueError):
         DistanceMatrix(g, [[0], [0]])
+    for rows in ([[0], [0]], [[1, 2], [2, 0]], [[0, 1], [2, 0]], [[0, -1], [-1, 0]]):
+        with pytest.raises(ValueError):
+            DistanceMatrix.from_scaled(g, rows, 2)
+    with pytest.raises(ValueError):
+        DistanceMatrix.from_scaled(g, [[0, 1], [1, 0]], 0)
+    with pytest.raises(TypeError):
+        DistanceMatrix.from_scaled(g, [[0, 1.5], [1.5, 0]])
+
+
+def test_equal_values_give_equal_matrices_whatever_the_scale():
+    g = GroundSet("abc")
+    sixths = DistanceMatrix.from_scaled(g, [[0, 3, 8], [3, 0, 12], [8, 12, 0]], 6)
+    exact = DistanceMatrix(g, [[0, "1/2", "4/3"], ["1/2", 0, 2], ["4/3", 2, 0]])
+    assert sixths == exact
+    assert sixths.scale == exact.scale == 6
+    assert sixths.comparison_rows() == exact.comparison_rows()
+    assert isinstance(sixths[0, 2], Fraction) and sixths[0, 2] == Fraction(4, 3)
+    assert sixths.by_label("b", "c") == 2
+    halves = DistanceMatrix.from_scaled(g, [[0, 4, 2], [4, 0, 6], [2, 6, 0]], 2)
+    assert halves.scale == 1 and halves.comparison_rows()[1] == [2, 0, 3]
+    zero = DistanceMatrix.from_scaled(g, [[0] * 3 for _ in range(3)], 7)
+    assert zero.scale == 1 and zero == DistanceMatrix(g, [[0] * 3 for _ in range(3)])
 
 
 @given(distance_matrices(values=rationals()))
@@ -118,6 +140,10 @@ def test_matrix_restriction_keeps_entries():
     sub = m.restricted([0, 2])
     assert sub.ground.labels == ("a", "c")
     assert sub[0, 1] == 2
+    halves = DistanceMatrix(GroundSet("abc"), [[0, "1/2", 2], ["1/2", 0, 3], [2, 3, 0]])
+    assert halves.scale == 2
+    assert halves.restricted([0, 2]) == DistanceMatrix(GroundSet("ac"), [[0, 2], [2, 0]])
+    assert halves.restricted([0, 2]).scale == 1
 
 
 def test_weighted_system_rejects_duplicates_and_negatives():

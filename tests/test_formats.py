@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 
 from ordist import (
+    DistanceMatrix,
     FormatError,
+    GroundSet,
     format_distance_matrix,
     format_rational,
     format_split_system,
@@ -17,6 +19,14 @@ from strategies import distance_matrices, rationals, split_systems
 def test_format_rational():
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(3, 4)) == "3/4"
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
+    assert format_rational(Fraction(0)) == "0"
+
+
+def test_format_matrix_over_a_common_denominator():
+    m = DistanceMatrix.from_scaled(GroundSet("abc"), [[0, 7, 6], [7, 0, 0], [6, 0, 0]], 2)
+    assert m.scale == 2
+    assert format_distance_matrix(m) == "3\na 0 7/2 3\nb 7/2 0 0\nc 3 0 0\n"
 
 
 def test_parse_matrix_with_comments_and_decimals():

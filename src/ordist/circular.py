@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .core import (
@@ -321,28 +322,17 @@ def is_circular_split_system(
     return None
 
 
-def _evaluate_table(table: list[list], n: int) -> list[list]:
-    """Pairwise distances by arc position from a table of interval weights
-    (table[i][j] covers positions i..j, 0 <= i <= j <= n-2).  Returns the
-    upper triangle; runs on ints or Fractions alike."""
+def _evaluate_table(table: list[list[int]], n: int) -> list[list[int]]:
+    """Distances between arc positions from a table of integer interval
+    weights (table[i][j] covers positions i..j, 0 <= i <= j <= n-2).
+    Returns an n x n list whose upper triangle holds the distances; the
+    diagonal and lower triangle are 0."""
     # ending_at[a]: total weight of intervals [i..a]; starting_at[a]: of [a..j]
-    ending_at = [0] * (n - 1)
-    starting_at = [0] * (n - 1)
-    for a in range(n - 1):
-        acc = 0
-        for i in range(a + 1):
-            acc += table[i][a]
-        ending_at[a] = acc
-        acc = 0
-        for j in range(a, n - 1):
-            acc += table[a][j]
-        starting_at[a] = acc
+    ending_at = [sum(table[i][a] for i in range(a + 1)) for a in range(n - 1)]
+    starting_at = [sum(table[a][a:]) for a in range(n - 1)] + [0]
     dist = [[0] * n for _ in range(n)]
     for a in range(n - 1):
-        value = ending_at[a]
-        if a + 1 <= n - 2:
-            value = value + starting_at[a + 1]
-        dist[a][a + 1] = value
+        dist[a][a + 1] = ending_at[a] + starting_at[a + 1]
     for gap in range(2, n):
         for a in range(n - gap):
             b = a + gap
@@ -355,23 +345,12 @@ def _evaluate_table(table: list[list], n: int) -> list[list]:
     return dist
 
 
-def evaluate_circular_distance(
-    theta: CircularOrdering, weights: Mapping[IntervalSplit, object]
+def _table_distance(
+    theta: CircularOrdering, table: list[list[int]], scale: int
 ) -> DistanceMatrix:
-    """Distance generated by weighted interval splits of one ordering,
-    computed in O(n^2) by a boundary recurrence instead of touching every
-    split for every pair."""
+    """The matrix, over scale, generated by an integer interval weight
+    table on the ordering, with arc positions mapped back to elements."""
     n = theta.n
-    table = [[0] * max(n - 1, 1) for _ in range(max(n - 1, 1))]
-    for iv, raw in weights.items():
-        if iv.ordering != theta:
-            raise ValueError("interval split belongs to a different ordering")
-        w = as_rational(raw)
-        if w < 0:
-            raise ValueError("negative weight")
-        table[iv.i][iv.j] += w
-    if n == 1:
-        return DistanceMatrix(theta.ground, [[0]])
     dist = _evaluate_table(table, n)
     seq = theta.sequence
     out = [[0] * n for _ in range(n)]
@@ -380,7 +359,28 @@ def evaluate_circular_distance(
         for b in range(a + 1, n):
             eb = seq[b]
             out[ea][eb] = out[eb][ea] = dist[a][b]
-    return DistanceMatrix(theta.ground, out)
+    return DistanceMatrix.from_scaled(theta.ground, out, scale)
+
+
+def evaluate_circular_distance(
+    theta: CircularOrdering, weights: Mapping[IntervalSplit, object]
+) -> DistanceMatrix:
+    """Distance generated by weighted interval splits of one ordering,
+    computed in O(n^2) by a boundary recurrence instead of touching every
+    split for every pair."""
+    checked = []
+    for iv, raw in weights.items():
+        if iv.ordering != theta:
+            raise ValueError("interval split belongs to a different ordering")
+        w = as_rational(raw)
+        if w < 0:
+            raise ValueError("negative weight")
+        checked.append((iv, w))
+    scale = lcm(*(w.denominator for _, w in checked))
+    table = [[0] * (theta.n - 1) for _ in range(theta.n - 1)]
+    for iv, w in checked:
+        table[iv.i][iv.j] += w.numerator * (scale // w.denominator)
+    return _table_distance(theta, table, scale)
 
 
 def _locate_true_arc(
@@ -466,7 +466,8 @@ def order_distance_circular(
     seq = theta.sequence
     pos = {e: i for i, e in enumerate(seq)}
     rows = matrix.comparison_rows()
-    counts: dict[tuple[int, int], int] = {}
+    weight = params.half_p.numerator
+    table = [[0] * (n - 1) for _ in range(n - 1)]
     for u in range(n):
         row_u = rows[u]
         for v in range(n):
@@ -482,19 +483,7 @@ def order_distance_circular(
                 continue
             start, end = _locate_true_arc(rows, seq, pos, u, v)
             if start <= end and end <= n - 2:
-                key = (start, end)
+                table[start][end] += weight
             else:
-                key = ((end + 1) % n, (start - 1) % n)
-            counts[key] = counts.get(key, 0) + 1
-    table = [[0] * (n - 1) for _ in range(n - 1)]
-    for (i, j), c in counts.items():
-        table[i][j] = c
-    dist = _evaluate_table(table, n)
-    half_p = params.half_p
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ea = seq[a]
-        for b in range(a + 1, n):
-            eb = seq[b]
-            out[ea][eb] = out[eb][ea] = half_p.numerator * dist[a][b]
-    return DistanceMatrix.from_scaled(theta.ground, out, half_p.denominator)
+                table[(end + 1) % n][(start - 1) % n] += weight
+    return _table_distance(theta, table, params.half_p.denominator)

@@ -20,6 +20,7 @@ from .core import (
     GroundSet,
     Split,
     WeightedSplitSystem,
+    as_rational,
     ground_and_splits,
 )
 
@@ -115,7 +116,7 @@ class XTree:
         for u, v, w in edges:
             if not (0 <= u < v_count and 0 <= v < v_count) or u == v:
                 raise ValueError(f"bad edge ({u},{v})")
-            w = Fraction(w)
+            w = as_rational(w)
             edge_list.append((u, v, w))
             degree[u] += 1
             degree[v] += 1

@@ -429,7 +429,7 @@ def generate_distance(system: WeightedSplitSystem) -> DistanceMatrix:
     scale = lcm(*(w.denominator for _, w in weighted))
     totals = [[0] * n for _ in range(n)]
     for split, w in weighted:
-        w = int(w * scale)
+        w = w.numerator * (scale // w.denominator)
         a_side, b_side = split.index_lists()
         for i in a_side:
             row = totals[i]

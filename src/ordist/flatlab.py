@@ -2,9 +2,12 @@
 
 Each split A|B has an incidence vector over unordered element pairs (1 when
 the split separates the pair), which is also the vector of its split metric.
-All linear algebra here runs over exact rationals: split_rank and
-express_in_basis answer span questions with no tolerance knobs, which the
-orderliness probe below depends on.
+The linear algebra runs on integers: a fraction-free Gauss-Jordan
+elimination (Bareiss 1968) divides each row update exactly by the previous
+pivot and leaves every pivot equal to one integer det.  A distance enters
+as its integer rows over its scale, so the weights express_in_basis returns
+are the only Fractions, each over det * scale.  Span questions have no
+tolerance knobs, which the orderliness probe below depends on.
 
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
@@ -60,72 +63,72 @@ class DependentBasisError(PreconditionError):
 
 
 class _ExactSolver:
-    """Reduced row echelon form of the incidence rows of a fixed split
-    sequence, with multipliers, so many targets can be expressed against
-    the same splits without re-eliminating."""
+    """Fraction-free Gauss-Jordan form of the incidence rows of a fixed
+    split sequence, so many targets can be expressed against the same
+    splits without re-eliminating.  Row r is split r's incidence vector
+    followed by the unit vector e_r, which records the row operations;
+    every entry stays an integer minor of these extended rows."""
 
     def __init__(self, ground: GroundSet, splits: list[Split]):
         self.ground = ground
         self.splits = list(splits)
         self.pairs = list(combinations(range(ground.n), 2))
         k = len(self.splits)
-        one, zero = Fraction(1), Fraction(0)
-        rows: list[list[Fraction]] = []
-        mults: list[list[Fraction]] = []
-        for idx, split in enumerate(self.splits):
-            rows.append([one if split.separates(i, j) else zero for i, j in self.pairs])
-            mults.append([one if t == idx else zero for t in range(k)])
+        rows = [
+            [1 if split.separates(i, j) else 0 for i, j in self.pairs]
+            + [1 if t == idx else 0 for t in range(k)]
+            for idx, split in enumerate(self.splits)
+        ]
         self.pivot_cols: list[int] = []
         rank = 0
+        det = 1
         for col in range(len(self.pairs)):
             pivot = next((r for r in range(rank, k) if rows[r][col] != 0), None)
             if pivot is None:
                 continue
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            mults[rank], mults[pivot] = mults[pivot], mults[rank]
-            inv = 1 / rows[rank][col]
-            if inv != 1:
-                rows[rank] = [x * inv for x in rows[rank]]
-                mults[rank] = [x * inv for x in mults[rank]]
+            pivot_row = rows[rank]
+            a = pivot_row[col]
             for r in range(k):
-                if r != rank and rows[r][col] != 0:
+                if r != rank:
                     f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-                    mults[r] = [a - f * b for a, b in zip(mults[r], mults[rank])]
+                    rows[r] = [(a * x - f * y) // det for x, y in zip(rows[r], pivot_row)]
+            det = a
             self.pivot_cols.append(col)
             rank += 1
             if rank == k:
                 break
+        if any(rows[r][col] != det for r, col in enumerate(self.pivot_cols)):
+            raise AssertionError("fraction-free elimination left unequal pivots")
         self.rank = rank
+        self.det = det
         self._rows = rows
-        self._mults = mults
 
     @property
     def is_independent(self) -> bool:
         return self.rank == len(self.splits)
 
-    def vectorize(self, matrix: DistanceMatrix) -> list[Fraction]:
-        if matrix.ground != self.ground:
-            raise ValueError("ground set mismatch")
-        return [matrix[i, j] for i, j in self.pairs]
-
-    def express(self, values: list[Fraction]) -> dict[Split, Fraction] | None:
-        """Coefficients writing the pair vector as a combination of the
-        split rows, or None when it leaves their span.  Unique because the
+    def express(self, matrix: DistanceMatrix) -> dict[Split, Fraction] | None:
+        """Coefficients writing the matrix as a combination of the split
+        metrics, or None when it leaves their span.  Unique because the
         rows are required to be independent."""
         if not self.is_independent:
             raise DependentBasisError("splits are linearly dependent")
-        coeffs = [values[c] for c in self.pivot_cols]
-        for col in range(len(self.pairs)):
-            total = sum((c * row[col] for c, row in zip(coeffs, self._rows)), Fraction(0))
-            if total != values[col]:
-                return None
-        k = len(self.splits)
-        alpha = [
-            sum((c * m[t] for c, m in zip(coeffs, self._mults)), Fraction(0))
-            for t in range(k)
-        ]
-        return dict(zip(self.splits, alpha))
+        if matrix.ground != self.ground:
+            raise ValueError("ground set mismatch")
+        rows = matrix.comparison_rows()
+        values = [rows[i][j] for i, j in self.pairs]
+        m, k = len(values), len(self.splits)
+        total = [0] * (m + k)
+        for col, row in zip(self.pivot_cols, self._rows):
+            c = values[col]
+            if c:
+                total = [t + c * x for t, x in zip(total, row)]
+        det = self.det
+        if any(t != det * v for t, v in zip(total, values)):
+            return None
+        denominator = det * matrix.scale
+        return {s: Fraction(t, denominator) for s, t in zip(self.splits, total[m:])}
 
 
 def split_rank(splits: WeightedSplitSystem | Iterable[Split]) -> int:
@@ -150,10 +153,7 @@ def express_in_basis(
     need a non-negative weighting must check.
     """
     ground, split_list = ground_and_splits(splits)
-    solver = _ExactSolver(ground, split_list)
-    if not solver.is_independent:
-        raise DependentBasisError("splits are linearly dependent")
-    return solver.express(solver.vectorize(matrix))
+    return _ExactSolver(ground, split_list).express(matrix)
 
 
 def _corner_masks(ground: GroundSet, s1: Split, s2: Split) -> tuple[int, int, int, int]:
@@ -412,7 +412,7 @@ def orderly_test(
     def probe(weights: dict[Split, Fraction], phase: int, trial: int | None) -> CounterexampleFound | None:
         system = WeightedSplitSystem(ground, weights)
         order_values = order_distance_eq1(generate_distance(system), params)
-        expr = solver.express(solver.vectorize(order_values))
+        expr = solver.express(order_values)
         if expr is None:
             return CounterexampleFound(dict(weights), None, None, phase, trial)
         for s in split_list:

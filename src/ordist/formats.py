@@ -112,7 +112,8 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
         if len(tokens) != n + 1:
             raise FormatError(f"expected label plus {n} values: {line!r}")
         labels.append(tokens[0])
-        rows.append([parse_value(t, f"row {tokens[0]!r}") for t in tokens[1:]])
+        context = f"row {tokens[0]!r}"
+        rows.append([parse_value(t, context) for t in tokens[1:]])
     try:
         return DistanceMatrix(GroundSet(labels), rows)
     except ValueError as exc:

@@ -214,13 +214,14 @@ def order_distance_kendall(
     indices = [
         ranking_from_distance(matrix, x).block_indices() for x in range(n)
     ]
-    p, q = params.p, params.q
-    out = [[Fraction(0)] * n for _ in range(n)]
+    scale = lcm(params.p.denominator, params.q.denominator)
+    p, q = int(params.p * scale), int(params.q * scale)
+    out = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             discordant, tied_one = kendall_counts(indices[x], indices[y])
             out[x][y] = out[y][x] = p * discordant + q * tied_one
-    return DistanceMatrix(matrix.ground, out)
+    return DistanceMatrix.from_scaled(matrix.ground, out, scale)
 
 
 def two_split_order_values(

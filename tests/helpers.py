@@ -47,6 +47,35 @@ def naive_order_distance(matrix: DistanceMatrix, p, q) -> DistanceMatrix:
     return DistanceMatrix(matrix.ground, rows)
 
 
+def fraction_rank_and_solution(vectors, target):
+    """Gaussian elimination on Fractions of the augmented system whose
+    columns are the given vectors followed by the target.
+
+    Returns (rank of the vectors, whether the target is in their span, the
+    unique coefficients writing the target when the vectors are
+    independent and it is in the span, else None)."""
+    k = len(vectors)
+    aug = [[Fraction(v[i]) for v in vectors] + [Fraction(t)] for i, t in enumerate(target)]
+    pivot_cols = []
+    for col in range(k + 1):
+        top = len(pivot_cols)
+        pivot = next((r for r in range(top, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[top], aug[pivot] = aug[pivot], aug[top]
+        aug[top] = [x / aug[top][col] for x in aug[top]]
+        for r in range(len(aug)):
+            if r != top and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[top])]
+        pivot_cols.append(col)
+    in_span = k not in pivot_cols
+    rank = len(pivot_cols) - (not in_span)
+    if not in_span or rank < k:
+        return rank, in_span, None
+    return rank, in_span, [aug[r][k] for r in range(k)]
+
+
 def compatible_pair_brute(s1: Split, s2: Split) -> bool:
     a1, b1 = (set(part) for part in s1.parts())
     a2, b2 = (set(part) for part in s2.parts())

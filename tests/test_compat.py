@@ -112,6 +112,8 @@ def test_xtree_validation():
         XTree(g, [[0, 1], [2]], [])
     with pytest.raises(ValueError):
         XTree(g, [[0], [1], [2], []], [(0, 1, 1), (0, 1, 2), (2, 3, 1)])
+    with pytest.raises(ValueError, match="float"):
+        XTree(GroundSet("ab"), [[0], [1]], [(0, 1, 0.1)])
 
 
 def test_four_point_and_ultrametric_checks():

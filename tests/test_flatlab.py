@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from ordist import (
     CircularOrdering,
     CounterexampleFound,
     DependentBasisError,
+    DistanceMatrix,
     FLAT_FIXTURE_NAMES,
     GroundSet,
     NoCounterexampleFound,
@@ -36,7 +38,7 @@ from ordist import (
     split_rank,
     two_split_instance,
 )
-from helpers import quartet_fixture
+from helpers import fraction_rank_and_solution, quartet_fixture
 from strategies import split_systems
 
 
@@ -107,6 +109,72 @@ def test_express_may_need_negative_weights():
         for y in range(x + 1, n):
             total = sum(w for s, w in expr.items() if s.separates(x, y))
             assert total == target[x, y]
+
+
+def _random_target(rng, ground, subset):
+    """A rational distance: generated by the subset (some weights
+    negative), the same with one entry moved, or random entries."""
+    n = ground.n
+    den = rng.choice([1, 1, 2, 3, 6])
+    kind = rng.randrange(3)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    if kind < 2:
+        weights = {s: Fraction(rng.randint(-2, 8), den) for s in subset}
+        values = {
+            (i, j): sum(w for s, w in weights.items() if s.separates(i, j))
+            for i, j in combinations(range(n), 2)
+        }
+        if min(values.values()) < 0:
+            values = {
+                (i, j): sum(abs(w) for s, w in weights.items() if s.separates(i, j))
+                for i, j in values
+            }
+        if kind == 1:
+            values[rng.choice(list(values))] += Fraction(1, den + 1)
+    else:
+        values = {
+            (i, j): Fraction(rng.randint(0, 12), den)
+            for i, j in combinations(range(n), 2)
+        }
+    for (i, j), v in values.items():
+        rows[i][j] = rows[j][i] = v
+    return DistanceMatrix(ground, rows)
+
+
+def test_solver_matches_fraction_elimination():
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(320):
+        n = rng.randint(2, 8)
+        ground = index_ground(n)
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        pairs = list(combinations(range(n), 2))
+        subset = rng.sample(every, rng.randint(1, min(len(every), len(pairs) + 2)))
+        target = _random_target(rng, ground, subset)
+        rank, in_span, solution = fraction_rank_and_solution(
+            [[int(s.separates(i, j)) for i, j in pairs] for s in subset],
+            [target[i, j] for i, j in pairs],
+        )
+        seen["scale > 1"] += target.scale > 1
+        assert split_rank(subset) == rank
+        assert is_linearly_independent(subset) == (rank == len(subset))
+        if rank < len(subset):
+            seen["dependent"] += 1
+            with pytest.raises(DependentBasisError):
+                express_in_basis(target, subset)
+            continue
+        weights = express_in_basis(target, subset)
+        if not in_span:
+            seen["outside"] += 1
+            assert weights is None
+            continue
+        seen["inside"] += 1
+        seen["negative"] += min(solution) < 0
+        assert weights == dict(zip(subset, solution))
+        metrics = {s: split_metric(s) for s in subset}
+        for i, j in pairs:
+            assert sum(w * metrics[s][i, j] for s, w in weights.items()) == target[i, j]
+    assert min(seen[key] for key in ("scale > 1", "dependent", "outside", "inside", "negative")) >= 20, seen
 
 
 def test_express_rejects_dependent_basis():

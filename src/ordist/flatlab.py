@@ -34,7 +34,6 @@ from .core import (
     WeightedSplitSystem,
     generate_distance,
     ground_and_splits,
-    restrict_split_system,
 )
 from .order import order_distance_eq1
 
@@ -271,34 +270,16 @@ def pairwise_separation_check(
 
 
 def is_maximum_flat(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
-    """Whether the splits form a maximum flat split system.
-
-    Requires maximum size C(n,2) with independent incidence vectors, then
-    decides flatness twice: every 4-element restriction must have exactly
-    6 splits, and the pairwise separation property must hold.  The two
-    routes are equivalent for maximum independent systems and both are
-    computed; disagreement would mean a bug and raises.
-    """
+    """Whether the splits form a maximum flat split system: C(n,2) splits
+    with independent incidence vectors and the pairwise separation
+    property."""
     ground, split_list = ground_and_splits(splits)
     n = ground.n
-    m = n * (n - 1) // 2
-    if len(split_list) != m:
+    if len(split_list) != n * (n - 1) // 2:
         return False
-    solver = _ExactSolver(ground, split_list)
-    if not solver.is_independent:
+    if not _ExactSolver(ground, split_list).is_independent:
         return False
-    by_restriction = all(
-        len(restrict_split_system(split_list, quad)) == 6
-        for quad in combinations(range(n), 4)
-    )
-    system = WeightedSplitSystem.unit(ground, split_list)
-    by_separation = pairwise_separation_check(system) is None
-    if by_restriction != by_separation:
-        raise AssertionError(
-            "flatness routes disagree: "
-            f"restrictions say {by_restriction}, separation says {by_separation}"
-        )
-    return by_restriction
+    return pairwise_separation_check(WeightedSplitSystem.unit(ground, split_list)) is None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ Distance matrix format::
     d 1 3 1 0
 
 Values may be integers, rationals like ``3/2`` or finite decimals like
-``1.5``; all are read exactly.  Split system format::
+``1.5``; all are read exactly.  A plain integer token is read straight into
+an int; any other token becomes a (numerator, denominator) pair, and the
+matrix stores every value as an int over one common denominator (see
+``DistanceMatrix.from_scaled``).  Split system format::
 
     5
     a b c d e
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .core import (
     DistanceMatrix,
@@ -105,17 +108,35 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
         raise FormatError("element count must be at least 1")
     if len(lines) != n + 1:
         raise FormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    # a plain decimal integer token of at most this many digits (0: no
+    # limit) is read by int(); any other token, a longer integer included,
+    # by parse_value, which refuses what int() could not read
+    digits = sys.get_int_max_str_digits() or len(text)
     labels = []
     rows = []
+    denominators = []  # of the values parse_value read
     for line in lines[1:]:
         tokens = line.split()
         if len(tokens) != n + 1:
             raise FormatError(f"expected label plus {n} values: {line!r}")
         labels.append(tokens[0])
         context = f"row {tokens[0]!r}"
-        rows.append([parse_value(t, context) for t in tokens[1:]])
+        row = []
+        for token in tokens[1:]:
+            if token.isdecimal() and len(token) <= digits:
+                row.append(int(token))
+            else:
+                value = parse_value(token, context)
+                row.append(value)
+                denominators.append(value.denominator)
+        rows.append(row)
+    # all values as ints over their least common denominator; when every
+    # token was a plain integer they already are, over 1
+    scale = lcm(*denominators)
+    if denominators:
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     try:
-        return DistanceMatrix(GroundSet(labels), rows)
+        return DistanceMatrix.from_scaled(GroundSet(labels), rows, scale)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -6,15 +6,20 @@ the definitions, so the fast engines have something independent to match.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from ordist import (
     CircularOrdering,
     DistanceMatrix,
+    FormatError,
     GroundSet,
     Split,
     WeightedSplitSystem,
+    is_linearly_independent,
+    restrict_split_system,
 )
+from ordist.core import ground_and_splits
+from ordist.formats import parse_value
 
 
 def naive_order_distance(matrix: DistanceMatrix, p, q) -> DistanceMatrix:
@@ -74,6 +79,53 @@ def fraction_rank_and_solution(vectors, target):
     if not in_span or rank < k:
         return rank, in_span, None
     return rank, in_span, [aug[r][k] for r in range(k)]
+
+
+def fraction_parse_distance_matrix(text: str) -> DistanceMatrix:
+    """The matrix parser on Fractions, the oracle for
+    ``parse_distance_matrix``: ``parse_value`` for every token, then the
+    rational ``DistanceMatrix`` constructor, with the same messages."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise FormatError("empty input")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise FormatError(f"expected element count, got {lines[0]!r}") from None
+    if n < 1:
+        raise FormatError("element count must be at least 1")
+    if len(lines) != n + 1:
+        raise FormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    labels = []
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n + 1:
+            raise FormatError(f"expected label plus {n} values: {line!r}")
+        labels.append(tokens[0])
+        rows.append([parse_value(t, f"row {tokens[0]!r}") for t in tokens[1:]])
+    try:
+        return DistanceMatrix(GroundSet(labels), rows)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def maximum_flat_by_restriction(splits) -> bool:
+    """Maximum flatness decided through restrictions: C(n,2) independent
+    splits whose restriction to every 4 elements has all 6 splits of a
+    4-element set.  The oracle for the pairwise-separation route of
+    ``is_maximum_flat``."""
+    ground, split_list = ground_and_splits(splits)
+    n = ground.n
+    if len(split_list) != n * (n - 1) // 2:
+        return False
+    if not is_linearly_independent(WeightedSplitSystem.unit(ground, split_list)):
+        return False
+    return all(
+        len(restrict_split_system(split_list, quad)) == 6
+        for quad in combinations(range(n), 4)
+    )
 
 
 def compatible_pair_brute(s1: Split, s2: Split) -> bool:

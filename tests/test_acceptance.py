@@ -284,8 +284,8 @@ def test_acceptance_11_flat_systems_survive_deletions():
         for i in range(30):
             n = 5 + i % 3
             system = random_maximum_flat_system(n, rng)
-            # computes both the restriction route and the separation route
-            # and raises internally if they ever disagree
+            # decides flatness by pairwise separation; test_flatlab compares
+            # that route with the C(n,4) restriction route
             assert is_maximum_flat(system)
             splits = list(system.splits)
             for drop in range(n):

@@ -34,11 +34,12 @@ from ordist import (
     pairwise_separation_check,
     random_allowable_pair,
     random_binary_tree_system,
+    random_maximum_flat_system,
     split_metric,
     split_rank,
     two_split_instance,
 )
-from helpers import fraction_rank_and_solution, quartet_fixture
+from helpers import fraction_rank_and_solution, maximum_flat_by_restriction, quartet_fixture
 from strategies import split_systems
 
 
@@ -254,6 +255,30 @@ def test_maximum_flat_verdicts():
     replaced = [s for s in splits if s != victim] + [Split(theta.ground, [0, 2])]
     assert len(replaced) == 10 and is_linearly_independent(replaced)
     assert not is_maximum_flat(replaced)
+
+
+def test_maximum_flat_matches_restriction_route():
+    # is_maximum_flat decides flatness by pairwise separation; the oracle by
+    # the C(n,4) restrictions.  Flat inputs come from allowable pairs, the
+    # others are random independent C(n,2)-subsets of all splits.
+    rng = random.Random(7310)
+    verdicts = Counter()
+    for i in range(9):
+        system = random_maximum_flat_system(5 + i % 3, rng)
+        assert is_maximum_flat(system)
+        assert maximum_flat_by_restriction(system)
+        verdicts["allowable"] += 1
+    for i in range(40):
+        n = 5 + i % 2
+        g = index_ground(n)
+        every = [Split.from_bits(g, bits << 1) for bits in range(1, 1 << (n - 1))]
+        splits = rng.sample(every, n * (n - 1) // 2)
+        if not is_linearly_independent(splits):
+            continue
+        flat = is_maximum_flat(splits)
+        assert flat == maximum_flat_by_restriction(splits)
+        verdicts[flat] += 1
+    assert verdicts["allowable"] >= 5 and verdicts[False] >= 5, verdicts
 
 
 def test_allowable_pair_swaps_every_pair_once():

@@ -1,3 +1,7 @@
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,8 @@ from ordist import (
     parse_distance_matrix,
     parse_split_system,
 )
+from ordist.cli import run
+from helpers import fraction_parse_distance_matrix
 from strategies import distance_matrices, rationals, split_systems
 
 
@@ -70,7 +76,7 @@ def test_matrix_parse_errors(text):
         parse_distance_matrix(text)
 
 
-def test_values_too_long_to_print_are_refused(digit_limit):
+def test_values_too_long_to_print_are_refused(digit_limit, tmp_path, src_env):
     limit = digit_limit
     too_long = ("1e5000", "1e-5000", "1E999999999", "3/" + "1" * (limit + 1), "0." + "1" * limit)
     for token in too_long:
@@ -83,6 +89,140 @@ def test_values_too_long_to_print_are_refused(digit_limit):
     assert parse_distance_matrix(format_distance_matrix(m)) == m
     with pytest.raises(FormatError, match="bad value"):
         parse_split_system("2\na b\na | b : 1e5000\n")
+    # plain integers: int() reads up to the limit, one digit more is refused
+    widest = "9" * limit
+    m = parse_distance_matrix(f"2\na 0 {widest}\nb {widest} 0")
+    assert m[0, 1] == 10**limit - 1
+    for text in (f"2\na 0 1{widest}\nb 0 0", f"2\na 0 0{widest}\nb 0 0"):
+        with pytest.raises(FormatError) as info:
+            parse_distance_matrix(text)
+        assert str(info.value) == f"bad value {text.split()[3]!r} in row 'a'"
+    # the lowest limit Python allows
+    token = "1" * 641
+    path = tmp_path / "long.dist"
+    path.write_text(f"2\na 0 {token}\nb {token} 0\n", encoding="utf-8")
+    argv = ["order", "-i", str(path), "-p", "2", "-q", "1"]
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(FormatError) as info:
+            parse_distance_matrix(path.read_text(encoding="utf-8"))
+        assert str(info.value) == f"bad value {token!r} in row 'a'"
+        assert parse_distance_matrix(f"2\na 0 {token[1:]}\nb {token[1:]} 0")[0, 1] > 0
+        outcome = run(argv)
+        assert (outcome.exit_code, outcome.report) == (2, f"error: {info.value}")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "ordist", *argv],
+        capture_output=True, text=True, env=src_env,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {info.value}\n")
+
+
+# other decimal digits: Arabic-Indic, Devanagari, fullwidth
+UNICODE_ZEROS = (0x660, 0x966, 0xFF10)
+BAD_TOKENS = ("x", "1.2.3", "1/0", "--1", "1e", "3/", "1__0", "0x10")
+
+
+def spell(value, rng, kinds):
+    """One token for the value, in a randomly chosen spelling that fits it,
+    recorded in ``kinds``."""
+    num, den = value.numerator, value.denominator
+    options = ["ratio", "plus"]
+    if den == 1:
+        options += ["int", "int", "zeros", "unicode", "exponent"]
+        if num >= 10:
+            options.append("underscore")
+        if num == 0:
+            options.append("negzero")
+    if 10**6 % den == 0:
+        options.append("decimal")
+    kind = rng.choice(options)
+    kinds[kind] += 1
+    if kind == "int":
+        return str(num)
+    if kind == "zeros":
+        return "0" * rng.randint(1, 3) + str(num)
+    if kind == "unicode":
+        zero = rng.choice(UNICODE_ZEROS)
+        return "".join(chr(zero + int(d)) for d in str(num))
+    if kind == "exponent":
+        return f"{num * 10}e-1" if rng.random() < 0.5 else f"{num}e0"
+    if kind == "underscore":
+        text = str(num)
+        return text[0] + "_" + text[1:]
+    if kind == "negzero":
+        return "-0"
+    if kind == "plus":
+        return "+" + (str(num) if den == 1 else f"{num}/{den}")
+    if kind == "decimal":
+        whole, rest = divmod(value * 10**6, 10**6)
+        return f"{whole}.{int(rest):06d}".rstrip("0") + "0" * rng.randint(0, 1)
+    k = rng.randint(1, 3)
+    return f"{num * k}/{den * k}"
+
+
+def random_matrix_text(rng, kinds, limit):
+    """A matrix file over mixed spellings; about half carry one fault."""
+    n = rng.randint(1, 6)
+    values = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                v = Fraction(rng.choice([rng.randint(0, 40), rng.randint(1, 10**6)]))
+            else:
+                v = Fraction(rng.randint(0, 60), rng.choice([2, 3, 4, 5, 7, 8, 10, 125]))
+            values[i][j] = values[j][i] = v
+    tokens = [[spell(v, rng, kinds) for v in row] for row in values]
+    labels = [f"x{i}" for i in range(n)]
+    fault = rng.choice(["none"] * 6 + ["asymmetric", "negative", "diagonal", "bad",
+                                       "count", "label", "long"])
+    i, j = rng.randrange(n), rng.randrange(n)
+    if fault == "asymmetric" and i != j:
+        tokens[i][j] = str(values[i][j] + rng.randint(1, 3))
+    elif fault == "negative":
+        tokens[i][j] = tokens[j][i] = "-" + str(rng.randint(1, 9))
+    elif fault == "diagonal":
+        tokens[i][i] = rng.choice(["1", "1/2", "0.5"])
+    elif fault == "bad":
+        tokens[i][j] = rng.choice(BAD_TOKENS)
+    elif fault == "count" and rng.random() < 0.5:
+        tokens[i].append("0")
+    elif fault == "count":
+        tokens[i].pop()
+    elif fault == "label":
+        labels[i] = labels[j]
+    elif fault == "long":
+        # a plain integer with one digit more than int <-> str allows
+        tokens[i][j] = "1" + "0" * limit
+    kinds["fault " + fault] += 1
+    body = "\n".join(f"{lab} {' '.join(row)}" for lab, row in zip(labels, tokens))
+    return f"# seeded\n{n}\n{body}\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        m = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return ("matrix", m.ground, m.scale, m.comparison_rows())
+
+
+def test_parse_matches_fraction_oracle(digit_limit):
+    rng = random.Random(6060)
+    kinds = Counter()
+    results = Counter()
+    for _ in range(400):
+        text = random_matrix_text(rng, kinds, digit_limit)
+        expected = parse_outcome(fraction_parse_distance_matrix, text)
+        assert parse_outcome(parse_distance_matrix, text) == expected, text
+        results[expected[0]] += 1
+    spellings = ("int", "zeros", "unicode", "ratio", "decimal", "exponent", "plus",
+                 "underscore", "negzero")
+    assert all(kinds[k] >= 20 for k in spellings), kinds
+    faults = ("asymmetric", "negative", "diagonal", "bad", "count", "label", "long")
+    assert all(kinds["fault " + k] >= 10 for k in faults), kinds
+    assert results["matrix"] >= 150 and results["error"] >= 100, results
 
 
 def test_split_parse_weight_defaults_to_one():

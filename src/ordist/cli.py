@@ -9,6 +9,7 @@ violation (dependent basis, non-circular input, bad parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -291,7 +292,10 @@ def _cmd_bench(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(OK, "\n".join(lines))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the
+    process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordist",
         description="Order distances and split system analysis for finite "

@@ -51,7 +51,7 @@ class GroundSet:
     format separator characters , | : #.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_hash")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -66,6 +66,7 @@ class GroundSet:
             raise ValueError("labels must be distinct")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._hash = hash(labels)
 
     @property
     def n(self) -> int:
@@ -94,7 +95,7 @@ class GroundSet:
         return isinstance(other, GroundSet) and self.labels == other.labels
 
     def __hash__(self) -> int:
-        return hash(self.labels)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GroundSet({','.join(self.labels)})"

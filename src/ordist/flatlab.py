@@ -2,12 +2,18 @@
 
 Each split A|B has an incidence vector over unordered element pairs (1 when
 the split separates the pair), which is also the vector of its split metric.
-The linear algebra runs on integers: a fraction-free Gauss-Jordan
-elimination (Bareiss 1968) divides each row update exactly by the previous
-pivot and leaves every pivot equal to one integer det.  A distance enters
-as its integer rows over its scale, so the weights express_in_basis returns
-are the only Fractions, each over det * scale.  Span questions have no
-tolerance knobs, which the orderliness probe below depends on.
+The linear algebra runs on integers and has two parts.  Most splits are
+peeled: a 3-point or 4-point functional of the distance isolates one split
+not yet solved, so its weight follows by back-substitution (the one-step
+circular case is Chepoi & Fichet 1998, the weakly compatible case the
+isolation index of Bandelt & Dress 1992).  The splits that do not peel, the
+core, go through a fraction-free Gauss-Jordan elimination (Bareiss 1968),
+which divides each row update exactly by the previous pivot and leaves
+every pivot equal to one integer det.  A distance enters as its integer
+rows over its scale, so the weights express_in_basis returns are the only
+Fractions, each over 2 * scale, or det * 2 * scale on the core.  Span
+questions have no tolerance knobs, which the orderliness probe below
+depends on.
 
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
@@ -62,26 +68,62 @@ class DependentBasisError(PreconditionError):
 
 
 class _ExactSolver:
-    """Fraction-free Gauss-Jordan form of the incidence rows of a fixed
-    split sequence, so many targets can be expressed against the same
-    splits without re-eliminating.  Row r is split r's incidence vector
-    followed by the unit vector e_r, which records the row operations;
-    every entry stays an integer minor of these extended rows."""
+    """Exact weights of a fixed split sequence, set up once so that many
+    targets can be expressed against the same splits.
+
+    Bit t of side[e] is set when element e lies on the `bits` side of
+    split t, so side[x] ^ side[y] holds the splits separating x and y.  Two
+    kinds of functional read a weighted sum of splits off D:
+      3-point (x; a, b): 1/2 (D(x,a) + D(x,b) - D(a,b)) is the total weight
+        of the splits putting x on one side and a, b on the other;
+      4-point Qa - Qb on i < j < k < l, where Q1, Q2, Q3 hold the splits
+        inducing il|jk, ik|jl and ij|kl: Q1 - Q2 is
+        1/2 (D(i,k) + D(j,l) - D(i,l) - D(j,k)), Q1 - Q3 is
+        1/2 (D(i,j) + D(k,l) - D(i,l) - D(j,k)) and Q2 - Q3 is
+        1/2 (D(i,j) + D(k,l) - D(i,k) - D(j,l)).
+    The set-up runs waves over these functionals; one whose support meets
+    the unsolved splits in exactly one split t solves t, and the waves stop
+    when one solves nothing.  Each peeled functional vanishes on every
+    split still unsolved when it was used, so the peeled part is triangular
+    and annihilates the splits left over, the core: the rank is the number
+    peeled plus the core's rank, and the splits are independent exactly
+    when the core is.  Only the core is eliminated, fraction-free
+    Gauss-Jordan on its incidence rows, each followed by the unit vector
+    that records the row operations; every entry stays an integer minor of
+    these extended rows.  An empty core is the common case; peeled and
+    core_size count the splits in each part.
+    """
 
     def __init__(self, ground: GroundSet, splits: list[Split]):
         self.ground = ground
         self.splits = list(splits)
-        self.pairs = list(combinations(range(ground.n), 2))
-        k = len(self.splits)
-        rows = [
-            [1 if split.separates(i, j) else 0 for i, j in self.pairs]
-            + [1 if t == idx else 0 for t in range(k)]
-            for idx, split in enumerate(self.splits)
-        ]
+        n = ground.n
+        self.pairs = list(combinations(range(n), 2))
+        m = len(self.pairs)
+        slot = [[0] * n for _ in range(n)]
+        for p, (i, j) in enumerate(self.pairs):
+            slot[i][j] = slot[j][i] = p
+        side = [0] * n
+        self._separated: list[list[int]] = []  # the pair slots each split separates
+        for t, split in enumerate(self.splits):
+            a_side, b_side = split.index_lists()
+            for e in b_side:
+                side[e] |= 1 << t
+            self._separated.append([slot[i][j] for i in a_side for j in b_side])
+        self._steps, unsolved = self._peel(side, slot)
+        core = [t for t in range(len(self.splits)) if unsolved >> t & 1]
+        self._core = core
+        self.peeled = len(self._steps)
+        self.core_size = k = len(core)
+        rows = [[0] * (m + k) for _ in core]
+        for idx, t in enumerate(core):
+            for p in self._separated[t]:
+                rows[idx][p] = 1
+            rows[idx][m + idx] = 1
         self.pivot_cols: list[int] = []
         rank = 0
         det = 1
-        for col in range(len(self.pairs)):
+        for col in range(m):
             pivot = next((r for r in range(rank, k) if rows[r][col] != 0), None)
             if pivot is None:
                 continue
@@ -99,9 +141,72 @@ class _ExactSolver:
                 break
         if any(rows[r][col] != det for r, col in enumerate(self.pivot_cols)):
             raise AssertionError("fraction-free elimination left unequal pivots")
-        self.rank = rank
+        self.rank = self.peeled + rank
         self.det = det
         self._rows = rows
+
+    def _peel(
+        self, side: list[int], slot: list[list[int]]
+    ) -> tuple[list[tuple[int, tuple[int, ...], tuple[int, ...]]], int]:
+        """Run the waves; return the steps and the mask of the splits left
+        unsolved.
+
+        Each solved split t gets a step (slot, plus, minus), in schedule
+        order: with the target's pair values in slots 0..m-1 and the solved
+        weights, times 2 * scale, in slot m + s for split s, weight t times
+        2 * scale is the sum over the plus slots minus the sum over the
+        minus slots.
+        """
+        n, m = self.ground.n, len(self.pairs)
+        sep = [[a ^ b for b in side] for a in side]
+        unsolved = (1 << len(self.splits)) - 1
+        steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+
+        def solve(plus_mask: int, minus_mask: int, plus_pairs: tuple, minus_pairs: tuple) -> None:
+            nonlocal unsolved
+            hit = (plus_mask | minus_mask) & unsolved
+            unsolved ^= hit
+            if minus_mask & hit:
+                plus_mask, minus_mask = minus_mask, plus_mask
+                plus_pairs, minus_pairs = minus_pairs, plus_pairs
+            plus = [slot[i][j] for i, j in plus_pairs] + [m + s for s in _bit_indices(minus_mask)]
+            minus = [slot[i][j] for i, j in minus_pairs] + [
+                m + s for s in _bit_indices(plus_mask ^ hit)
+            ]
+            steps.append((m + hit.bit_length() - 1, tuple(plus), tuple(minus)))
+
+        solved_before = -1
+        while unsolved and len(steps) > solved_before:
+            solved_before = len(steps)
+            for i, j, k in combinations(range(n), 3):
+                si, sj, sk = sep[i], sep[j], sep[k]
+                # the splits putting i, j or k alone against the other two
+                alone = (si[j] & si[k], sj[i] & sj[k], sk[i] & sk[j])
+                for mask, (x, a, b) in zip(alone, ((i, j, k), (j, i, k), (k, i, j))):
+                    if _single(mask & unsolved):
+                        solve(mask, 0, ((x, a), (x, b)), ((a, b),))
+                a1, a2, a3 = alone[0] & unsolved, alone[1] & unsolved, alone[2] & unsolved
+                if not (a1 or a2 or a3):
+                    continue
+                for l in range(k + 1, n):
+                    sl = sep[l]
+                    q1, q2, q3 = a1 & sl[j] & sl[k], a2 & sl[i] & sl[k], a3 & sl[i] & sl[j]
+                    if not (_single(q1 | q2) or _single(q1 | q3) or _single(q2 | q3)):
+                        continue
+                    full = (alone[0] & sl[j] & sl[k], alone[1] & sl[i] & sl[k],
+                            alone[2] & sl[i] & sl[j])
+                    while True:
+                        if _single(q1 | q2):
+                            solve(full[0], full[1], ((i, k), (j, l)), ((i, l), (j, k)))
+                        elif _single(q1 | q3):
+                            solve(full[0], full[2], ((i, j), (k, l)), ((i, l), (j, k)))
+                        elif _single(q2 | q3):
+                            solve(full[1], full[2], ((i, j), (k, l)), ((i, k), (j, l)))
+                        else:
+                            break
+                        q1, q2, q3 = full[0] & unsolved, full[1] & unsolved, full[2] & unsolved
+                        a1, a2, a3 = alone[0] & unsolved, alone[1] & unsolved, alone[2] & unsolved
+        return steps, unsolved
 
     @property
     def is_independent(self) -> bool:
@@ -110,24 +215,58 @@ class _ExactSolver:
     def express(self, matrix: DistanceMatrix) -> dict[Split, Fraction] | None:
         """Coefficients writing the matrix as a combination of the split
         metrics, or None when it leaves their span.  Unique because the
-        rows are required to be independent."""
+        splits are required to be independent.
+
+        Works in ints over 2 * scale: the peeled weights by
+        back-substitution in schedule order, then the residual
+        2D - sum(weight * split metric) expressed on the core, whose
+        weights come out over det * 2 * scale.  None unless the residual
+        is matched exactly, so the weights regenerate D."""
         if not self.is_independent:
             raise DependentBasisError("splits are linearly dependent")
         if matrix.ground != self.ground:
             raise ValueError("ground set mismatch")
+        m, k = len(self.pairs), len(self.splits)
         rows = matrix.comparison_rows()
         values = [rows[i][j] for i, j in self.pairs]
-        m, k = len(values), len(self.splits)
-        total = [0] * (m + k)
+        buf = values + [0] * k
+        get = buf.__getitem__
+        for slot, plus, minus in self._steps:
+            buf[slot] = sum(map(get, plus)) - sum(map(get, minus))
+        weights = buf[m:]
+        residual = [2 * v for v in values]
+        for w, separated in zip(weights, self._separated):
+            if w:
+                for p in separated:
+                    residual[p] -= w
+        total = [0] * (m + len(self._core))
         for col, row in zip(self.pivot_cols, self._rows):
-            c = values[col]
+            c = residual[col]
             if c:
                 total = [t + c * x for t, x in zip(total, row)]
         det = self.det
-        if any(t != det * v for t, v in zip(total, values)):
+        if any(t != det * r for t, r in zip(total, residual)):
             return None
-        denominator = det * matrix.scale
-        return {s: Fraction(t, denominator) for s, t in zip(self.splits, total[m:])}
+        out = [Fraction(w, 2 * matrix.scale) for w in weights]
+        denominator = det * 2 * matrix.scale
+        for t, c in zip(self._core, total[m:]):
+            out[t] = Fraction(c, denominator)
+        return dict(zip(self.splits, out))
+
+
+def _single(mask: int) -> bool:
+    """Whether mask has exactly one bit set."""
+    return mask != 0 and mask & (mask - 1) == 0
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def split_rank(splits: WeightedSplitSystem | Iterable[Split]) -> int:

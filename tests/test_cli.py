@@ -9,6 +9,7 @@ from ordist import (
     Split,
     WeightedSplitSystem,
     format_distance_matrix,
+    format_rational,
     format_split_system,
     generate_distance,
     index_ground,
@@ -19,9 +20,10 @@ from ordist import (
     parse_split_system,
     random_binary_tree_system,
     random_maximum_circular_system,
+    random_maximum_flat_system,
     split_metric,
 )
-from ordist.cli import run
+from ordist.cli import main, run
 from helpers import quartet_fixture, six_point_table
 
 
@@ -231,6 +233,25 @@ def test_decompose_outcomes(tmp_path, tree_files):
     assert run(["decompose", "-i", tree_dist, "-s", basis_path]).exit_code == 2
 
 
+@pytest.mark.parametrize("kind", ["circular", "flat"])
+def test_decompose_of_a_maximum_system_at_n24(tmp_path, kind):
+    # every split peels, so this stays well under a second; eliminating
+    # all 276 splits instead would take seconds
+    rng = random.Random(24)
+    if kind == "circular":
+        _, system = random_maximum_circular_system(24, rng)
+    else:
+        system = random_maximum_flat_system(24, rng)
+        system = system.reweighted({s: rng.randint(0, 20) for s in system.splits})
+    splits = write(tmp_path, "max.splits", format_split_system(system))
+    dist = write(tmp_path, "max.dist", format_distance_matrix(generate_distance(system)))
+    outcome = run(["decompose", "-i", dist, "-s", splits])
+    assert outcome.exit_code == 0
+    assert outcome.report.splitlines() == ["result: ok"] + [
+        f"weight: [{s}] = {format_rational(w)}" for s, w in system.items()
+    ]
+
+
 def test_orderly_command(tmp_path):
     outcome = run(["orderly", "-s", "S1_5", "--trials", "0", "--seed", "0"])
     assert outcome.exit_code == 0
@@ -344,6 +365,35 @@ def test_thread_cap_env(monkeypatch, quartet_file):
     assert run(argv).exit_code == 2
     monkeypatch.setenv("ORDIST_THREADS", "4")
     assert run(argv).exit_code == 0
+
+
+def test_one_process_answers_like_fresh_processes(tmp_path, quartet_file, src_env, capsys):
+    # the parser is built once per process and reused by every command,
+    # an argparse error included
+    splits = write(tmp_path, "quartet.splits", format_split_system(quartet_fixture()))
+    order = ["order", "-i", quartet_file, "-p", "3", "-q", "2", "--algo", "kendall"]
+    sequence = [
+        order,
+        ["check", "flat", "-s", splits, "--strict"],
+        ["order", "-i", quartet_file, "-p", "2"],
+        order,
+    ]
+    seen = []
+    for argv in sequence:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ordist", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append(code)
+    assert seen == [0, 1, 2, 0]
 
 
 def test_console_entry_point(tmp_path, quartet_file, src_env):

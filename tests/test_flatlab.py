@@ -34,11 +34,14 @@ from ordist import (
     pairwise_separation_check,
     random_allowable_pair,
     random_binary_tree_system,
+    random_maximum_circular_system,
     random_maximum_flat_system,
     split_metric,
     split_rank,
     two_split_instance,
 )
+from ordist.core import ground_and_splits
+from ordist.flatlab import _ExactSolver
 from helpers import fraction_rank_and_solution, maximum_flat_by_restriction, quartet_fixture
 from strategies import split_systems
 
@@ -157,6 +160,9 @@ def test_solver_matches_fraction_elimination():
             [target[i, j] for i, j in pairs],
         )
         seen["scale > 1"] += target.scale > 1
+        solver = _ExactSolver(*ground_and_splits(subset))
+        seen["independent with a core"] += solver.core_size > 0 and rank == len(subset)
+        assert solver.peeled + solver.core_size == len(subset)
         assert split_rank(subset) == rank
         assert is_linearly_independent(subset) == (rank == len(subset))
         if rank < len(subset):
@@ -175,7 +181,23 @@ def test_solver_matches_fraction_elimination():
         metrics = {s: split_metric(s) for s in subset}
         for i, j in pairs:
             assert sum(w * metrics[s][i, j] for s, w in weights.items()) == target[i, j]
-    assert min(seen[key] for key in ("scale > 1", "dependent", "outside", "inside", "negative")) >= 20, seen
+    keys = ("scale > 1", "dependent", "outside", "inside", "negative", "independent with a core")
+    assert min(seen[key] for key in keys) >= 20, seen
+
+
+def test_maximum_systems_peel_with_an_empty_core():
+    # maximum circular and maximum flat systems need no elimination: every
+    # split is peeled and the weights come back exactly, zeros included
+    rng = random.Random(1998)
+    systems = [random_maximum_circular_system(n, rng)[1] for n in range(5, 21)]
+    systems += [random_maximum_flat_system(n, rng) for n in range(5, 13)]
+    for system in systems:
+        system = system.reweighted(
+            {s: Fraction(rng.randint(0, 20), rng.choice([1, 2, 3])) for s in system.splits}
+        )
+        solver = _ExactSolver(*ground_and_splits(system))
+        assert (solver.peeled, solver.core_size, solver.rank) == (len(system), 0, len(system))
+        assert express_in_basis(generate_distance(system), system) == dict(system.items())
 
 
 def test_express_rejects_dependent_basis():

@@ -15,7 +15,14 @@ recovery can fix element 0 in place.
 For circular input and q = p/2 the order distance can be computed without
 touching all pairs-of-pairs: every strict-comparison side is an arc, located
 by binary search, and the resulting weighted arc system is evaluated by an
-O(n^2) recurrence.
+O(n^2) recurrence.  The arcs come from a monotonicity lemma: for positions
+a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
+f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
+never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
+{f < 0} of a is a prefix of the path a..b and a suffix of the path b..a, the
+side {f > 0} of b is the reverse, and the ties lie between them.  The lemma
+needs no triangle inequality, only the condition on the ordering, which
+recovery verifies in full.
 """
 
 from __future__ import annotations
@@ -383,68 +390,6 @@ def evaluate_circular_distance(
     return _table_distance(theta, table, scale)
 
 
-def _locate_true_arc(
-    rows: list[list[int]], seq: tuple[int, ...], pos: dict[int, int], u: int, v: int
-) -> tuple[int, int]:
-    """Positions (start, end) of the circular arc {z : D(u,z) < D(v,z)},
-    which contains u and not v.  Binary search along both u-to-v paths; a
-    full scan takes over when the boundary probes look inconsistent."""
-    n = len(seq)
-    row_u, row_v = rows[u], rows[v]
-    pu, pv = pos[u], pos[v]
-    cw_len = (pv - pu) % n
-    lo, hi = 0, cw_len
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        e = seq[(pu + mid) % n]
-        if row_u[e] < row_v[e]:
-            lo = mid
-        else:
-            hi = mid
-    cw_last = lo
-    ccw_len = (pu - pv) % n
-    lo, hi = 0, ccw_len
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        e = seq[(pu - mid) % n]
-        if row_u[e] < row_v[e]:
-            lo = mid
-        else:
-            hi = mid
-    ccw_last = lo
-    start = (pu - ccw_last) % n
-    end = (pu + cw_last) % n
-    e_start, e_end = seq[start], seq[end]
-    e_before, e_after = seq[(start - 1) % n], seq[(end + 1) % n]
-    if (
-        row_u[e_start] < row_v[e_start]
-        and row_u[e_end] < row_v[e_end]
-        and not row_u[e_before] < row_v[e_before]
-        and not row_u[e_after] < row_v[e_after]
-    ):
-        return start, end
-    return _scan_true_arc(rows, seq, u, v)
-
-
-def _scan_true_arc(
-    rows: list[list[int]], seq: tuple[int, ...], u: int, v: int
-) -> tuple[int, int]:
-    """The arc of _locate_true_arc found by scanning every position; raises
-    NotCircularError when the strict-comparison side is not an arc."""
-    n = len(seq)
-    row_u, row_v = rows[u], rows[v]
-    members = [p for p in range(n) if row_u[seq[p]] < row_v[seq[p]]]
-    breaks = [
-        p for p in members if (p - 1) % n not in members
-    ]
-    if len(breaks) != 1:
-        raise NotCircularError(
-            "strict-comparison side is not an arc; input is not circular"
-        )
-    start = breaks[0]
-    return start, (start + len(members) - 1) % n
-
-
 def order_distance_circular(
     matrix: DistanceMatrix, params: OrderParams
 ) -> DistanceMatrix:
@@ -452,9 +397,14 @@ def order_distance_circular(
 
     Recovers and verifies an ordering, locates every strict-comparison arc
     by binary search, and evaluates the weighted arc system with the O(n^2)
-    recurrence.  Raises PreconditionError when q != p/2, and its subclass
-    NotCircularError when no ordering passes verification or when a
-    zero-distance pair shows the input cannot come from non-negative arc
+    recurrence.  For positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z)
+    never decreases along the path a..b and never increases along b..a
+    (module docstring), so {f < 0} and {f > 0} are arcs whose ends are found
+    by one search on each path, and a second one only past a tied boundary.
+    The verified ordering proves this for every pair, so no scan or other
+    fallback is needed.  Raises PreconditionError when q != p/2, and its
+    subclass NotCircularError when no ordering passes verification or when
+    a zero-distance pair shows the input cannot come from non-negative arc
     weights.
     """
     if params.q != params.half_p:
@@ -463,27 +413,67 @@ def order_distance_circular(
     if theta is None:
         raise NotCircularError("no circular ordering fits this distance")
     n = matrix.n
-    seq = theta.sequence
-    pos = {e: i for i, e in enumerate(seq)}
     rows = matrix.comparison_rows()
+    seq = theta.sequence
+    # rows and columns by position; the path b..a runs over the indices
+    # b-n..a, whose negative part Python's indexing wraps round to b..n-1
+    pos_rows = [[rows[x][y] for y in seq] for x in seq]
     weight = params.half_p.numerator
     table = [[0] * (n - 1) for _ in range(n - 1)]
-    for u in range(n):
-        row_u = rows[u]
-        for v in range(n):
-            if u == v:
-                continue
-            if row_u[v] == 0:
+    for a, row_a in enumerate(pos_rows):
+        for b in range(a + 1, n):
+            row_b = pos_rows[b]
+            if row_a[b] == 0:
                 # at distance zero the two comparison rows must agree, else
                 # no non-negative arc weighting can generate this input
-                if u < v and rows[v] != row_u:
+                if row_b != row_a:
                     raise NotCircularError(
                         "elements at distance zero compare differently"
                     )
                 continue
-            start, end = _locate_true_arc(rows, seq, pos, u, v)
-            if start <= end and end <= n - 2:
-                table[start][end] += weight
+            # path a..b: the side of a is a prefix, the side of b a suffix
+            lo, hi = a, b
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if row_a[mid] < row_b[mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            end_a = lo
+            if row_a[hi] == row_b[hi]:
+                lo, hi = hi, b
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if row_a[mid] > row_b[mid]:
+                        hi = mid
+                    else:
+                        lo = mid
+            start_b = hi
+            # path b..a: the side of b is a prefix, the side of a a suffix
+            lo, hi = b - n, a
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if row_a[mid] > row_b[mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            end_b = lo
+            if row_a[hi] == row_b[hi]:
+                lo, hi = hi, a
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if row_a[mid] < row_b[mid]:
+                        hi = mid
+                    else:
+                        lo = mid
+            start_a = hi
+            # table keys are arcs avoiding position n-1: else the complement
+            if start_a >= 0:
+                table[start_a][end_a] += weight
             else:
-                table[(end + 1) % n][(start - 1) % n] += weight
+                table[end_a + 1][start_a + n - 1] += weight
+            if end_b < -1:
+                table[start_b][end_b + n] += weight
+            else:
+                table[end_b + 1][start_b - 1] += weight
     return _table_distance(theta, table, params.half_p.denominator)

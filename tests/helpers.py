@@ -15,7 +15,10 @@ from ordist import (
     GroundSet,
     Split,
     WeightedSplitSystem,
+    generate_distance,
+    index_ground,
     is_linearly_independent,
+    maximum_circular_splits,
     restrict_split_system,
 )
 from ordist.core import ground_and_splits
@@ -165,6 +168,46 @@ def circular_orderings_brute(matrix: DistanceMatrix) -> list[CircularOrdering]:
         if theta not in found and quadruple_condition_holds(matrix, theta.sequence):
             found.append(theta)
     return found
+
+
+def zero_heavy_circular_distance(n: int, rng, zero_share=0.7) -> DistanceMatrix:
+    """Distance of the maximum circular system of a random ordering, each
+    split weighted 0 with probability zero_share and 1..3 otherwise: many
+    equal entries (and, on few elements, zero-distance pairs), so
+    comparisons tie at the ends of their arcs."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    theta = CircularOrdering(index_ground(n), perm)
+    return generate_distance(
+        WeightedSplitSystem(
+            theta.ground,
+            [
+                (s, 0 if rng.random() < zero_share else rng.randint(1, 3))
+                for s in maximum_circular_splits(theta)
+            ],
+        )
+    )
+
+
+def strict_side_arcs(matrix: DistanceMatrix, theta: CircularOrdering) -> dict:
+    """For every ordered pair (u, v) at positive distance, the positions
+    (start, end) of the side {z : D(u,z) < D(v,z)} read forward around the
+    ordering, found by scanning every position; raises ValueError when a
+    side is not one arc.  The oracle for the circular engine's searches."""
+    n = matrix.n
+    seq = theta.sequence
+    values = [[matrix[x, y] for y in seq] for x in range(n)]
+    arcs = {}
+    for u in range(n):
+        for v in range(n):
+            if u == v or matrix[u, v] == 0:
+                continue
+            members = [p for p in range(n) if values[u][p] < values[v][p]]
+            starts = [p for p in members if (p - 1) % n not in members]
+            if len(starts) != 1:
+                raise ValueError(f"side of {u} against {v} is not an arc")
+            arcs[u, v] = (starts[0], (starts[0] + len(members) - 1) % n)
+    return arcs
 
 
 def ultrametric_fixture() -> WeightedSplitSystem:

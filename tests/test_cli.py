@@ -24,7 +24,7 @@ from ordist import (
     split_metric,
 )
 from ordist.cli import main, run
-from helpers import quartet_fixture, six_point_table
+from helpers import quartet_fixture, six_point_table, zero_heavy_circular_distance
 
 
 def write(tmp_path, name, text):
@@ -101,6 +101,28 @@ def test_order_circular_algo(tmp_path):
     mismatched = run(["order", "-i", path, "-p", "2", "-q", "2", "--algo", "circular"])
     assert mismatched.exit_code == 3
     assert "q = p/2" in mismatched.report
+
+
+@pytest.mark.parametrize("p,q", [("2", "1"), ("3", "3/2")])
+def test_circular_writes_what_eq1_writes_on_tie_rich_input(tmp_path, p, q):
+    d = zero_heavy_circular_distance(24, random.Random(24))
+    path = write(tmp_path, "ties.dist", format_distance_matrix(d))
+    written = []
+    for algo in ("circular", "eq1"):
+        out = tmp_path / f"{algo}.dist"
+        argv = ["order", "-i", path, "-p", p, "-q", q, "--algo", algo, "-o", str(out)]
+        assert run(argv).exit_code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_circular_refuses_skewed_twins(tmp_path):
+    # a and b are at distance 0 but b is one further from c and d
+    text = "4\na 0 0 1 2\nb 0 0 2 3\nc 1 2 0 1\nd 2 3 1 0\n"
+    path = write(tmp_path, "twins.dist", text)
+    outcome = run(["order", "-i", path, "-p", "2", "-q", "1", "--algo", "circular"])
+    assert outcome.exit_code == 3
+    assert outcome.report == "error: elements at distance zero compare differently"
 
 
 def test_order_rejects_bad_input(tmp_path, quartet_file):

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "ordist").glob("*.py"))
@@ -13,4 +14,23 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    """pyproject declares no dependencies, so every import in the package
+    names ordist (relative imports included) or a standard-library module."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "ordist" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

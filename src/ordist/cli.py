@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 import time
@@ -203,7 +202,7 @@ def _cmd_check(args: argparse.Namespace) -> CommandOutcome:
         if bad is not None:
             lines.append(f"violating-pair: [{bad[0]}] [{bad[1]}]")
     else:
-        bad_pair = pairwise_separation_check(system, exhaustive=args.exhaustive)
+        bad_pair = pairwise_separation_check(system)
         ok = bad_pair is None
         lines.append(f"pairsep: {_verdict(ok)}")
         if bad_pair is not None:
@@ -330,11 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--strict", action="store_true", help="exit 1 when the verdict is false"
     )
-    p_check.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="pairsep only: search all subset pairs instead of derived candidates",
-    )
 
     p_dec = sub.add_parser("decompose", help="express a distance over given splits")
     p_dec.add_argument("-i", "--input", required=True, help="distance matrix file")
@@ -369,26 +363,9 @@ _HANDLERS = {
 }
 
 
-def _thread_cap_error() -> str | None:
-    raw = os.environ.get("ORDIST_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        return f"ORDIST_THREADS must be a positive integer, got {raw!r}"
-    if cap < 1:
-        return f"ORDIST_THREADS must be a positive integer, got {raw!r}"
-    # single-threaded implementation: any valid cap is honored trivially
-    return None
-
-
 def run(argv: list[str] | None = None) -> CommandOutcome:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    env_error = _thread_cap_error()
-    if env_error is not None:
-        return CommandOutcome(INPUT_ERROR, f"error: {env_error}")
     try:
         return _HANDLERS[args.command](args)
     except FormatError as exc:

@@ -4,9 +4,14 @@ Two splits are compatible when one of the four pairwise side intersections
 is empty; a system is compatible when all its pairs are.  Compatible
 weighted systems are exactly the edge-split systems of trees whose vertices
 of degree at most 2 carry labels, and this module converts between the two
-presentations.  It also provides the classical four-point and ultrametric
-checks and an exhaustive six-point search that certifies when the strict
-comparison splits of a distance matrix fail to be compatible.
+presentations.  The sides stored for the splits (those without element 0)
+nest or are disjoint exactly when the system is compatible, so a tree is
+built by placing them, largest first, under the vertex holding their
+lowest element; the way back hangs the tree from vertex 0 and reads each
+edge's split off the elements below it.  It also provides the classical
+four-point and ultrametric checks and an exhaustive six-point search that
+certifies when the strict comparison splits of a distance matrix fail to be
+compatible.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import (
     Split,
     WeightedSplitSystem,
     as_rational,
+    bit_indices,
     ground_and_splits,
 )
 
@@ -71,22 +77,24 @@ def is_compatible(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
     return incompatible_pair(splits) is None
 
 
-def _component_mask(
-    adjacency: Sequence[Iterable[int]], bag_masks: Sequence[int], start: int, blocked: int
-) -> int:
-    """Union of the bag masks of the vertices reachable from start without
-    passing through blocked."""
-    mask = 0
-    stack = [start]
-    visited = {blocked, start}
-    while stack:
-        v = stack.pop()
-        mask |= bag_masks[v]
+def _hang(
+    v_count: int, edges: Iterable[tuple[int, int, object]]
+) -> tuple[list[int], list[int]]:
+    """Hang a graph from vertex 0: the vertices reachable from it in
+    breadth-first order, and each vertex's parent (-1 for vertex 0 and for
+    vertices not reached)."""
+    adjacency: list[list[int]] = [[] for _ in range(v_count)]
+    for u, v, _ in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parent = [-1] * v_count
+    order = [0]
+    for v in order:
         for w in adjacency[v]:
-            if w not in visited:
-                visited.add(w)
-                stack.append(w)
-    return mask
+            if w and parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 class XTree:
@@ -112,20 +120,15 @@ class XTree:
             raise ValueError("vertex bags must cover the ground set")
         edge_list = []
         degree = [0] * v_count
-        adjacency: list[list[int]] = [[] for _ in range(v_count)]
         for u, v, w in edges:
             if not (0 <= u < v_count and 0 <= v < v_count) or u == v:
                 raise ValueError(f"bad edge ({u},{v})")
-            w = as_rational(w)
-            edge_list.append((u, v, w))
+            edge_list.append((u, v, as_rational(w)))
             degree[u] += 1
             degree[v] += 1
-            adjacency[u].append(v)
-            adjacency[v].append(u)
         if len(edge_list) != v_count - 1:
             raise ValueError("a tree on k vertices needs k-1 edges")
-        vertex_bits = [1 << v for v in range(v_count)]
-        if _component_mask(adjacency, vertex_bits, 0, 0) != (1 << v_count) - 1:
+        if len(_hang(v_count, edge_list)[0]) != v_count:
             raise ValueError("tree is not connected")
         for v in range(v_count):
             if degree[v] <= 2 and not bags[v]:
@@ -154,80 +157,45 @@ class XTree:
 
 
 def xtree_from_compatible(system: WeightedSplitSystem) -> XTree:
-    """Build the tree realizing a compatible weighted split system, by
-    popping splits one at a time into a growing tree.
+    """Build the tree realizing a compatible weighted split system.
 
-    Each input split becomes exactly one edge (same weight); rejects
-    incompatible input.  Splitting off larger sides first keeps vertex
-    numbering deterministic.
+    Each split becomes exactly one edge with the same weight.  The stored
+    sides never contain element 0, so on compatible input they nest or are
+    disjoint.  Starting from one root vertex holding every element, the
+    sides are placed largest first, each as a new vertex under the vertex
+    that currently holds its lowest element, taking its elements out of
+    that vertex's bag.  A side that does not lie inside that bag overlaps
+    an earlier side partly, so the input is rejected there.  Vertices are
+    numbered in placement order, from the root outward.
     """
-    ground = system.ground
-    n = ground.n
-    full = (1 << n) - 1
-    bags: list[int] = [full]  # element bitmask per vertex
-    adjacency: list[dict[int, Fraction]] = [{}]
-    ordered = sorted(
-        system.items(), key=lambda it: (-it[0].min_side_size, it[0].bits)
-    )
-    for split, weight in ordered:
-        a_mask = split.bits
-        b_mask = full ^ a_mask
-        target = None
-        attach_b: list[int] = []
-        for v in range(len(bags)):
-            side_b_neighbors = []
-            pure = True
-            for w in adjacency[v]:
-                comp = _component_mask(adjacency, bags, w, v)
-                if comp & a_mask and comp & b_mask:
-                    pure = False
-                    break
-                if comp & b_mask or not comp & a_mask:
-                    side_b_neighbors.append(w)
-            if pure:
-                if target is not None:
-                    raise ValueError(f"ambiguous placement for split {split}")
-                target = v
-                attach_b = side_b_neighbors
-        if target is None:
+    owner = [0] * system.ground.n  # vertex whose bag holds each element
+    edges: list[tuple[int, int, Fraction]] = []
+    by_size = sorted(system.items(), key=lambda it: (-it[0].bits.bit_count(), it[0].bits))
+    for split, weight in by_size:
+        side = bit_indices(split.bits)
+        parent = owner[side[0]]
+        if any(owner[e] != parent for e in side):
             raise ValueError(f"split system is not compatible at {split}")
-        new_vertex = len(bags)
-        bags.append(bags[target] & b_mask)
-        bags[target] &= a_mask
-        adjacency.append({})
-        for w in attach_b:
-            adjacency[new_vertex][w] = adjacency[target].pop(w)
-            adjacency[w].pop(target)
-            adjacency[w][new_vertex] = adjacency[new_vertex][w]
-        adjacency[target][new_vertex] = weight
-        adjacency[new_vertex][target] = weight
-
-    vertex_bags = [
-        [i for i in range(n) if (bags[v] >> i) & 1] for v in range(len(bags))
-    ]
-    edges = [
-        (u, v, w)
-        for u in range(len(bags))
-        for v, w in sorted(adjacency[u].items())
-        if u < v
-    ]
-    return XTree(ground, vertex_bags, edges)
+        vertex = len(edges) + 1
+        for e in side:
+            owner[e] = vertex
+        edges.append((parent, vertex, weight))
+    bags: list[list[int]] = [[] for _ in range(len(edges) + 1)]
+    for e, v in enumerate(owner):
+        bags[v].append(e)
+    return XTree(system.ground, bags, edges)
 
 
 def splits_from_xtree(tree: XTree) -> WeightedSplitSystem:
     """Recover the weighted split system from a tree's edges.  Each edge
-    contributes the bipartition of element bags left by its removal."""
-    v_count = tree.n_vertices
-    adjacency: list[list[int]] = [[] for _ in range(v_count)]
-    for u, v, _ in tree.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    bag_masks = [sum(1 << e for e in bag) for bag in tree.bags]
-
-    # random_binary_tree_system puts each new leaf at v, so walking from v
-    # stays on the small side of its leaf edges
+    contributes the bipartition of element bags left by its removal: the
+    bags below its lower end, with the tree hung from vertex 0."""
+    order, parent = _hang(tree.n_vertices, tree.edges)
+    below = [sum(1 << e for e in bag) for bag in tree.bags]
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
     entries = [
-        (Split.from_bits(tree.ground, _component_mask(adjacency, bag_masks, v, u)), w)
+        (Split.from_bits(tree.ground, below[v if parent[v] == u else u]), w)
         for u, v, w in tree.edges
     ]
     return WeightedSplitSystem(tree.ground, entries)

@@ -106,6 +106,16 @@ def _check_same_ground(a: GroundSet, b: GroundSet) -> None:
         raise ValueError("ground set mismatch")
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def canonical_mask(mask: int, full: int) -> int:
     """The side of the bipartition (mask, full ^ mask) that does not contain
     element 0, which is how a split is stored."""
@@ -159,17 +169,13 @@ class Split:
 
     def parts(self) -> tuple[frozenset[int], frozenset[int]]:
         """Both parts as index sets: (part containing element 0, the other)."""
-        n = self.ground.n
-        without0 = frozenset(i for i in range(n) if (self.bits >> i) & 1)
-        with0 = frozenset(range(n)) - without0
-        return with0, without0
+        with0, without0 = self.index_lists()
+        return frozenset(with0), frozenset(without0)
 
     def index_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Both parts as sorted index tuples, cheap form for inner loops."""
-        n = self.ground.n
-        a = tuple(i for i in range(n) if not (self.bits >> i) & 1)
-        b = tuple(i for i in range(n) if (self.bits >> i) & 1)
-        return a, b
+        full = (1 << self.ground.n) - 1
+        return tuple(bit_indices(full ^ self.bits)), tuple(bit_indices(self.bits))
 
     @property
     def min_side_size(self) -> int:
@@ -191,11 +197,8 @@ class Split:
         return hash((self.ground, self.bits))
 
     def __str__(self) -> str:
-        with0, without0 = self.parts()
         labels = self.ground.labels
-        left = ",".join(labels[i] for i in sorted(with0))
-        right = ",".join(labels[i] for i in sorted(without0))
-        return f"{left} | {right}"
+        return " | ".join(",".join(labels[i] for i in part) for part in self.index_lists())
 
     def __repr__(self) -> str:
         return f"Split({self})"
@@ -455,10 +458,7 @@ def restrict_split_system(
     for s in splits:
         if s.ground is not ground:
             ground, sub = s.ground, s.ground.restricted(keep)
-        mask = 0
-        for new_i, old_i in enumerate(keep):
-            if (s.bits >> old_i) & 1:
-                mask |= 1 << new_i
+        mask = sum(1 << new_i for new_i, old_i in enumerate(keep) if s.bits >> old_i & 1)
         if 0 < mask < full:
             out.add(Split.from_bits(sub, mask))
     return frozenset(out)

@@ -38,6 +38,7 @@ from .core import (
     PreconditionError,
     Split,
     WeightedSplitSystem,
+    bit_indices,
     generate_distance,
     ground_and_splits,
 )
@@ -169,9 +170,9 @@ class _ExactSolver:
             if minus_mask & hit:
                 plus_mask, minus_mask = minus_mask, plus_mask
                 plus_pairs, minus_pairs = minus_pairs, plus_pairs
-            plus = [slot[i][j] for i, j in plus_pairs] + [m + s for s in _bit_indices(minus_mask)]
+            plus = [slot[i][j] for i, j in plus_pairs] + [m + s for s in bit_indices(minus_mask)]
             minus = [slot[i][j] for i, j in minus_pairs] + [
-                m + s for s in _bit_indices(plus_mask ^ hit)
+                m + s for s in bit_indices(plus_mask ^ hit)
             ]
             steps.append((m + hit.bit_length() - 1, tuple(plus), tuple(minus)))
 
@@ -257,16 +258,6 @@ class _ExactSolver:
 def _single(mask: int) -> bool:
     """Whether mask has exactly one bit set."""
     return mask != 0 and mask & (mask - 1) == 0
-
-
-def _bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def split_rank(splits: WeightedSplitSystem | Iterable[Split]) -> int:
@@ -362,7 +353,7 @@ def _pairsep_ok_for(
 
 
 def pairwise_separation_check(
-    splits: WeightedSplitSystem | Iterable[Split], exhaustive: bool = False
+    splits: WeightedSplitSystem | Iterable[Split],
 ) -> tuple[int, int] | None:
     """First element pair with no separating frame in the system, or None.
 
@@ -370,40 +361,21 @@ def pairwise_separation_check(
     remaining elements puts all four of A+x+y|B, A+x|B+y, A+y|B+x and
     A|B+x+y into the system, skipping the two with an empty side.  Only
     candidates read off the system itself need checking: a working (A, B)
-    makes A+x|B+y a split of the system, which pins (A, B) down.  The
-    exhaustive flag re-checks with every subset of the other elements
-    instead (small ground sets only) and exists as a cross-check.
+    makes A+x|B+y a split of the system, which pins (A, B) down.
     """
     ground, split_list = ground_and_splits(splits)
     n = ground.n
-    if exhaustive and n > 16:
-        raise ValueError("exhaustive search is limited to 16 elements")
+    full = (1 << n) - 1
     have = set(split_list)
     for x in range(n):
         bx = 1 << x
         for y in range(x + 1, n):
-            by = 1 << y
-            found = False
-            if exhaustive:
-                others = [e for e in range(n) if e != x and e != y]
-                for picks in range(1 << len(others)):
-                    a_mask = 0
-                    for t, e in enumerate(others):
-                        if picks >> t & 1:
-                            a_mask |= 1 << e
-                    if _pairsep_ok_for(ground, have, x, y, a_mask):
-                        found = True
+            for s in split_list:
+                if s.separates(x, y):
+                    x_side = s.bits if s.bits >> x & 1 else full ^ s.bits
+                    if _pairsep_ok_for(ground, have, x, y, x_side ^ bx):
                         break
             else:
-                for s in split_list:
-                    if not s.separates(x, y):
-                        continue
-                    x_side = s.bits if s.bits >> x & 1 else ((1 << n) - 1) ^ s.bits
-                    a_mask = x_side ^ bx
-                    if _pairsep_ok_for(ground, have, x, y, a_mask):
-                        found = True
-                        break
-            if not found:
                 return (x, y)
     return None
 

@@ -131,6 +131,30 @@ def maximum_flat_by_restriction(splits) -> bool:
     )
 
 
+def pairwise_separation_by_subsets(splits) -> tuple[int, int] | None:
+    """First pair x < y with no separating frame, or None, trying every
+    subset A of the other elements with B the rest: the frame needs
+    A+x+y|B, A+x|B+y, A+y|B+x and A|B+x+y in the system, except the two
+    with an empty side.  The oracle for ``pairwise_separation_check``."""
+    ground, split_list = ground_and_splits(splits)
+    have = set(split_list)
+    n = ground.n
+
+    def frame_in_system(x, y, a) -> bool:
+        sides = [[*a, x, y], [*a, x], [*a, y], list(a)]
+        return all(Split(ground, side) in have for side in sides if 0 < len(side) < n)
+
+    for x, y in combinations(range(n), 2):
+        others = [e for e in range(n) if e not in (x, y)]
+        if not any(
+            frame_in_system(x, y, a)
+            for k in range(len(others) + 1)
+            for a in combinations(others, k)
+        ):
+            return (x, y)
+    return None
+
+
 def compatible_pair_brute(s1: Split, s2: Split) -> bool:
     a1, b1 = (set(part) for part in s1.parts())
     a2, b2 = (set(part) for part in s2.parts())

@@ -210,8 +210,6 @@ def test_check_closed_and_pairsep(tmp_path, tree_files):
     outcome = run(["check", "pairsep", "-s", path])
     assert "pairsep: false" in outcome.report
     assert "unseparated-pair: x0 x1" in outcome.report
-    exhaustive = run(["check", "pairsep", "-s", path, "--exhaustive"])
-    assert "pairsep: false" in exhaustive.report
 
 
 def test_decompose_outcomes(tmp_path, tree_files):
@@ -377,16 +375,6 @@ def test_bench_reports_agreement():
     assert "engines-agree: true" in report
     for key in ("eq1-seconds:", "kendall-seconds:", "circular-seconds:"):
         assert any(line.startswith(key) for line in report)
-
-
-def test_thread_cap_env(monkeypatch, quartet_file):
-    argv = ["order", "-i", quartet_file, "-p", "2", "-q", "1"]
-    monkeypatch.setenv("ORDIST_THREADS", "abc")
-    assert run(argv).exit_code == 2
-    monkeypatch.setenv("ORDIST_THREADS", "0")
-    assert run(argv).exit_code == 2
-    monkeypatch.setenv("ORDIST_THREADS", "4")
-    assert run(argv).exit_code == 0
 
 
 def test_one_process_answers_like_fresh_processes(tmp_path, quartet_file, src_env, capsys):

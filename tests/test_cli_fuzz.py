@@ -91,8 +91,6 @@ def invocations(draw, command, dist_path, splits_path):
         argv = ["check", kind, "-s", splits_path]
         if draw(st.booleans()):
             argv.append("--strict")
-        if kind == "pairsep" and draw(st.booleans()):
-            argv.append("--exhaustive")
         return argv, {splits_path: draw(split_file(n))}
     if command == "decompose":
         argv = ["decompose", "-i", dist_path, "-s", splits_path]

@@ -30,7 +30,7 @@ from helpers import (
     six_point_table,
     ultrametric_fixture,
 )
-from strategies import canonical_masks, distance_matrices
+from strategies import canonical_masks, distance_matrices, split_systems
 
 
 @given(st.integers(3, 7), st.data())
@@ -80,6 +80,23 @@ def test_tree_round_trip_on_random_trees(n, seed):
     system = random_binary_tree_system(n, random.Random(seed))
     assert is_compatible(system.splits)
     assert splits_from_xtree(xtree_from_compatible(system)) == system
+
+
+@given(split_systems(min_n=2, max_n=8))
+def test_tree_building_rejects_exactly_the_incompatible_systems(system):
+    if not is_compatible(system):
+        with pytest.raises(ValueError, match="not compatible"):
+            xtree_from_compatible(system)
+    else:
+        assert splits_from_xtree(xtree_from_compatible(system)) == system
+
+
+def test_large_tree_round_trip():
+    # large enough that a construction cubic in n would take seconds
+    system = random_binary_tree_system(256, random.Random(256))
+    tree = xtree_from_compatible(system)
+    assert tree.n_vertices == 2 * 256 - 2
+    assert splits_from_xtree(tree) == system
 
 
 def test_single_split_tree():

@@ -14,7 +14,6 @@ from ordist import (
     DependentBasisError,
     DistanceMatrix,
     FLAT_FIXTURE_NAMES,
-    GroundSet,
     NoCounterexampleFound,
     OrderParams,
     Split,
@@ -42,7 +41,12 @@ from ordist import (
 )
 from ordist.core import ground_and_splits
 from ordist.flatlab import _ExactSolver
-from helpers import fraction_rank_and_solution, maximum_flat_by_restriction, quartet_fixture
+from helpers import (
+    fraction_rank_and_solution,
+    maximum_flat_by_restriction,
+    pairwise_separation_by_subsets,
+    quartet_fixture,
+)
 from strategies import split_systems
 
 
@@ -249,9 +253,7 @@ def test_closedness_of_standard_systems():
 
 @given(split_systems(min_n=3, max_n=6, max_splits=7))
 def test_separation_shortcut_matches_exhaustive(system):
-    fast = pairwise_separation_check(system)
-    slow = pairwise_separation_check(system, exhaustive=True)
-    assert fast == slow
+    assert pairwise_separation_check(system) == pairwise_separation_by_subsets(system)
 
 
 def test_separation_basics():
@@ -261,9 +263,6 @@ def test_separation_basics():
     assert pairwise_separation_check([Split(g2, [0])]) is None
     assert pairwise_separation_check(flat_fixture("S1_5")) is None
     assert pairwise_separation_check(flat_fixture("S2_5")) is None
-    big = GroundSet(f"t{i}" for i in range(17))
-    with pytest.raises(ValueError):
-        pairwise_separation_check([Split(big, [0])], exhaustive=True)
 
 
 def test_maximum_flat_verdicts():

@@ -34,3 +34,16 @@ def test_the_package_imports_only_itself_and_the_standard_library():
                 if top != "ordist" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_the_package_reads_no_environment_variables():
+    """Behaviour is set by arguments alone: no module names os.environ or
+    getenv, as an attribute, a bare name or an import."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for field in ("attr", "id", "name")
+        if getattr(node, field, None) in ("environ", "environb", "getenv", "getenvb")
+    ]
+    assert found == []

@@ -40,8 +40,8 @@ from .core import (
     Split,
     WeightedSplitSystem,
     as_rational,
-    generate_distance,
     ground_and_splits,
+    transpose_bits,
 )
 
 __all__ = [
@@ -318,12 +318,17 @@ def is_circular_split_system(
     Works through distances: the unit weighting of a circular system
     generates a circular distance whose valid orderings are exactly the
     orderings the system fits on, and the fit is re-checked explicitly.
+    That distance counts the splits separating x and y, the popcount of
+    side[x] ^ side[y], where bit t of side[e] (``transpose_bits``) says
+    element e lies on the canonical side of split t.
     """
     ground, split_list = ground_and_splits(splits)
+    n = ground.n
     if not split_list:
-        return CircularOrdering(ground, range(ground.n))
-    system = WeightedSplitSystem.unit(ground, split_list)
-    theta = recover_circular_ordering(generate_distance(system))
+        return CircularOrdering(ground, range(n))
+    side = transpose_bits([s.bits for s in split_list], n)
+    unit = [[(side_x ^ side_y).bit_count() for side_y in side] for side_x in side]
+    theta = recover_circular_ordering(DistanceMatrix.from_scaled(ground, unit))
     if theta is not None and fits_on_ordering(split_list, theta):
         return theta
     return None

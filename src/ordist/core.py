@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -114,6 +114,26 @@ def bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def transpose_bits(rows: Sequence[int], width: int) -> list[int]:
+    """The bit matrix read by columns: bit t of out[e] is bit e of rows[t],
+    for e < width.
+
+    The rows are written out as '0'/'1' digits into one bytearray, the last
+    row first and each row most significant bit first, so every column is
+    one strided slice that ``int(..., 2)`` reads back.  The bytearray holds
+    len(rows) * width bytes.  Each row must be a non-negative int below
+    2**width.
+    """
+    if any(row >> width for row in rows):
+        raise ValueError(f"rows must be non-negative ints below 2**{width}")
+    if not rows or not width:
+        return [0] * width
+    text = bytearray(len(rows) * width)
+    for start, row in zip(range(0, len(text), width), reversed(rows)):
+        text[start : start + width] = format(row, f"0{width}b").encode()
+    return [int(text[width - 1 - e :: width], 2) for e in range(width)]
 
 
 def canonical_mask(mask: int, full: int) -> int:

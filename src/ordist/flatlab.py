@@ -19,7 +19,9 @@ A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
 weights.  orderly_test searches for a violating weighting: first the
 two-split weightings supported on incompatible pairs, whose order distances
-have known closed form, then seeded random weightings.
+have known closed form, then seeded random weightings.  Its probes stay in
+ints from the weighting to the signs of the weights re-expressing the order
+distance; Fractions are built only for a counterexample.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .core import (
     Split,
     WeightedSplitSystem,
     bit_indices,
-    generate_distance,
     ground_and_splits,
+    transpose_bits,
 )
 from .order import order_distance_eq1
 
@@ -73,7 +75,8 @@ class _ExactSolver:
     targets can be expressed against the same splits.
 
     Bit t of side[e] is set when element e lies on the `bits` side of
-    split t, so side[x] ^ side[y] holds the splits separating x and y.  Two
+    split t (the split bits transposed by ``transpose_bits``), so
+    side[x] ^ side[y] holds the splits separating x and y.  Two
     kinds of functional read a weighted sum of splits off D:
       3-point (x; a, b): 1/2 (D(x,a) + D(x,b) - D(a,b)) is the total weight
         of the splits putting x on one side and a, b on the other;
@@ -104,13 +107,11 @@ class _ExactSolver:
         slot = [[0] * n for _ in range(n)]
         for p, (i, j) in enumerate(self.pairs):
             slot[i][j] = slot[j][i] = p
-        side = [0] * n
         self._separated: list[list[int]] = []  # the pair slots each split separates
-        for t, split in enumerate(self.splits):
+        for split in self.splits:
             a_side, b_side = split.index_lists()
-            for e in b_side:
-                side[e] |= 1 << t
             self._separated.append([slot[i][j] for i in a_side for j in b_side])
+        side = transpose_bits([split.bits for split in self.splits], n)
         self._steps, unsolved = self._peel(side, slot)
         core = [t for t in range(len(self.splits)) if unsolved >> t & 1]
         self._core = core
@@ -216,21 +217,36 @@ class _ExactSolver:
     def express(self, matrix: DistanceMatrix) -> dict[Split, Fraction] | None:
         """Coefficients writing the matrix as a combination of the split
         metrics, or None when it leaves their span.  Unique because the
-        splits are required to be independent.
-
-        Works in ints over 2 * scale: the peeled weights by
-        back-substitution in schedule order, then the residual
-        2D - sum(weight * split metric) expressed on the core, whose
-        weights come out over det * 2 * scale.  None unless the residual
-        is matched exactly, so the weights regenerate D."""
+        splits are required to be independent.  The Fractions of
+        ``_signed_weights``: peeled weights over 2 * scale, core weights
+        over |det| * 2 * scale."""
         if not self.is_independent:
             raise DependentBasisError("splits are linearly dependent")
         if matrix.ground != self.ground:
             raise ValueError("ground set mismatch")
-        m, k = len(self.pairs), len(self.splits)
+        signed = self._signed_weights(matrix)
+        if signed is None:
+            return None
+        scale = 2 * matrix.scale
+        out = [Fraction(w, scale) for w in signed]
+        for t in self._core:
+            out[t] = Fraction(signed[t], abs(self.det) * scale)
+        return dict(zip(self.splits, out))
+
+    def _signed_weights(self, matrix: DistanceMatrix) -> list[int] | None:
+        """The weights of an independent split sequence as ints, in split
+        order, or None when the matrix leaves their span: weight t times
+        2 * scale for a peeled split, times |det| * 2 * scale for a core
+        split, so each int has its weight's sign.
+
+        The peeled weights come by back-substitution in schedule order,
+        then the residual 2D - sum(weight * split metric) is expressed on
+        the core.  None unless the residual is matched exactly, so the
+        weights regenerate D."""
+        m = len(self.pairs)
         rows = matrix.comparison_rows()
         values = [rows[i][j] for i, j in self.pairs]
-        buf = values + [0] * k
+        buf = values + [0] * len(self.splits)
         get = buf.__getitem__
         for slot, plus, minus in self._steps:
             buf[slot] = sum(map(get, plus)) - sum(map(get, minus))
@@ -248,11 +264,10 @@ class _ExactSolver:
         det = self.det
         if any(t != det * r for t, r in zip(total, residual)):
             return None
-        out = [Fraction(w, 2 * matrix.scale) for w in weights]
-        denominator = det * 2 * matrix.scale
+        sign = 1 if det > 0 else -1
         for t, c in zip(self._core, total[m:]):
-            out[t] = Fraction(c, denominator)
-        return dict(zip(self.splits, out))
+            weights[t] = sign * c
+        return weights
 
 
 def _single(mask: int) -> bool:
@@ -491,6 +506,12 @@ def orderly_test(
     tries `trials` seeded random integer weightings.  Requires linear
     independence so that expressions are unique; a verdict of
     NoCounterexampleFound is evidence, not proof.
+
+    A probe is a list of int weights in split order.  The generated
+    distance is summed into the solver's pair slots, its order distance
+    comes from ``order_distance_eq1``, and the solver's integer weights
+    give the signs of the re-expression.  Only a counterexample gets its
+    Fraction weighting and expression.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -499,33 +520,42 @@ def orderly_test(
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")
     params = OrderParams(2, 1)
-    zero = Fraction(0)
+    n, pairs = ground.n, solver.pairs
 
-    def probe(weights: dict[Split, Fraction], phase: int, trial: int | None) -> CounterexampleFound | None:
-        system = WeightedSplitSystem(ground, weights)
-        order_values = order_distance_eq1(generate_distance(system), params)
-        expr = solver.express(order_values)
-        if expr is None:
-            return CounterexampleFound(dict(weights), None, None, phase, trial)
-        for s in split_list:
-            if expr[s] < 0:
-                return CounterexampleFound(dict(weights), expr, s, phase, trial)
-        return None
+    def probe(weights: list[int], phase: int, trial: int | None) -> CounterexampleFound | None:
+        totals = [0] * len(pairs)
+        for w, separated in zip(weights, solver._separated):
+            if w:
+                for p in separated:
+                    totals[p] += w
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), d in zip(pairs, totals):
+            rows[i][j] = rows[j][i] = d
+        order_values = order_distance_eq1(DistanceMatrix.from_scaled(ground, rows), params)
+        signed = solver._signed_weights(order_values)
+        if signed is not None and min(signed, default=0) >= 0:
+            return None
+        weighting = {s: Fraction(w) for s, w in zip(split_list, weights)}
+        if signed is None:
+            return CounterexampleFound(weighting, None, None, phase, trial)
+        negative = next(s for s, w in zip(split_list, signed) if w < 0)
+        return CounterexampleFound(
+            weighting, solver.express(order_values), negative, phase, trial
+        )
 
     pair_probes = 0
-    for s1, s2 in combinations(split_list, 2):
+    for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
         if is_compatible_pair(s1, s2):
             continue
         pair_probes += 1
-        weights = {s: zero for s in split_list}
-        weights[s1] = weights[s2] = Fraction(2)
+        weights = [0] * len(split_list)
+        weights[t1] = weights[t2] = 2
         hit = probe(weights, 1, None)
         if hit is not None:
             return hit
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        weights = {s: Fraction(rng.randint(0, 20)) for s in split_list}
-        hit = probe(weights, 2, trial)
+        hit = probe([rng.randint(0, 20) for _ in split_list], 2, trial)
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)

@@ -149,14 +149,18 @@ def format_distance_matrix(matrix: DistanceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_side(part: str, ground: GroundSet, context: str) -> list[int]:
+def _parse_side(part: str, bit: dict[str, int], context: str) -> tuple[int, int]:
+    """One side of a split line: the bitmask of its labels, from the
+    label -> bit map, and the number of labels listed."""
     labels = [tok.strip() for tok in part.split(",")]
     if any(not tok for tok in labels):
         raise FormatError(f"empty label in {context}")
-    try:
-        return [ground.index(tok) for tok in labels]
-    except ValueError as exc:
-        raise FormatError(f"{exc} in {context}") from None
+    mask = 0
+    for tok in labels:
+        if tok not in bit:
+            raise FormatError(f"unknown label {tok!r} in {context}")
+        mask |= bit[tok]
+    return mask, len(labels)
 
 
 def parse_split_system(text: str) -> WeightedSplitSystem:
@@ -174,6 +178,7 @@ def parse_split_system(text: str) -> WeightedSplitSystem:
         ground = GroundSet(labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    bit = {label: 1 << i for i, label in enumerate(labels)}
     entries = []
     seen = set()
     for line in lines[2:]:
@@ -184,16 +189,16 @@ def parse_split_system(text: str) -> WeightedSplitSystem:
         sides = body.split("|")
         if len(sides) != 2:
             raise FormatError(f"expected exactly one '|' in split line {line!r}")
-        left = _parse_side(sides[0], ground, f"split line {line!r}")
-        right = _parse_side(sides[1], ground, f"split line {line!r}")
-        if set(left) & set(right):
+        left, listed_left = _parse_side(sides[0], bit, f"split line {line!r}")
+        right, listed_right = _parse_side(sides[1], bit, f"split line {line!r}")
+        if left & right:
             raise FormatError(f"sides overlap in split line {line!r}")
-        if len(left) + len(right) != n:
+        if listed_left + listed_right != n:
             raise FormatError(f"sides do not cover all elements: {line!r}")
-        try:
-            split = Split(ground, left)
-        except ValueError as exc:
-            raise FormatError(f"{exc} in split line {line!r}") from None
+        if left.bit_count() + right.bit_count() != n:
+            raise FormatError(f"repeated label in split line {line!r}")
+        # both sides are non-empty, disjoint and cover the ground set
+        split = Split.from_bits(ground, left)
         if split in seen:
             raise FormatError(f"duplicate split in line {line!r}")
         seen.add(split)

@@ -10,19 +10,26 @@ built from these pieces over all pairs (Eq. (1)):
         plus  sum over unordered pairs {u, v} whose equidistant set is a
               proper non-empty part, of q - p/2 when it separates x, y.
 
-Such a part separates x and y exactly when x and y disagree on the
+Both kernels here rest on one bitset per element z and comparison kind:
+the comparison sets of z, n^2-bit ints whose bit (u, v) says
+D(u, z) < D(v, z) (strict) or D(u, z) = D(v, z) (tie).
+
+A part of Eq. (1) separates x and y exactly when x and y disagree on the
 comparison of D(u, .) with D(v, .).  So O(x, y) counts the pairs on which
-the comparison sets of x and y differ: ``order_distance_eq1`` stores each
-element's comparison sets as n^2-bit ints and evaluates Eq. (1) with
-popcounts, never listing the splits.  ``order_distance_kendall`` is a
-per-pair reformulation through penalized Kendall distances of the
-distance-from-x rankings.  Both return identical exact results; a third
-engine for circular inputs lives in ``ordist.circular``.
-``midpath_split_system`` lists the aggregated parts themselves, for reports.
+the comparison sets of x and y differ: ``order_distance_eq1`` evaluates
+Eq. (1) with popcounts of their XOR, never listing the splits.
+``midpath_split_system`` reads the same sets by columns: transposed, the
+column of bit (u, v) is the part {z : D(u, z) < D(v, z)} itself, so the
+aggregated parts come out without comparing entries one z at a time.
+``order_distance_kendall`` is a per-pair reformulation through penalized
+Kendall distances of the distance-from-x rankings.  The engines return
+identical exact results; a third engine for circular inputs lives in
+``ordist.circular``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,6 +42,7 @@ from .core import (
     WeightedSplitSystem,
     canonical_mask,
     generate_distance,
+    transpose_bits,
 )
 from .rankings import kendall_counts, ranking_from_distance
 
@@ -100,35 +108,37 @@ def pair_partition(matrix: DistanceMatrix, u: int, v: int) -> PairPartition:
 
 def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     """Aggregate the proper closer-to-u sides and equidistant sets of all
-    pairs into two multiplicity maps keyed by canonical splits."""
+    pairs into two multiplicity maps keyed by canonical splits.
+
+    The sides are read off the comparison sets of ``order_distance_eq1``:
+    bit u*w + v (w = 8 * ceil(n/8)) of element z's strict set says
+    D(u, z) < D(v, z), so transposing the n strict sets
+    (``transpose_bits``) gives, at column u*w + v, the side
+    {z : D(u, z) < D(v, z)} as an n-bit mask, and the tie sets give the
+    equidistant sets the same way.  Diagonal and padding columns come out
+    empty or full and drop with the improper sides.  Each transpose writes
+    an n * n * w byte string, 17 MB at n = 256.
+    """
     n = matrix.n
-    ground = matrix.ground
-    rows = matrix.comparison_rows()
     full = (1 << n) - 1
-    x_masks: dict[int, int] = {}
-    e_masks: dict[int, int] = {}
-    for u in range(n):
-        row_u = rows[u]
-        for v in range(n):
-            if u == v:
-                continue
-            row_v = rows[v]
-            x_mask = 0
-            e_mask = 0
-            for z in range(n):
-                du, dv = row_u[z], row_v[z]
-                if du < dv:
-                    x_mask |= 1 << z
-                elif du == dv:
-                    e_mask |= 1 << z
-            if 0 < x_mask < full:
-                key = canonical_mask(x_mask, full)
-                x_masks[key] = x_masks.get(key, 0) + 1
-            if u < v and 0 < e_mask < full:
-                key = canonical_mask(e_mask, full)
-                e_masks[key] = e_masks.get(key, 0) + 1
+    width = 8 * ((n + 7) // 8)
+    rows = matrix.comparison_rows()
+    # rows[z] is column z too: the matrix is symmetric
+    strict, ties = zip(*(_comparison_sets(rows[z], True) for z in range(n)))
+    x_sides = transpose_bits(strict, n * width)
+    x_masks = Counter(canonical_mask(m, full) for m in x_sides if 0 < m < full)
+    del x_sides  # one transpose alive at a time
+    e_sides = transpose_bits(ties, n * width)
+    # each unordered pair once: the columns u*w + v with u < v
+    e_masks = Counter(
+        canonical_mask(m, full)
+        for u in range(n)
+        for m in e_sides[u * width + u + 1 : u * width + n]
+        if 0 < m < full
+    )
     if len(x_masks) > n * (n - 1):
         raise AssertionError("split count exceeds the n(n-1) bound")
+    ground = matrix.ground
     x_splits = {Split.from_bits(ground, m): c for m, c in x_masks.items()}
     e_splits = {Split.from_bits(ground, m): c for m, c in e_masks.items()}
     return MidpathDecomposition(x_splits, e_splits)

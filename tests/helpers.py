@@ -7,21 +7,30 @@ the definitions, so the fast engines have something independent to match.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from random import Random
 
 from ordist import (
     CircularOrdering,
+    CounterexampleFound,
+    DependentBasisError,
     DistanceMatrix,
     FormatError,
     GroundSet,
+    MidpathDecomposition,
+    NoCounterexampleFound,
+    OrderParams,
     Split,
     WeightedSplitSystem,
+    express_in_basis,
     generate_distance,
     index_ground,
+    is_compatible_pair,
     is_linearly_independent,
     maximum_circular_splits,
+    order_distance_eq1,
     restrict_split_system,
 )
-from ordist.core import ground_and_splits
+from ordist.core import canonical_mask, ground_and_splits
 from ordist.formats import parse_value
 
 
@@ -53,6 +62,78 @@ def naive_order_distance(matrix: DistanceMatrix, p, q) -> DistanceMatrix:
         for i in range(n)
     ]
     return DistanceMatrix(matrix.ground, rows)
+
+
+def midpath_by_scan(matrix: DistanceMatrix) -> MidpathDecomposition:
+    """The midpath split system by comparing D(u, z) with D(v, z) for every
+    pair (u, v) and every z, one element at a time.  The oracle for the
+    transposed comparison sets of ``midpath_split_system``."""
+    n = matrix.n
+    rows = matrix.comparison_rows()
+    full = (1 << n) - 1
+    x_masks: dict[int, int] = {}
+    e_masks: dict[int, int] = {}
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            x_mask = e_mask = 0
+            for z in range(n):
+                du, dv = rows[u][z], rows[v][z]
+                if du < dv:
+                    x_mask |= 1 << z
+                elif du == dv:
+                    e_mask |= 1 << z
+            if 0 < x_mask < full:
+                key = canonical_mask(x_mask, full)
+                x_masks[key] = x_masks.get(key, 0) + 1
+            if u < v and 0 < e_mask < full:
+                key = canonical_mask(e_mask, full)
+                e_masks[key] = e_masks.get(key, 0) + 1
+    ground = matrix.ground
+    return MidpathDecomposition(
+        {Split.from_bits(ground, m): c for m, c in x_masks.items()},
+        {Split.from_bits(ground, m): c for m, c in e_masks.items()},
+    )
+
+
+def orderly_by_fractions(splits, trials: int = 200, seed: int = 0):
+    """``orderly_test`` on Fraction weightings: each probe builds the
+    weighted system, generates its distance, takes the order distance at
+    (2, 1), expresses it with ``express_in_basis`` and tests the Fraction
+    weights in split order.  The oracle for the integer probes."""
+    ground, split_list = ground_and_splits(splits)
+    if not is_linearly_independent(split_list):
+        raise DependentBasisError("orderly test requires linearly independent splits")
+    params = OrderParams(2, 1)
+
+    def probe(weights, phase, trial):
+        system = WeightedSplitSystem(ground, weights)
+        order_values = order_distance_eq1(generate_distance(system), params)
+        expr = express_in_basis(order_values, system)
+        if expr is None:
+            return CounterexampleFound(dict(weights), None, None, phase, trial)
+        for s in split_list:
+            if expr[s] < 0:
+                return CounterexampleFound(dict(weights), expr, s, phase, trial)
+        return None
+
+    pair_probes = 0
+    for s1, s2 in combinations(split_list, 2):
+        if is_compatible_pair(s1, s2):
+            continue
+        pair_probes += 1
+        weights = {s: Fraction(0) for s in split_list}
+        weights[s1] = weights[s2] = Fraction(2)
+        hit = probe(weights, 1, None)
+        if hit is not None:
+            return hit
+    for trial in range(trials):
+        rng = Random(f"{seed}:{trial}")
+        hit = probe({s: Fraction(rng.randint(0, 20)) for s in split_list}, 2, trial)
+        if hit is not None:
+            return hit
+    return NoCounterexampleFound(pair_probes, trials)
 
 
 def fraction_rank_and_solution(vectors, target):

@@ -176,6 +176,14 @@ def test_check_compat(tmp_path, tree_files):
     assert strict.exit_code == 1
 
 
+def test_repeated_label_in_a_split_line_is_an_input_error(tmp_path):
+    # "a,a | c" never lists b, so it is no split of a b c
+    path = write(tmp_path, "repeat.splits", "3\na b c\na,a | c\n")
+    outcome = run(["check", "compat", "-s", path])
+    assert outcome.exit_code == 2
+    assert outcome.report == "error: repeated label in split line 'a,a | c'"
+
+
 def test_check_circular_flat_independent(tmp_path, tree_files):
     tree_splits, _, _ = tree_files
     theta, system = random_maximum_circular_system(5, random.Random(10))

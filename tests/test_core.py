@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ordist import (
@@ -16,6 +16,7 @@ from ordist import (
     restrict_split_system,
     split_metric,
 )
+from ordist.core import transpose_bits
 from strategies import distance_matrices, rationals, split_systems
 
 
@@ -230,6 +231,34 @@ def test_generate_distance_is_linear_in_weights(system, data):
     assert all(
         left[i, j] == a[i, j] + b[i, j] for i in range(n) for j in range(n)
     )
+
+
+@st.composite
+def bit_rows(draw):
+    width = draw(st.integers(0, 70))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+    return rows, width
+
+
+@given(bit_rows())
+@example(([], 0))
+@example(([], 5))
+@example(([0, 0], 0))
+@example(([1, 0, 1], 1))
+def test_transpose_bits_reads_columns(case):
+    rows, width = case
+    columns = transpose_bits(rows, width)
+    assert len(columns) == width
+    for e, column in enumerate(columns):
+        assert column == sum((row >> e & 1) << t for t, row in enumerate(rows))
+    if rows and width:
+        assert transpose_bits(columns, len(rows)) == rows
+
+
+def test_transpose_bits_refuses_rows_wider_than_width():
+    for rows, width in (([8], 3), ([-1], 3), ([1], 0)):
+        with pytest.raises(ValueError):
+            transpose_bits(rows, width)
 
 
 def test_restrict_split_system_merges_and_drops():

@@ -44,8 +44,10 @@ from ordist.flatlab import _ExactSolver
 from helpers import (
     fraction_rank_and_solution,
     maximum_flat_by_restriction,
+    orderly_by_fractions,
     pairwise_separation_by_subsets,
     quartet_fixture,
+    system_from_sides,
 )
 from strategies import split_systems
 
@@ -381,6 +383,48 @@ def test_circular_systems_pass_the_orderly_probe():
 def test_orderly_probe_is_deterministic():
     splits = sorted(flat_fixture("S1_5").split_set(), key=lambda s: s.bits)
     assert orderly_test(splits, trials=0) == orderly_test(splits, trials=0)
+
+
+def test_orderly_matches_fraction_probes():
+    # the integer probes against the Fraction path, verdict field by field
+    # and in the same key order; random independent subsets of all splits
+    # add NOT-IN-SPAN verdicts and eliminated cores, and the two 4-element
+    # systems phase-2 verdicts of both kinds
+    rng = random.Random(31)
+    cases = [(flat_fixture(name), 10, 0) for name in FLAT_FIXTURE_NAMES]
+    for n in range(5, 9):
+        cases.append((random_maximum_flat_system(n, rng), 10, n))
+        cases.append((random_maximum_circular_system(n, rng)[1], 10, n))
+        cases.append((random_binary_tree_system(n, rng), 10, n))
+    cases.append((system_from_sides("abcd", ["a", "ab", "d", "ac", "ad"]), 10, 16))
+    cases.append((system_from_sides("abcd", ["a", "ab", "ac", "ad"]), 10, 216))
+    while len(cases) < 80:
+        ground = index_ground(rng.randint(4, 7))
+        n = ground.n
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        subset = rng.sample(every, rng.randint(2, n * (n - 1) // 2))
+        if is_linearly_independent(subset):
+            cases.append((subset, rng.choice([0, 10]), rng.randrange(100)))
+    seen = Counter()
+    for system, trials, seed in cases:
+        verdict = orderly_test(system, trials=trials, seed=seed)
+        oracle = orderly_by_fractions(system, trials=trials, seed=seed)
+        assert type(verdict) is type(oracle)
+        seen["core"] += _ExactSolver(*ground_and_splits(system)).core_size > 0
+        if isinstance(oracle, NoCounterexampleFound):
+            seen["none"] += 1
+            assert (verdict.pair_probes, verdict.trials) == (oracle.pair_probes, oracle.trials)
+            continue
+        seen[oracle.phase, oracle.expression is None] += 1
+        assert list(verdict.weighting.items()) == list(oracle.weighting.items())
+        if oracle.expression is None:
+            assert verdict.expression is None
+        else:
+            assert list(verdict.expression.items()) == list(oracle.expression.items())
+        assert verdict.negative_split == oracle.negative_split
+        assert (verdict.phase, verdict.trial) == (oracle.phase, oracle.trial)
+    kinds = ["none", "core", (1, True), (1, False), (2, True), (2, False)]
+    assert all(seen[kind] for kind in kinds), seen
 
 
 def test_orderly_needs_independence():

@@ -251,6 +251,25 @@ def test_split_parse_errors(text):
         parse_split_system(text)
 
 
+def test_split_parse_error_order():
+    # a repeated label must not stand in for a missing one; the repeat
+    # check runs last, so a line that failed an earlier check keeps its
+    # message
+    cases = {
+        "a,a,z | c": "unknown label 'z' in split line 'a,a,z | c'",
+        "a,a | a": "sides overlap in split line 'a,a | a'",
+        "a,a | b,c": "sides do not cover all elements: 'a,a | b,c'",
+        "a | b": "sides do not cover all elements: 'a | b'",
+        "a,a | c": "repeated label in split line 'a,a | c'",
+        "a | c,c": "repeated label in split line 'a | c,c'",
+        "b | a,c,c": "sides do not cover all elements: 'b | a,c,c'",
+    }
+    for line, message in cases.items():
+        with pytest.raises(FormatError) as caught:
+            parse_split_system(f"3\na b c\n{line}")
+        assert str(caught.value) == message
+
+
 def test_written_files_end_with_newline():
     m = parse_distance_matrix("1\nsolo 0")
     assert format_distance_matrix(m).endswith("0\n")

@@ -16,11 +16,17 @@ from ordist import (
     order_distance_eq1,
     order_distance_kendall,
     pair_partition,
+    random_binary_tree_system,
     random_distance_matrix,
     two_split_instance,
     two_split_order_values,
 )
-from helpers import naive_order_distance, quartet_fixture, ultrametric_fixture
+from helpers import (
+    midpath_by_scan,
+    naive_order_distance,
+    quartet_fixture,
+    ultrametric_fixture,
+)
 from strategies import distance_matrices
 
 
@@ -130,6 +136,33 @@ def test_midpath_bound_is_checked():
     decomposition = midpath_split_system(d)
     assert decomposition.x_splits == {Split(g, "a"): 2}
     assert decomposition.e_splits == {}
+
+
+def _zero_rich_matrix(n: int, rng: random.Random) -> DistanceMatrix:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(0, 2)
+    return DistanceMatrix.from_scaled(index_ground(n), rows)
+
+
+def test_midpath_matches_the_scan():
+    # the transposed comparison sets against the per-element scan, split
+    # for split and count for count, in the same first-seen key order
+    rng = random.Random(2019)
+    for n in range(1, 41):
+        matrices = [
+            random_distance_matrix(n, rng),
+            random_distance_matrix(n, rng, tie_rich=True),
+            _zero_rich_matrix(n, rng),
+        ]
+        if n >= 2:
+            matrices.append(generate_distance(random_binary_tree_system(n, rng)))
+        for matrix in matrices:
+            fast, scan = midpath_split_system(matrix), midpath_by_scan(matrix)
+            assert fast == scan
+            assert list(fast.x_splits) == list(scan.x_splits)
+            assert list(fast.e_splits) == list(scan.e_splits)
 
 
 def test_two_split_unit_blocks():

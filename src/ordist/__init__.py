@@ -95,7 +95,6 @@ from .rankings import (
     PartialRanking,
     kendall_counts,
     kendall_penalized,
-    kendall_penalized_brute,
     ranking_from_distance,
 )
 
@@ -127,7 +126,6 @@ __all__ = [
     "ranking_from_distance",
     "kendall_counts",
     "kendall_penalized",
-    "kendall_penalized_brute",
     # order
     "PairPartition",
     "MidpathDecomposition",

@@ -67,9 +67,13 @@ class NotCircularError(PreconditionError):
 
 class CircularOrdering:
     """A circular arrangement of all elements, canonicalized so that
-    rotations and reversals of the same circle compare equal."""
+    rotations and reversals of the same circle compare equal.
 
-    __slots__ = ("ground", "sequence", "_pos")
+    Arcs are int bitmasks read off the prefix masks of the sequence:
+    prefix k holds the elements at positions 0..k-1.
+    """
+
+    __slots__ = ("ground", "sequence", "_pos", "_prefix", "_hash")
 
     def __init__(self, ground: GroundSet, sequence: Iterable[int]):
         seq = list(sequence)
@@ -83,6 +87,11 @@ class CircularOrdering:
         self.ground = ground
         self.sequence = tuple(seq)
         self._pos = {e: i for i, e in enumerate(seq)}
+        prefix = [0]
+        for e in seq:
+            prefix.append(prefix[-1] | 1 << e)
+        self._prefix = prefix
+        self._hash = hash((ground, self.sequence))
 
     @property
     def n(self) -> int:
@@ -97,6 +106,38 @@ class CircularOrdering:
         length = (j - i) % n + 1
         return tuple(self.sequence[(i + k) % n] for k in range(length))
 
+    def arc_bits(self, i: int, j: int) -> int:
+        """Bitmask of the elements at positions i..j, 0 <= i <= j < n."""
+        return self._prefix[j + 1] ^ self._prefix[i]
+
+    def interval_of(self, split: Split) -> tuple[int, int] | None:
+        """The positions (i, j) of the arc i..j that is the split's side
+        avoiding the last element, or None when the split is not an arc.
+
+        i is the first position whose prefix meets that side, found by
+        binary search over the prefix masks; the side is an arc exactly
+        when it equals arc_bits(i, i + size - 1).  O(log n) int operations.
+        """
+        if split.ground != self.ground:
+            raise ValueError("ground set mismatch")
+        prefix = self._prefix
+        n = len(self.sequence)
+        side = split.bits
+        if side >> self.sequence[-1] & 1:
+            side ^= prefix[n]
+        lo, hi = 0, n - 1  # prefix[lo] misses the side, prefix[hi] meets it
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if prefix[mid] & side:
+                hi = mid
+            else:
+                lo = mid
+        i = hi - 1
+        j = i + side.bit_count() - 1  # <= n - 2: the side lies in i..n-2
+        if prefix[j + 1] ^ prefix[i] == side:
+            return i, j
+        return None
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CircularOrdering)
@@ -105,7 +146,7 @@ class CircularOrdering:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.sequence))
+        return self._hash
 
     def __str__(self) -> str:
         labels = self.ground.labels
@@ -129,8 +170,8 @@ class IntervalSplit:
             raise ValueError(f"bad interval ({self.i},{self.j})")
 
     def to_split(self) -> Split:
-        seq = self.ordering.sequence
-        return Split(self.ordering.ground, seq[self.i : self.j + 1])
+        theta = self.ordering
+        return Split.from_bits(theta.ground, theta.arc_bits(self.i, self.j))
 
 
 def all_interval_splits(theta: CircularOrdering) -> list[IntervalSplit]:
@@ -149,39 +190,31 @@ def maximum_circular_splits(theta: CircularOrdering) -> list[Split]:
 
 
 def fits_on_ordering(splits: Iterable[Split], theta: CircularOrdering) -> bool:
-    """True when every split cuts the ordering into two arcs."""
-    n = theta.n
-    seq = theta.sequence
-    for split in splits:
-        if split.ground != theta.ground:
-            raise ValueError("ground set mismatch")
-        bits = split.bits
-        transitions = 0
-        prev = (bits >> seq[-1]) & 1
-        for e in seq:
-            cur = (bits >> e) & 1
-            if cur != prev:
-                transitions += 1
-                prev = cur
-        if transitions != 2:
-            return False
-    return True
+    """True when every split cuts the ordering into two arcs.
+
+    Each split costs one ``CircularOrdering.interval_of``: O(log n) int
+    operations on n-bit masks, no walk over the elements.
+    """
+    return all(theta.interval_of(split) is not None for split in splits)
 
 
 def interval_weight_map(
     theta: CircularOrdering, system: WeightedSplitSystem
 ) -> dict[IntervalSplit, Fraction]:
-    """Re-key a fitting weighted system by arc positions on the ordering."""
+    """Re-key a fitting weighted system by arc positions on the ordering,
+    in the system's split order.
+
+    Each split costs one ``CircularOrdering.interval_of``: O(log n) int
+    operations on n-bit masks, no walk over the elements.
+    """
     if system.ground != theta.ground:
         raise ValueError("ground set mismatch")
-    n = theta.n
     out: dict[IntervalSplit, Fraction] = {}
     for split, weight in system.items():
-        side = [theta.position(e) for e in range(n) if split.separates(e, theta.sequence[-1])]
-        side.sort()
-        if not side or side[-1] - side[0] != len(side) - 1:
+        interval = theta.interval_of(split)
+        if interval is None:
             raise ValueError(f"split {split} does not fit on the ordering")
-        out[IntervalSplit(theta, side[0], side[-1])] = weight
+        out[IntervalSplit(theta, *interval)] = weight
     return out
 
 
@@ -382,7 +415,7 @@ def evaluate_circular_distance(
     split for every pair."""
     checked = []
     for iv, raw in weights.items():
-        if iv.ordering != theta:
+        if iv.ordering is not theta and iv.ordering != theta:
             raise ValueError("interval split belongs to a different ordering")
         w = as_rational(raw)
         if w < 0:

@@ -9,6 +9,7 @@ containing element 0, as an int bitmask), so `A|B` and `B|A` compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 _LABEL_FORBIDDEN = set(",|:#")
+
+# '0'/'1' digits to 0/1 selector bytes for itertools.compress, and flipped
+_DIGIT_SELECTS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_SELECTS_FLIPPED = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -92,7 +97,9 @@ class GroundSet:
         return iter(self.labels)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroundSet) and self.labels == other.labels
+        return self is other or (
+            isinstance(other, GroundSet) and self.labels == other.labels
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -217,8 +224,13 @@ class Split:
         return hash((self.ground, self.bits))
 
     def __str__(self) -> str:
+        """``A | B``, A the part containing element 0, labels in ground
+        order; one binary digit per element selects each part's labels."""
         labels = self.ground.labels
-        return " | ".join(",".join(labels[i] for i in part) for part in self.index_lists())
+        digits = format(self.bits, f"0{len(labels)}b")[::-1].encode()
+        with0 = compress(labels, digits.translate(_DIGIT_SELECTS_FLIPPED))
+        without0 = compress(labels, digits.translate(_DIGIT_SELECTS))
+        return f"{','.join(with0)} | {','.join(without0)}"
 
     def __repr__(self) -> str:
         return f"Split({self})"

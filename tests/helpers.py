@@ -16,9 +16,11 @@ from ordist import (
     DistanceMatrix,
     FormatError,
     GroundSet,
+    IntervalSplit,
     MidpathDecomposition,
     NoCounterexampleFound,
     OrderParams,
+    PartialRanking,
     Split,
     WeightedSplitSystem,
     express_in_basis,
@@ -313,6 +315,81 @@ def strict_side_arcs(matrix: DistanceMatrix, theta: CircularOrdering) -> dict:
                 raise ValueError(f"side of {u} against {v} is not an arc")
             arcs[u, v] = (starts[0], (starts[0] + len(members) - 1) % n)
     return arcs
+
+
+def interval_of_by_scan(theta: CircularOrdering, split: Split):
+    """The positions (i, j) of the split's side avoiding the last element
+    when they run consecutively, else None, found by testing every element;
+    the oracle for ``CircularOrdering.interval_of``."""
+    seq = theta.sequence
+    side = sorted(
+        theta.position(e) for e in range(theta.n) if split.separates(e, seq[-1])
+    )
+    if side[-1] - side[0] != len(side) - 1:
+        return None
+    return side[0], side[-1]
+
+
+def interval_split_by_slice(iv: IntervalSplit) -> Split:
+    """The split of an interval, from the slice i..j of the sequence."""
+    seq = iv.ordering.sequence
+    return Split(iv.ordering.ground, seq[iv.i : iv.j + 1])
+
+
+def interval_weight_map_by_scan(theta: CircularOrdering, system: WeightedSplitSystem) -> dict:
+    """``interval_weight_map`` through ``interval_of_by_scan``."""
+    if system.ground != theta.ground:
+        raise ValueError("ground set mismatch")
+    out = {}
+    for split, weight in system.items():
+        interval = interval_of_by_scan(theta, split)
+        if interval is None:
+            raise ValueError(f"split {split} does not fit on the ordering")
+        out[IntervalSplit(theta, *interval)] = weight
+    return out
+
+
+def fits_on_ordering_by_transitions(splits, theta: CircularOrdering) -> bool:
+    """``fits_on_ordering`` by walking the ordering once per split and
+    counting side changes: an arc has exactly two."""
+    seq = theta.sequence
+    for split in splits:
+        if split.ground != theta.ground:
+            raise ValueError("ground set mismatch")
+        bits = split.bits
+        transitions = 0
+        prev = (bits >> seq[-1]) & 1
+        for e in seq:
+            cur = (bits >> e) & 1
+            if cur != prev:
+                transitions += 1
+                prev = cur
+        if transitions != 2:
+            return False
+    return True
+
+
+def kendall_penalized_brute(r1: PartialRanking, r2: PartialRanking, pi) -> Fraction:
+    """Penalized Kendall distance by scanning all element pairs; the oracle
+    for ``kendall_penalized``."""
+    if r1.ground != r2.ground:
+        raise ValueError("ground set mismatch")
+    pi = Fraction(pi)
+    b1 = r1.block_indices()
+    b2 = r2.block_indices()
+    n = len(b1)
+    total = Fraction(0)
+    for u in range(n):
+        for v in range(u + 1, n):
+            d1 = b1[u] - b1[v]
+            d2 = b2[u] - b2[v]
+            if d1 == 0 and d2 == 0:
+                continue
+            if d1 == 0 or d2 == 0:
+                total += pi
+            elif (d1 > 0) != (d2 > 0):
+                total += 1
+    return total
 
 
 def ultrametric_fixture() -> WeightedSplitSystem:

@@ -36,6 +36,10 @@ from ordist import (
 )
 from helpers import (
     circular_orderings_brute,
+    fits_on_ordering_by_transitions,
+    interval_of_by_scan,
+    interval_split_by_slice,
+    interval_weight_map_by_scan,
     quadruple_condition_holds,
     six_point_table,
     strict_side_arcs,
@@ -90,6 +94,57 @@ def test_interval_weight_map_round_trip():
     other = WeightedSplitSystem.unit(g, [Split(g, "ab")])
     with pytest.raises(ValueError):
         interval_weight_map(theta, other)
+
+
+def _raised(call):
+    """The message of the ValueError a call raises, or None."""
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_arc_masks_match_the_element_scans(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        theta, system = random_maximum_circular_system(n, rng, positive=False)
+        g = theta.ground
+        intervals = all_interval_splits(theta)
+        arcs = [iv.to_split() for iv in intervals]
+        assert arcs == [interval_split_by_slice(iv) for iv in intervals]
+        full = (1 << n) - 1
+        others = [Split.from_bits(g, rng.randint(1, full - 1)) for _ in range(4 * n)]
+        for split in arcs + others:
+            assert theta.interval_of(split) == interval_of_by_scan(theta, split)
+            assert fits_on_ordering([split], theta) is fits_on_ordering_by_transitions(
+                [split], theta
+            )
+        for iv, split in zip(intervals, arcs):
+            assert theta.interval_of(split) == (iv.i, iv.j)
+        fast = interval_weight_map(theta, system)
+        assert list(fast.items()) == list(interval_weight_map_by_scan(theta, system).items())
+        assert fits_on_ordering(system.splits, theta)
+        non_arcs = [s for s in others if interval_of_by_scan(theta, s) is None]
+        for split in non_arcs[:3]:
+            splits = list(system.splits[:n]) + [split]
+            assert not fits_on_ordering(splits, theta)
+            assert not fits_on_ordering_by_transitions(splits, theta)
+            mixed = WeightedSplitSystem(g, [(s, 1) for s in set(splits)])
+            message = _raised(lambda: interval_weight_map(theta, mixed))
+            assert message == f"split {split} does not fit on the ordering"
+            assert message == _raised(lambda: interval_weight_map_by_scan(theta, mixed))
+        foreign = Split.from_bits(index_ground(n, "y"), 1)
+        foreign_system = WeightedSplitSystem.unit(foreign.ground, [foreign])
+        for call in (
+            lambda: theta.interval_of(foreign),
+            lambda: fits_on_ordering([foreign], theta),
+            lambda: fits_on_ordering_by_transitions([foreign], theta),
+            lambda: interval_weight_map(theta, foreign_system),
+            lambda: interval_weight_map_by_scan(theta, foreign_system),
+        ):
+            assert _raised(call) == "ground set mismatch"
 
 
 @given(distance_matrices(min_n=4, max_n=6, values=st.integers(0, 4)))
@@ -164,6 +219,17 @@ def test_interval_evaluation_matches_split_sum(n, data):
         theta.ground, [(iv.to_split(), w) for iv, w in chosen.items()]
     )
     assert fast == generate_distance(system)
+
+
+def test_interval_evaluation_accepts_an_equal_ordering():
+    theta = CircularOrdering(index_ground(5), [0, 3, 1, 4, 2])
+    twin = CircularOrdering(index_ground(5), [2, 4, 1, 3, 0])
+    assert twin is not theta and twin == theta and twin.ground is not theta.ground
+    weights = {IntervalSplit(theta, 0, 2): 1, IntervalSplit(theta, 1, 3): "1/2"}
+    twin_weights = {IntervalSplit(twin, iv.i, iv.j): w for iv, w in weights.items()}
+    assert evaluate_circular_distance(theta, twin_weights) == evaluate_circular_distance(
+        theta, weights
+    )
 
 
 def test_interval_evaluation_rejects_foreign_and_negative():

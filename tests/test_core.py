@@ -47,6 +47,17 @@ def test_ground_set_lookup_and_restriction():
         g.restricted([5])
 
 
+def test_equal_ground_sets_need_not_be_one_object():
+    g = GroundSet("abcd")
+    twin = GroundSet("abcd")
+    assert g == g and twin == g and twin is not g and hash(twin) == hash(g)
+    assert g != GroundSet("abce") and g != GroundSet("abc") and g != "abcd"
+    assert Split(twin, "ab") == Split(g, "ab")
+    assert WeightedSplitSystem(g, [(Split(twin, "ab"), 1)]).ground is g
+    with pytest.raises(ValueError, match="ground set mismatch"):
+        WeightedSplitSystem(g, [(Split(GroundSet("abce"), "ab"), 1)])
+
+
 def test_split_same_object_from_either_side():
     g = GroundSet("abcde")
     assert Split(g, "ab") == Split(g, "cde")
@@ -82,6 +93,8 @@ def test_split_from_bits_round_trip(n, data):
     s = Split(g, [i for i in range(n) if mask >> i & 1])
     assert Split.from_bits(g, mask) == s
     assert Split.from_bits(g, ((1 << n) - 1) ^ mask) == s
+    parts = (",".join(g.labels[i] for i in part) for part in s.index_lists())
+    assert str(s) == " | ".join(parts)
 
 
 def test_split_restriction_drops_empty_sides():

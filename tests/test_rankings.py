@@ -10,10 +10,9 @@ from ordist import (
     generate_distance,
     index_ground,
     kendall_penalized,
-    kendall_penalized_brute,
     ranking_from_distance,
 )
-from helpers import quartet_fixture
+from helpers import kendall_penalized_brute, quartet_fixture
 
 
 def label_blocks(ranking):

@@ -13,9 +13,10 @@ orderings are canonicalized (element 0 first, smaller second element) and
 recovery can fix element 0 in place.
 
 For circular input and q = p/2 the order distance can be computed without
-touching all pairs-of-pairs: every strict-comparison side is an arc, located
-by binary search, and the resulting weighted arc system is evaluated by an
-O(n^2) recurrence.  The arcs come from a monotonicity lemma: for positions
+touching all pairs-of-pairs: every strict-comparison side is an arc, whose
+end is located by a galloping search from the end found for the previous
+pair, and the resulting weighted arc system is evaluated by an O(n^2)
+recurrence.  The arcs come from a monotonicity lemma: for positions
 a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
 f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
 never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
@@ -276,17 +277,29 @@ def _new_edges_ok(rows: list[list[int]], seq: list[int], pz: int) -> bool:
     return True
 
 
+def _detours(rows: list[list[int]], seq: list[int], z: int) -> list[int]:
+    """The detour D(x,z) + D(z,y) - D(x,y) of inserting z at each position
+    1..len(seq) of the circle, between x = seq[pos - 1] and its successor y."""
+    row_z = rows[z]
+    return [row_z[x] + row_z[y] - rows[x][y] for x, y in zip(seq, seq[1:] + seq[:1])]
+
+
 def _insertion_positions(rows: list[list[int]], seq: list[int], z: int) -> list[int]:
-    """Candidate insertion positions 1..len(seq), cheapest detour first."""
-    length = len(seq)
-    scored = []
-    for pos in range(1, length + 1):
-        prev_el = seq[pos - 1]
-        next_el = seq[pos % length]
-        detour = rows[prev_el][z] + rows[z][next_el] - rows[prev_el][next_el]
-        scored.append((detour, pos))
-    scored.sort()
-    return [pos for _, pos in scored]
+    """Candidate insertion positions 1..len(seq), cheapest detour first and
+    ties in position order (the sort is stable)."""
+    detours = _detours(rows, seq, z)
+    return [k + 1 for k in sorted(range(len(seq)), key=detours.__getitem__)]
+
+
+def _greedy_insertion(rows: list[list[int]], n: int) -> list[int]:
+    """Elements 3..n-1 inserted one by one into the circle 0, 1, 2, each at
+    its cheapest detour, the lowest such position on a tie: the first of
+    ``_insertion_positions`` without sorting."""
+    seq = [0, 1, 2]
+    for z in range(3, n):
+        detours = _detours(rows, seq, z)
+        seq.insert(detours.index(min(detours)) + 1, z)
+    return seq
 
 
 def _search_insertions(rows: list[list[int]], n: int) -> list[int] | None:
@@ -330,10 +343,7 @@ def recover_circular_ordering(matrix: DistanceMatrix) -> CircularOrdering | None
     if n <= 3:
         return CircularOrdering(matrix.ground, range(n))
     rows = matrix.comparison_rows()
-    seq = [0, 1, 2]
-    for z in range(3, n):
-        seq.insert(_insertion_positions(rows, seq, z)[0], z)
-    theta = CircularOrdering(matrix.ground, seq)
+    theta = CircularOrdering(matrix.ground, _greedy_insertion(rows, n))
     if kalmanson_check(matrix, theta) is None:
         return theta
     found = _search_insertions(rows, n)
@@ -433,16 +443,25 @@ def order_distance_circular(
 ) -> DistanceMatrix:
     """Order distance of a circular input distance; needs q = p/2.
 
-    Recovers and verifies an ordering, locates every strict-comparison arc
-    by binary search, and evaluates the weighted arc system with the O(n^2)
-    recurrence.  For positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z)
-    never decreases along the path a..b and never increases along b..a
-    (module docstring), so {f < 0} and {f > 0} are arcs whose ends are found
-    by one search on each path, and a second one only past a tied boundary.
-    The verified ordering proves this for every pair, so no scan or other
-    fallback is needed.  Raises PreconditionError when q != p/2, and its
-    subclass NotCircularError when no ordering passes verification or when
-    a zero-distance pair shows the input cannot come from non-negative arc
+    Recovers and verifies an ordering, locates every strict-comparison arc,
+    and evaluates the weighted arc system with the O(n^2) recurrence.  For
+    positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z) never decreases
+    along the path a..b and never increases along b..a (module docstring),
+    so {f < 0} and {f > 0} are arcs whose ends are found by one search on
+    each path, and a second, binary one only past a tied boundary.  For a
+    fixed a the ends barely move from one b to the next, so each of the two
+    main searches gallops (Bentley and Yao, "An almost optimal algorithm
+    for unbounded searching", IPL 5, 1976): it starts at the end found for
+    the previous b, doubles its step in the direction f points until it
+    passes the boundary, and closes the last step by binary search.  A
+    boundary d places away costs about 2 log2(d) + 2 comparisons, so
+    O(log n) at worst, and the same lemma that makes a binary search
+    correct makes any start correct.  The verified ordering proves the
+    lemma for every pair, so no scan or other fallback is needed.
+
+    Raises PreconditionError when q != p/2, and its subclass
+    NotCircularError when no ordering passes verification or when a
+    zero-distance pair shows the input cannot come from non-negative arc
     weights.
     """
     if params.q != params.half_p:
@@ -459,6 +478,9 @@ def order_distance_circular(
     weight = params.half_p.numerator
     table = [[0] * (n - 1) for _ in range(n - 1)]
     for a, row_a in enumerate(pos_rows):
+        # the ends found for the last pair (a, b') searched, where the
+        # searches for (a, b) start; any start in range is correct
+        end_a, end_b = a, a - 1
         for b in range(a + 1, n):
             row_b = pos_rows[b]
             if row_a[b] == 0:
@@ -469,8 +491,20 @@ def order_distance_circular(
                         "elements at distance zero compare differently"
                     )
                 continue
-            # path a..b: the side of a is a prefix, the side of b a suffix
-            lo, hi = a, b
+            # path a..b: the side of a is a prefix, the side of b a suffix;
+            # gallop from end_a, which lies in a..b-1
+            lo = hi = end_a
+            step = 1
+            if row_a[lo] < row_b[lo]:
+                while lo + step < b and row_a[lo + step] < row_b[lo + step]:
+                    lo += step
+                    step += step
+                hi = lo + step if lo + step < b else b
+            else:
+                while hi - step > a and row_a[hi - step] >= row_b[hi - step]:
+                    hi -= step
+                    step += step
+                lo = hi - step if hi - step > a else a
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if row_a[mid] < row_b[mid]:
@@ -487,8 +521,20 @@ def order_distance_circular(
                     else:
                         lo = mid
             start_b = hi
-            # path b..a: the side of b is a prefix, the side of a a suffix
-            lo, hi = b - n, a
+            # path b..a: the side of b is a prefix, the side of a a suffix;
+            # the same gallop from end_b, moved into b-n..a-1
+            lo = hi = end_b if end_b > b - n else b - n
+            step = 1
+            if row_a[lo] > row_b[lo]:
+                while lo + step < a and row_a[lo + step] > row_b[lo + step]:
+                    lo += step
+                    step += step
+                hi = lo + step if lo + step < a else a
+            else:
+                while hi - step > b - n and row_a[hi - step] <= row_b[hi - step]:
+                    hi -= step
+                    step += step
+                lo = hi - step if hi - step > b - n else b - n
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if row_a[mid] > row_b[mid]:

@@ -221,7 +221,8 @@ class Split:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.bits))
+        # splits of different ground sets may share a hash; __eq__ tells them apart
+        return hash(self.bits)
 
     def __str__(self) -> str:
         """``A | B``, A the part containing element 0, labels in ground
@@ -334,9 +335,10 @@ class WeightedSplitSystem:
         items = weights.items() if isinstance(weights, Mapping) else weights
         table: dict[Split, Fraction] = {}
         for split, w in items:
-            _check_same_ground(ground, split.ground)
+            if split.ground is not ground:
+                _check_same_ground(ground, split.ground)
             w = as_rational(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {split}")
             if split in table:
                 raise ValueError(f"duplicate split {split}")

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .core import (
     DistanceMatrix,
@@ -145,22 +147,28 @@ def format_distance_matrix(matrix: DistanceMatrix) -> str:
     lines = [str(matrix.n)]
     scale = matrix.scale
     for label, row in zip(matrix.ground.labels, matrix.comparison_rows()):
-        lines.append(label + " " + " ".join(_ratio_text(v, scale) for v in row))
+        if scale == 1:  # _ratio_text(v, 1) is str(v)
+            values = " ".join(map(str, row))
+        else:
+            values = " ".join(_ratio_text(v, scale) for v in row)
+        lines.append(label + " " + values)
     return "\n".join(lines) + "\n"
 
 
-def _parse_side(part: str, bit: dict[str, int], context: str) -> tuple[int, int]:
+def _side_mask(part: str, bit: dict[str, int], line: str) -> tuple[int, int]:
     """One side of a split line: the bitmask of its labels, from the
     label -> bit map, and the number of labels listed."""
-    labels = [tok.strip() for tok in part.split(",")]
-    if any(not tok for tok in labels):
-        raise FormatError(f"empty label in {context}")
-    mask = 0
-    for tok in labels:
-        if tok not in bit:
-            raise FormatError(f"unknown label {tok!r} in {context}")
-        mask |= bit[tok]
-    return mask, len(labels)
+    labels = part.split(",")
+    try:
+        return reduce(or_, map(bit.__getitem__, map(str.strip, labels))), len(labels)
+    except KeyError:
+        pass
+    # an empty label anywhere on the side is named before an unknown one
+    labels = [tok.strip() for tok in labels]
+    if not all(labels):
+        raise FormatError(f"empty label in split line {line!r}")
+    unknown = next(tok for tok in labels if tok not in bit)
+    raise FormatError(f"unknown label {unknown!r} in split line {line!r}")
 
 
 def parse_split_system(text: str) -> WeightedSplitSystem:
@@ -179,18 +187,22 @@ def parse_split_system(text: str) -> WeightedSplitSystem:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     bit = {label: 1 << i for i, label in enumerate(labels)}
+    digits = sys.get_int_max_str_digits() or len(text)  # as in parse_distance_matrix
     entries = []
-    seen = set()
+    seen = set()  # canonical masks
     for line in lines[2:]:
         body, _, weight_part = line.partition(":")
-        weight = Fraction(1)
-        if weight_part.strip():
-            weight = parse_value(weight_part.strip(), f"split line {line!r}")
+        weight = 1
+        token = weight_part.strip()
+        if token.isdecimal() and len(token) <= digits:
+            weight = int(token)
+        elif token:
+            weight = parse_value(token, f"split line {line!r}")
         sides = body.split("|")
         if len(sides) != 2:
             raise FormatError(f"expected exactly one '|' in split line {line!r}")
-        left, listed_left = _parse_side(sides[0], bit, f"split line {line!r}")
-        right, listed_right = _parse_side(sides[1], bit, f"split line {line!r}")
+        left, listed_left = _side_mask(sides[0], bit, line)
+        right, listed_right = _side_mask(sides[1], bit, line)
         if left & right:
             raise FormatError(f"sides overlap in split line {line!r}")
         if listed_left + listed_right != n:
@@ -198,13 +210,13 @@ def parse_split_system(text: str) -> WeightedSplitSystem:
         if left.bit_count() + right.bit_count() != n:
             raise FormatError(f"repeated label in split line {line!r}")
         # both sides are non-empty, disjoint and cover the ground set
-        split = Split.from_bits(ground, left)
-        if split in seen:
+        canonical = right if left & 1 else left
+        if canonical in seen:
             raise FormatError(f"duplicate split in line {line!r}")
-        seen.add(split)
+        seen.add(canonical)
         if weight < 0:
             raise FormatError(f"negative weight in split line {line!r}")
-        entries.append((split, weight))
+        entries.append((Split.from_bits(ground, canonical), weight))
     try:
         return WeightedSplitSystem(ground, entries)
     except ValueError as exc:

@@ -197,6 +197,94 @@ def fraction_parse_distance_matrix(text: str) -> DistanceMatrix:
         raise FormatError(str(exc)) from None
 
 
+def _parse_side_by_labels(part: str, bit: dict, context: str) -> tuple[int, int]:
+    labels = [tok.strip() for tok in part.split(",")]
+    if any(not tok for tok in labels):
+        raise FormatError(f"empty label in {context}")
+    mask = 0
+    for tok in labels:
+        if tok not in bit:
+            raise FormatError(f"unknown label {tok!r} in {context}")
+        mask |= bit[tok]
+    return mask, len(labels)
+
+
+def parse_split_system_by_labels(text: str) -> WeightedSplitSystem:
+    """The split parser label by label: every weight through
+    ``parse_value``, each side's labels checked and OR-ed one at a time,
+    duplicates found as ``Split`` objects, with the same messages in the
+    same order.  The oracle for ``parse_split_system``."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if len(lines) < 2:
+        raise FormatError("split system input needs a count line and a label line")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise FormatError(f"expected element count, got {lines[0]!r}") from None
+    labels = lines[1].split()
+    if len(labels) != n:
+        raise FormatError(f"expected {n} labels, found {len(labels)}")
+    try:
+        ground = GroundSet(labels)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    entries = []
+    seen = set()
+    for line in lines[2:]:
+        context = f"split line {line!r}"
+        body, _, weight_part = line.partition(":")
+        weight = Fraction(1)
+        if weight_part.strip():
+            weight = parse_value(weight_part.strip(), context)
+        sides = body.split("|")
+        if len(sides) != 2:
+            raise FormatError(f"expected exactly one '|' in {context}")
+        left, listed_left = _parse_side_by_labels(sides[0], bit, context)
+        right, listed_right = _parse_side_by_labels(sides[1], bit, context)
+        if left & right:
+            raise FormatError(f"sides overlap in {context}")
+        if listed_left + listed_right != n:
+            raise FormatError(f"sides do not cover all elements: {line!r}")
+        if left.bit_count() + right.bit_count() != n:
+            raise FormatError(f"repeated label in {context}")
+        split = Split.from_bits(ground, left)
+        if split in seen:
+            raise FormatError(f"duplicate split in line {line!r}")
+        seen.add(split)
+        if weight < 0:
+            raise FormatError(f"negative weight in {context}")
+        entries.append((split, weight))
+    try:
+        return WeightedSplitSystem(ground, entries)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def insertion_positions_by_sort(rows, seq, z) -> list[int]:
+    """Insertion positions 1..len(seq) for element z, sorted by the pair
+    (detour, position): the reference order for greedy insertion and the
+    backtracking search of ``recover_circular_ordering``."""
+    k = len(seq)
+    scored = []
+    for pos in range(1, k + 1):
+        x, y = seq[pos - 1], seq[pos % k]
+        scored.append((rows[x][z] + rows[z][y] - rows[x][y], pos))
+    scored.sort()
+    return [pos for _, pos in scored]
+
+
+def greedy_insertion_by_sort(matrix: DistanceMatrix) -> list[int]:
+    """The greedy insertion sequence of ``recover_circular_ordering``, each
+    element put at the first position of ``insertion_positions_by_sort``."""
+    rows = matrix.comparison_rows()
+    seq = [0, 1, 2]
+    for z in range(3, matrix.n):
+        seq.insert(insertion_positions_by_sort(rows, seq, z)[0], z)
+    return seq
+
+
 def maximum_flat_by_restriction(splits) -> bool:
     """Maximum flatness decided through restrictions: C(n,2) independent
     splits whose restriction to every 4 elements has all 6 splits of a

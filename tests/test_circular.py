@@ -34,9 +34,12 @@ from ordist import (
     recover_circular_ordering,
     flat_fixture,
 )
+from ordist.circular import _greedy_insertion, _insertion_positions
 from helpers import (
     circular_orderings_brute,
     fits_on_ordering_by_transitions,
+    greedy_insertion_by_sort,
+    insertion_positions_by_sort,
     interval_of_by_scan,
     interval_split_by_slice,
     interval_weight_map_by_scan,
@@ -354,6 +357,82 @@ def test_circular_engine_against_eq1_and_the_scan_oracle():
     assert tally["non-metric agreed"] >= 10, tally
     assert tally["zero pairs"] >= 15, tally
     assert tally["raised"] >= 25, tally
+
+
+def test_galloping_where_boundaries_jump():
+    # the searches for pair (a, b) start from the boundaries of the last
+    # pair (a, b') found; on the benchmark's inputs they move by 1 or 2,
+    # while zero weights and shifts make them jump both ways
+    rng = random.Random(3)
+    params = OrderParams(2, 1)
+    tally = Counter()
+    for n, shift in ((30, False), (40, True), (50, False), (60, True), (80, False)):
+        d = zero_heavy_circular_distance(n, rng)
+        if shift:
+            low = min(d[i, j] for i in range(n) for j in range(i + 1, n))
+            d = _shifted(d, low - Fraction(1, 2))
+            rows = d.comparison_rows()
+            tally["non-metric"] += any(
+                rows[x][y] > rows[x][z] + rows[z][y]
+                for x in range(n) for y in range(n) for z in range(n)
+            )
+        got = order_distance_circular(d, params)
+        assert got == order_distance_eq1(d, params)
+        theta = recover_circular_ordering(d)
+        arcs = strict_side_arcs(d, theta)
+        uses = Counter(_interval_of_arc(theta, *arc) for arc in arcs.values())
+        weights = {iv: count * params.half_p for iv, count in uses.items()}
+        assert evaluate_circular_distance(theta, weights) == got
+        seq = theta.sequence
+        for a in range(n):
+            last = None
+            for b in range(a + 1, n):
+                if (seq[a], seq[b]) not in arcs:  # distance zero: no search
+                    continue
+                end_a = arcs[seq[a], seq[b]][1]
+                end_b = arcs[seq[b], seq[a]][1]
+                # the engine indexes the path b..a as b-n..a
+                ends = (end_a, end_b - n if end_b >= b else end_b)
+                if last is not None:
+                    for new, old in zip(ends, last):
+                        tally["up"] += new - old >= 4
+                        tally["down"] += old - new >= 4
+                last = ends
+    # this seed gives 149 jumps up, 79 down and 2 non-metric inputs
+    assert tally["up"] >= 75 and tally["down"] >= 40, tally
+    assert tally["non-metric"] == 2, tally
+
+
+def test_greedy_insertion_keeps_its_choice():
+    # greedy insertion takes the first minimum detour, the backtracking
+    # search tries positions by (detour, position): both as the sort did
+    rng = random.Random(21)
+    tally = Counter()
+    for n in range(4, 41, 4):
+        tie_rich = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                tie_rich[i][j] = tie_rich[j][i] = rng.randint(1, 3)
+        for d in (DistanceMatrix(index_ground(n), tie_rich),
+                  zero_heavy_circular_distance(n, rng)):
+            rows = d.comparison_rows()
+            assert _greedy_insertion(rows, n) == greedy_insertion_by_sort(d)
+            seq = [0, 1, 2]
+            for z in range(3, n):
+                order = insertion_positions_by_sort(rows, seq, z)
+                assert _insertion_positions(rows, seq, z) == order
+                k = len(seq)
+                detours = [
+                    rows[seq[pos - 1]][z] + rows[z][seq[pos % k]]
+                    - rows[seq[pos - 1]][seq[pos % k]]
+                    for pos in order
+                ]
+                tally["tied first"] += detours[0] == detours[1]
+                tally["ties"] += len(detours) - len(set(detours))
+                # a random candidate, as the backtracking search may take
+                seq.insert(rng.choice(order), z)
+    # this seed gives 131 tied first choices among 2278 ties
+    assert tally["tied first"] >= 65 and tally["ties"] >= 1100, tally
 
 
 def test_quadruple_condition_without_decomposability_still_works():

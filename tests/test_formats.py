@@ -18,7 +18,7 @@ from ordist import (
     parse_split_system,
 )
 from ordist.cli import run
-from helpers import fraction_parse_distance_matrix
+from helpers import fraction_parse_distance_matrix, parse_split_system_by_labels
 from strategies import distance_matrices, rationals, split_systems
 
 
@@ -268,6 +268,85 @@ def test_split_parse_error_order():
         with pytest.raises(FormatError) as caught:
             parse_split_system(f"3\na b c\n{line}")
         assert str(caught.value) == message
+
+
+SPLIT_FAULTS = ("empty", "unknown", "repeat", "overlap", "cover", "duplicate",
+                "negative", "bad", "long", "pipes")
+
+
+def random_split_text(rng, kinds, limit):
+    """A split system file whose weights take mixed spellings; about half
+    carry one fault on a random line."""
+    n = rng.randint(2, 7)
+    labels = [f"x{i}" for i in range(n)]
+    lines = []
+    # distinct splits, as the masks of their sides without element 0
+    masks = rng.sample(range(1, 2 ** (n - 1)), min(rng.randint(1, 6), 2 ** (n - 1) - 1))
+    for mask in masks:
+        side = {e for e in range(n) if mask << 1 >> e & 1}
+        if rng.random() < 0.5:
+            side = set(range(n)) - side
+        parts = [[labels[e] for e in range(n) if (e in side) == keep] for keep in (1, 0)]
+        for part in parts:
+            rng.shuffle(part)
+        weight = ""
+        if rng.random() < 0.8:
+            value = Fraction(rng.randint(0, 30), rng.choice([1, 1, 2, 3, 4, 10]))
+            weight = " : " + spell(value, rng, kinds)
+        lines.append([parts, weight])
+    fault = rng.choice(["none"] * 10 + list(SPLIT_FAULTS))
+    kinds["fault " + fault] += 1
+    parts, weight = line = rng.choice(lines)
+    part, other = rng.sample(parts, 2)
+    if fault == "empty":
+        part.insert(rng.randint(0, len(part)), rng.choice(["", " "]))
+    elif fault == "unknown":
+        part.insert(rng.randint(0, len(part)), rng.choice(["zz", "x9", "X0"]))
+    elif fault == "repeat":
+        part.append(rng.choice(part))
+        if rng.random() < 0.5 and len(other) > 1:
+            other.pop()  # the count fits, only the repeat is wrong
+    elif fault == "overlap":
+        part.append(rng.choice(other))
+    elif fault == "cover":
+        part.pop(rng.randrange(len(part)))
+    elif fault == "duplicate":
+        dup = [[list(reversed(parts[1])), parts[0]], rng.choice(["", " : 5"])]
+        lines.insert(rng.randint(lines.index(line) + 1, len(lines)), dup)
+    elif fault == "negative":
+        line[1] = " : -" + rng.choice(["1", "3/2", "0.5"])
+    elif fault == "bad":
+        line[1] = " : " + rng.choice(BAD_TOKENS + ("", "-"))
+    elif fault == "long":
+        line[1] = " : 1" + "0" * limit
+    elif fault == "pipes":
+        line[0] = parts + [rng.choice([[], ["x0"]])]
+    body = "\n".join(
+        " | ".join(",".join(part) for part in parts) + weight for parts, weight in lines
+    )
+    return f"# seeded\n{n}\n{' '.join(labels)}\n{body}\n"
+
+
+def split_outcome(parse, text):
+    try:
+        system = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return ("system", system.ground, list(system.items()))
+
+
+def test_split_parse_matches_label_oracle(digit_limit):
+    rng = random.Random(7070)
+    kinds = Counter()
+    results = Counter()
+    for _ in range(400):
+        text = random_split_text(rng, kinds, digit_limit)
+        expected = split_outcome(parse_split_system_by_labels, text)
+        assert split_outcome(parse_split_system, text) == expected, text
+        results[expected[0]] += 1
+    assert all(kinds["fault " + k] >= 10 for k in SPLIT_FAULTS), kinds
+    assert all(kinds[k] >= 20 for k in ("int", "ratio", "decimal", "plus")), kinds
+    assert results["system"] >= 150 and results["error"] >= 120, results
 
 
 def test_written_files_end_with_newline():

@@ -377,43 +377,31 @@ def is_circular_split_system(
     return None
 
 
-def _evaluate_table(table: list[list[int]], n: int) -> list[list[int]]:
-    """Distances between arc positions from a table of integer interval
-    weights (table[i][j] covers positions i..j, 0 <= i <= j <= n-2).
-    Returns an n x n list whose upper triangle holds the distances; the
-    diagonal and lower triangle are 0."""
-    # ending_at[a]: total weight of intervals [i..a]; starting_at[a]: of [a..j]
-    ending_at = [sum(table[i][a] for i in range(a + 1)) for a in range(n - 1)]
-    starting_at = [sum(table[a][a:]) for a in range(n - 1)] + [0]
+def _table_distance(
+    theta: CircularOrdering, table: list[list[int]], scale: int
+) -> DistanceMatrix:
+    """The matrix, over scale, generated by an integer interval weight
+    table on the ordering: table[i][j] covers positions i..j
+    (0 <= i <= j <= n-2) and is 0 below the diagonal."""
+    n = theta.n
+    # the total weight of the intervals [i..a] (column a) and [a..j] (row a)
+    ending_at = list(map(sum, zip(*table)))
+    starting_at = list(map(sum, table)) + [0]
+    # distances between arc positions, by a boundary recurrence
     dist = [[0] * n for _ in range(n)]
     for a in range(n - 1):
-        dist[a][a + 1] = ending_at[a] + starting_at[a + 1]
+        dist[a][a + 1] = dist[a + 1][a] = ending_at[a] + starting_at[a + 1]
     for gap in range(2, n):
         for a in range(n - gap):
             b = a + gap
-            dist[a][b] = (
+            dist[a][b] = dist[b][a] = (
                 dist[a + 1][b]
                 + dist[a][b - 1]
                 - dist[a + 1][b - 1]
                 - 2 * table[a + 1][b - 1]
             )
-    return dist
-
-
-def _table_distance(
-    theta: CircularOrdering, table: list[list[int]], scale: int
-) -> DistanceMatrix:
-    """The matrix, over scale, generated by an integer interval weight
-    table on the ordering, with arc positions mapped back to elements."""
-    n = theta.n
-    dist = _evaluate_table(table, n)
-    seq = theta.sequence
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ea = seq[a]
-        for b in range(a + 1, n):
-            eb = seq[b]
-            out[ea][eb] = out[eb][ea] = dist[a][b]
+    pos = [theta.position(e) for e in range(n)]
+    out = [[row[b] for b in pos] for row in map(dist.__getitem__, pos)]
     return DistanceMatrix.from_scaled(theta.ground, out, scale)
 
 

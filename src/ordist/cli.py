@@ -149,7 +149,8 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
         pair = incompatible_pair(splits)
         lines.append(f"incompatible-pair: [{pair[0]}] [{pair[1]}]")
     if args.witness:
-        witness = six_point_witness(matrix)
+        # a witness shows two crossing strict sides, so none exists here
+        witness = None if compatible else six_point_witness(matrix)
         if witness is None:
             lines.append("witness: none")
         else:

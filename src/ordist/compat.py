@@ -260,7 +260,9 @@ class SixPointWitness:
         """Re-evaluate the recorded inequalities against a matrix."""
         rows = matrix.comparison_rows()
         a, b, s, t, x, y = self.elements()
-        if not (rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]):
+        if not (
+            rows[x][y] > 0 and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]
+        ):
             return False
         if self.condition == 1 and self.branch == 1:
             return (
@@ -296,7 +298,8 @@ class SixPointWitness:
 def six_point_witness(matrix: DistanceMatrix) -> SixPointWitness | None:
     """Exhaustive search for a six-point incompatibility certificate.
 
-    Tuples (a, b, s, t, x, y) need a != b, s != t, x != y and nothing more;
+    Tuples (a, b, s, t, x, y) need a != b, s != t and D(x, y) > 0 (so x
+    lies on its own strict side of (x, y)) and nothing more;
     the first witness in lexicographic tuple order is returned, checking
     condition 1 before condition 2 and the strict-(s,t) branch before the
     strict-(x,y) branch within each tuple.
@@ -314,7 +317,9 @@ def six_point_witness(matrix: DistanceMatrix) -> SixPointWitness | None:
                 (x, y)
                 for x in elements
                 for y in elements
-                if x != y and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]
+                if rows[x][y] > 0
+                and rows[x][a] < rows[y][a]
+                and rows[y][b] <= rows[x][b]
             ]
             if not pairs_xy:
                 continue

@@ -147,8 +147,8 @@ def format_distance_matrix(matrix: DistanceMatrix) -> str:
     lines = [str(matrix.n)]
     scale = matrix.scale
     for label, row in zip(matrix.ground.labels, matrix.comparison_rows()):
-        if scale == 1:  # _ratio_text(v, 1) is str(v)
-            values = " ".join(map(str, row))
+        if scale == 1:  # digits, as _ratio_text(v, 1) writes, for bools too
+            values = " ".join(map(int.__repr__, row))
         else:
             values = " ".join(_ratio_text(v, scale) for v in row)
         lines.append(label + " " + values)

@@ -44,7 +44,7 @@ from .core import (
     generate_distance,
     transpose_bits,
 )
-from .rankings import kendall_counts, ranking_from_distance
+from .rankings import kendall_counts
 
 __all__ = [
     "PairPartition",
@@ -219,17 +219,20 @@ def order_distance_kendall(
     matrix: DistanceMatrix, params: OrderParams
 ) -> DistanceMatrix:
     """Order distance as p * (discordant pairs) + q * (pairs tied in exactly
-    one) between the distance-from-x rankings of the two arguments."""
+    one) between the distance-from-x rankings of the two arguments.
+
+    Row x of the matrix ranks the elements by distance from x; block indices
+    would only relabel it in order, so the rows go to ``kendall_counts`` as
+    they are.
+    """
     n = matrix.n
-    indices = [
-        ranking_from_distance(matrix, x).block_indices() for x in range(n)
-    ]
+    rows = matrix.comparison_rows()
     scale = lcm(params.p.denominator, params.q.denominator)
     p, q = int(params.p * scale), int(params.q * scale)
     out = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
-            discordant, tied_one = kendall_counts(indices[x], indices[y])
+            discordant, tied_one = kendall_counts(rows[x], rows[y])
             out[x][y] = out[y][x] = p * discordant + q * tied_one
     return DistanceMatrix.from_scaled(matrix.ground, out, scale)
 

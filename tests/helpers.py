@@ -457,27 +457,29 @@ def fits_on_ordering_by_transitions(splits, theta: CircularOrdering) -> bool:
     return True
 
 
+def kendall_counts_brute(b1: list[int], b2: list[int]) -> tuple[int, int]:
+    """(discordant pairs, pairs tied in exactly one) by scanning all element
+    pairs; the oracle for ``kendall_counts``."""
+    discordant = tied_one = 0
+    n = len(b1)
+    for u in range(n):
+        for v in range(u + 1, n):
+            d1 = b1[u] - b1[v]
+            d2 = b2[u] - b2[v]
+            if (d1 == 0) != (d2 == 0):
+                tied_one += 1
+            elif (d1 > 0) != (d2 > 0):
+                discordant += 1
+    return discordant, tied_one
+
+
 def kendall_penalized_brute(r1: PartialRanking, r2: PartialRanking, pi) -> Fraction:
     """Penalized Kendall distance by scanning all element pairs; the oracle
     for ``kendall_penalized``."""
     if r1.ground != r2.ground:
         raise ValueError("ground set mismatch")
-    pi = Fraction(pi)
-    b1 = r1.block_indices()
-    b2 = r2.block_indices()
-    n = len(b1)
-    total = Fraction(0)
-    for u in range(n):
-        for v in range(u + 1, n):
-            d1 = b1[u] - b1[v]
-            d2 = b2[u] - b2[v]
-            if d1 == 0 and d2 == 0:
-                continue
-            if d1 == 0 or d2 == 0:
-                total += pi
-            elif (d1 > 0) != (d2 > 0):
-                total += 1
-    return total
+    discordant, tied_one = kendall_counts_brute(r1.block_indices(), r2.block_indices())
+    return discordant + Fraction(pi) * tied_one
 
 
 def ultrametric_fixture() -> WeightedSplitSystem:

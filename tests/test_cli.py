@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,18 @@ def test_order_non_circular_input_fails_precondition(tmp_path):
     path = write(tmp_path, "six.dist", format_distance_matrix(six_point_table()))
     outcome = run(["order", "-i", path, "-p", "2", "-q", "1", "--algo", "circular"])
     assert outcome.exit_code == 3
+
+
+def test_midpath_skips_the_witness_search_on_compatible_input(monkeypatch):
+    def no_search(matrix):
+        raise AssertionError("witness search ran on compatible input")
+
+    monkeypatch.setattr("ordist.cli.six_point_witness", no_search)
+    tree64 = Path(__file__).parent / "data" / "golden" / "tree64.dist"
+    outcome = run(["midpath", "-i", str(tree64), "--witness"])
+    assert outcome.exit_code == 0
+    assert "compatible: true" in outcome.report.splitlines()
+    assert "witness: none" in outcome.report.splitlines()
 
 
 def test_midpath_report(tmp_path, tree_files):

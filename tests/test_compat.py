@@ -14,6 +14,7 @@ from ordist import (
     four_point_check,
     generate_distance,
     incompatible_pair,
+    index_ground,
     is_compatible,
     is_compatible_pair,
     is_ultrametric,
@@ -168,6 +169,48 @@ def test_six_point_table_is_a_minimal_incompatible_example():
         sub = d.restricted(keep)
         assert is_compatible(midpath_split_system(sub).split_system())
         assert six_point_witness(sub) is None
+
+
+def test_witnesses_on_zero_distances_are_certificates():
+    """With zero distances about, a returned witness still shows two strict
+    sides that cross, and a compatible input gets none."""
+
+    def side(rows, u, v):
+        return {z for z in range(len(rows)) if rows[u][z] < rows[v][z]}
+
+    rng = random.Random(11)
+    witnesses = compatible = 0
+    for _ in range(600):
+        n = rng.randint(4, 7)
+        values = rng.choice(((0, 1), (0, 1, 2), (0, 1, 2, 3), (1, 2, 3)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(values)
+        matrix = DistanceMatrix.from_scaled(index_ground(n), rows)
+        witness = six_point_witness(matrix)
+        if is_compatible(midpath_split_system(matrix).split_system()):
+            compatible += 1
+            assert witness is None
+            continue
+        if witness is None:
+            continue
+        witnesses += 1
+        assert witness.holds_in(matrix)
+        w = witness
+        x_side = side(rows, w.x, w.y)
+        other = side(rows, w.s, w.t) if w.branch == 1 else side(rows, w.t, w.s)
+        rest = set(range(n)) - x_side - other
+        assert x_side & other and x_side - other and other - x_side and rest
+    assert compatible > 50 and witnesses > 300
+
+
+def test_holds_in_needs_a_positive_distance_between_x_and_y():
+    d = six_point_table()
+    w = six_point_witness(d)
+    rows = [list(row) for row in d.comparison_rows()]
+    rows[w.x][w.y] = rows[w.y][w.x] = 0
+    assert not w.holds_in(DistanceMatrix.from_scaled(d.ground, rows, d.scale))
 
 
 @given(distance_matrices(min_n=4, max_n=6, values=st.integers(1, 3)))

@@ -35,6 +35,13 @@ def test_format_matrix_over_a_common_denominator():
     assert format_distance_matrix(m) == "3\na 0 7/2 3\nb 7/2 0 0\nc 3 0 0\n"
 
 
+def test_bool_entries_are_written_as_digits():
+    m = DistanceMatrix.from_scaled(GroundSet("ab"), [[0, True], [True, 0]])
+    text = format_distance_matrix(m)
+    assert text == "2\na 0 1\nb 1 0\n"
+    assert parse_distance_matrix(text) == m
+
+
 def test_parse_matrix_with_comments_and_decimals():
     text = """
     # small example

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -9,10 +10,12 @@ from ordist import (
     PartialRanking,
     generate_distance,
     index_ground,
+    kendall_counts,
     kendall_penalized,
+    random_distance_matrix,
     ranking_from_distance,
 )
-from helpers import kendall_penalized_brute, quartet_fixture
+from helpers import kendall_counts_brute, kendall_penalized_brute, quartet_fixture
 
 
 def label_blocks(ranking):
@@ -94,3 +97,39 @@ def test_distance_is_zero_only_for_equal_rankings():
     r2 = PartialRanking(g, [[0], [1], [2]])
     assert kendall_penalized(r1, r1, "1/2") == 0
     assert kendall_penalized(r1, r2, "1/2") > 0
+
+
+def test_kendall_counts_match_pair_scan_on_seeded_keys():
+    rng = Random(13)
+    key_ranges = (
+        (0, 2),  # dense ties
+        (-(10**30), 10**30),  # negative and large, ties unlikely
+        (-5, 5),
+    )
+    for n in list(range(12)) + [50, 127, 300]:
+        for lo, hi in key_ranges:
+            b1 = [rng.randint(lo, hi) for _ in range(n)]
+            b2 = [rng.randint(lo, hi) for _ in range(n)]
+            assert kendall_counts(b1, b2) == kendall_counts_brute(b1, b2)
+        distinct = rng.sample(range(-(10**12), 10**12), n)
+        shuffled = rng.sample(distinct, n)
+        assert kendall_counts(distinct, shuffled) == kendall_counts_brute(
+            distinct, shuffled
+        )
+        assert kendall_counts(distinct, distinct) == (0, 0)
+        ranked = sorted(distinct)
+        assert kendall_counts(ranked, ranked[::-1]) == (n * (n - 1) // 2, 0)
+
+
+def test_distance_rows_and_block_indices_give_the_same_counts():
+    rng = Random(17)
+    for n in (2, 5, 9, 16):
+        for tie_rich in (True, False):
+            m = random_distance_matrix(n, rng, tie_rich)
+            rows = m.comparison_rows()
+            blocks = [ranking_from_distance(m, x).block_indices() for x in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    assert kendall_counts(rows[x], rows[y]) == kendall_counts(
+                        blocks[x], blocks[y]
+                    )

@@ -11,7 +11,11 @@ lowest element; the way back hangs the tree from vertex 0 and reads each
 edge's split off the elements below it.  It also provides the classical
 four-point and ultrametric checks and an exhaustive six-point search that
 certifies when the strict comparison splits of a distance matrix fail to be
-compatible.
+compatible.  The search is complete only while the distances off the
+diagonal are positive: with zeros there, incompatible input can have no
+six-point certificate of this form (61 of 4149 incompatible inputs of a
+seeded zero-rich family on 4 to 7 elements had none), so finding no
+witness does not show that the splits are compatible.
 """
 
 from __future__ import annotations
@@ -302,7 +306,8 @@ def six_point_witness(matrix: DistanceMatrix) -> SixPointWitness | None:
     lies on its own strict side of (x, y)) and nothing more;
     the first witness in lexicographic tuple order is returned, checking
     condition 1 before condition 2 and the strict-(s,t) branch before the
-    strict-(x,y) branch within each tuple.
+    strict-(x,y) branch within each tuple.  None shows compatibility only
+    when every distance off the diagonal is positive.
     """
     rows = matrix.comparison_rows()
     n = matrix.n

@@ -44,7 +44,7 @@ from .core import (
     generate_distance,
     transpose_bits,
 )
-from .rankings import kendall_counts
+from .rankings import pair_counts, rank_table
 
 __all__ = [
     "PairPartition",
@@ -221,19 +221,21 @@ def order_distance_kendall(
     """Order distance as p * (discordant pairs) + q * (pairs tied in exactly
     one) between the distance-from-x rankings of the two arguments.
 
-    Row x of the matrix ranks the elements by distance from x; block indices
-    would only relabel it in order, so the rows go to ``kendall_counts`` as
-    they are.
+    Row x of the matrix ranks the elements by distance from x, so the rows
+    are the ranking keys as they are.  Each row's ``rank_table`` is built
+    once; each pair of rows then costs one sort and one walk in
+    ``pair_counts``.
     """
     n = matrix.n
-    rows = matrix.comparison_rows()
+    tables = [rank_table(row) for row in matrix.comparison_rows()]
     scale = lcm(params.p.denominator, params.q.denominator)
     p, q = int(params.p * scale), int(params.q * scale)
     out = [[0] * n for _ in range(n)]
     for x in range(n):
+        table_x, out_x = tables[x], out[x]
         for y in range(x + 1, n):
-            discordant, tied_one = kendall_counts(rows[x], rows[y])
-            out[x][y] = out[y][x] = p * discordant + q * tied_one
+            discordant, tied_one = pair_counts(table_x, tables[y])
+            out_x[y] = out[y][x] = p * discordant + q * tied_one
     return DistanceMatrix.from_scaled(matrix.ground, out, scale)
 
 

@@ -6,14 +6,21 @@ distance charges, per element pair, 1 when the two rankings order the pair
 in strictly opposite ways, a penalty ``pi`` when the pair is tied in exactly
 one ranking, and 0 otherwise.
 
-The distance is counted by sort and bisect; the tests hold it to a brute
-O(n^2) pair scan.
+The counts come from one sort and one walk with an int bitmask per pair
+of rankings (``pair_counts``), after per-ranking tables built once
+(``rank_table``); the tests hold them to a brute O(n^2) pair scan.  The
+walk shifts an n-bit int per element, so a pair costs O(n^2 / 64) word
+operations besides the sort.  For a single pair of key vectors, the
+tables included, this is about level with the former bisect-and-insort
+count at n = 4096 (7 ms on distinct keys, 4-5 against 5-6 ms on keys
+0..2) and at n = 16384 on keys 0..2 (30-32 against 29-30 ms); on
+distinct keys at n = 16384 it is 20-25% slower (60-68 against 51-54 ms;
+min of 9 interleaved calls, two runs, Python 3.11 on a shared 2-vCPU
+x86-64 host).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -25,6 +32,9 @@ __all__ = [
     "kendall_counts",
     "kendall_penalized",
 ]
+
+# (order, place, past, ties) of one ranking; see ``rank_table``
+RankTable = tuple[list[int], list[int], list[int], int]
 
 
 class PartialRanking:
@@ -79,17 +89,72 @@ def ranking_from_distance(matrix: DistanceMatrix, x: int) -> PartialRanking:
     Elements at equal distance from x share a block; the first block always
     contains x itself (plus anything at distance 0 from it).
     """
-    row = matrix.comparison_rows()[x]
-    order = sorted(range(matrix.n), key=row.__getitem__)
+    order, _, past, _ = rank_table(matrix.comparison_rows()[x])
     blocks: list[list[int]] = []
-    last = None
-    for e in order:
-        if last is not None and row[e] == last:
-            blocks[-1].append(e)
-        else:
-            blocks.append([e])
-            last = row[e]
+    start = 0
+    while start < matrix.n:
+        end = past[order[start]]
+        blocks.append(order[start:end])
+        start = end
     return PartialRanking(matrix.ground, blocks)
+
+
+def rank_table(keys: list[int]) -> RankTable:
+    """The per-ranking tables that ``pair_counts`` reads, for int keys
+    whose order is the ranking (block indices, or a distance row).
+
+    Returns (order, place, past, ties): the elements sorted by key (ties
+    by element), each element's index in that order, the index just past
+    its tie block, and the number of tied pairs.
+    """
+    n = len(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    place = [0] * n
+    past = [0] * n
+    ties = start = 0
+    for end in range(1, n + 1):
+        if end == n or keys[order[end]] != keys[order[start]]:
+            size = end - start
+            ties += size * (size - 1) // 2
+            for i in range(start, end):
+                place[order[i]] = i
+                past[order[i]] = end
+            start = end
+    return order, place, past, ties
+
+
+def pair_counts(table_x: RankTable, table_y: RankTable) -> tuple[int, int]:
+    """(discordant pairs, pairs tied in exactly one) of two rankings, from
+    their ``rank_table``s.
+
+    One stable sort puts the second ranking's order in the first one's,
+    keyed by ``past``, which orders the elements as their keys do; ties
+    stay in the second ranking's order.  Walking it, an element u is
+    discordant with each element before it that the second ranking puts
+    strictly after u's tie block: those are the set bits of ``seen``, the
+    places of the elements passed so far, at or above ``past[u]``.  The
+    pairs tied in both rankings are the runs of one tie block of each, and
+    are counted only when both rankings have ties.
+    """
+    _, _, past_x, ties_x = table_x
+    order_y, place_y, past_y, ties_y = table_y
+    walk = sorted(order_y, key=past_x.__getitem__)
+    discordant = seen = 0
+    for u in walk:
+        discordant += (seen >> past_y[u]).bit_count()
+        seen |= 1 << place_y[u]
+    tied_both = 0
+    if ties_x and ties_y:
+        run = 0
+        block_x = block_y = -1
+        for u in walk:
+            if past_x[u] == block_x and past_y[u] == block_y:
+                run += 1
+                tied_both += run
+            else:
+                run = 0
+                block_x, block_y = past_x[u], past_y[u]
+    return discordant, ties_x + ties_y - 2 * tied_both
 
 
 def kendall_counts(b1: list[int], b2: list[int]) -> tuple[int, int]:
@@ -97,25 +162,11 @@ def kendall_counts(b1: list[int], b2: list[int]) -> tuple[int, int]:
     over the same elements.
 
     Any int keys whose order is the ranking will do: block indices, or the
-    distance rows themselves.  After sorting the elements by (b1, b2), a
-    pair is discordant exactly when its b2 values are strictly inverted, so
-    each b2 value counts its strictly larger predecessors by bisection.
-    Each insertion shifts O(n) list slots; that memory move stays cheaper
-    than the comparisons bisection saves up to about n = 20000.
+    distance rows themselves.  The count is ``pair_counts`` on the two
+    ``rank_table``s: O(n log n) comparisons for the sort and n shifts and
+    popcounts of an n-bit int for the walk.
     """
-    discordant = 0
-    seen: list[int] = []
-    for _, v in sorted(zip(b1, b2)):
-        discordant += len(seen) - bisect_right(seen, v)
-        insort(seen, v)
-
-    def tie_pairs(counts: Counter) -> int:
-        return sum(c * (c - 1) // 2 for c in counts.values())
-
-    t1 = tie_pairs(Counter(b1))
-    t2 = tie_pairs(Counter(b2))
-    t12 = tie_pairs(Counter(zip(b1, b2)))
-    return discordant, t1 + t2 - 2 * t12
+    return pair_counts(rank_table(b1), rank_table(b2))
 
 
 def kendall_penalized(

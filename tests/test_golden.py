@@ -1,14 +1,20 @@
 """Golden reports: CLI commands replayed byte for byte against reports
-written before the split-system kernels moved onto bitsets.
+written before the split-system kernels moved onto bitsets, and order
+matrices replayed against files written before the Kendall engine moved
+onto per-row tables.
 
-Each case runs one command over the inputs in ``tests/data/golden`` and
-compares its exit code and report with ``<case>.report`` there, whose first
-line is ``exit: <code>``.  A change that is meant to alter one of these
-reports rewrites them, from the repository root, with
+Each report case runs one command over the inputs in ``tests/data/golden``
+and compares its exit code and report with ``<case>.report`` there, whose
+first line is ``exit: <code>``.  Each order case is the matrix that
+``order -p 2 -q <q>`` writes for one input, held in ``<case>.dist``; every
+engine that applies to the input must print it and write it with ``-o``
+byte for byte.  A change that is meant to alter one of these files
+rewrites them, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of the ``.report`` files then shows every changed line.
+and the diff of the ``.report`` and ``order-*.dist`` files then shows
+every changed line.
 """
 
 from pathlib import Path
@@ -31,6 +37,16 @@ CASES = {
 }
 
 
+# order case -> (input file stem, q at p = 2, engines replaying it); the
+# circular engine needs circular input and q = p/2
+ORDER_CASES = {
+    "order-ties12-p2-q1": ("ties12", "1", ("eq1", "kendall")),
+    "order-ties12-p2-q3_2": ("ties12", "3/2", ("eq1", "kendall")),
+    "order-tree64-p2-q1": ("tree64", "1", ("eq1", "kendall", "circular")),
+    "order-tree64-p2-q3_2": ("tree64", "3/2", ("eq1", "kendall")),
+}
+
+
 def golden_report(case: str) -> str:
     """The exit code line and report the command of ``case`` gives now."""
     argv = CASES[case].format(data=DATA).split()
@@ -44,6 +60,31 @@ def test_report_matches_golden(case):
     assert golden_report(case) == expected
 
 
+def run_order(case: str, algo: str, output: Path | None = None) -> cli.CommandOutcome:
+    stem, q, _ = ORDER_CASES[case]
+    argv = ["order", "-i", str(DATA / f"{stem}.dist"), "-p", "2", "-q", q, "--algo", algo]
+    if output is not None:
+        argv += ["-o", str(output)]
+    return cli.run(argv)
+
+
+@pytest.mark.parametrize(
+    "case,algo",
+    [(case, algo) for case, (_, _, algos) in sorted(ORDER_CASES.items()) for algo in algos],
+)
+def test_order_matrix_matches_golden(case, algo, tmp_path):
+    expected = (DATA / f"{case}.dist").read_bytes()
+    header = f"algo: {algo}\np: 2\nq: {ORDER_CASES[case][1]}\n"
+    written = tmp_path / "order.dist"
+    outcome = run_order(case, algo, written)
+    assert (outcome.exit_code, outcome.report) == (0, f"{header}written: {written}")
+    assert written.read_bytes() == expected
+    outcome = run_order(case, algo)
+    assert (outcome.exit_code, outcome.report) == (0, header + expected.decode().rstrip("\n"))
+
+
 if __name__ == "__main__":
     for case in CASES:
         (DATA / f"{case}.report").write_text(golden_report(case), encoding="utf-8")
+    for case in ORDER_CASES:
+        run_order(case, "eq1", DATA / f"{case}.dist")

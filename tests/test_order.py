@@ -18,10 +18,12 @@ from ordist import (
     pair_partition,
     random_binary_tree_system,
     random_distance_matrix,
+    random_two_valued_matrix,
     two_split_instance,
     two_split_order_values,
 )
 from helpers import (
+    kendall_counts_brute,
     midpath_by_scan,
     naive_order_distance,
     quartet_fixture,
@@ -163,6 +165,52 @@ def test_midpath_matches_the_scan():
             assert fast == scan
             assert list(fast.x_splits) == list(scan.x_splits)
             assert list(fast.e_splits) == list(scan.e_splits)
+
+
+def _zero_heavy_matrix(n: int, rng: random.Random) -> DistanceMatrix:
+    # mostly zero off the diagonal; about a third of the elements then take
+    # over the row of an earlier one, at distance 0 from it
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = rng.randint(1, 3)
+    for j in range(1, n):
+        if rng.random() < 0.3:
+            i = rng.randrange(j)
+            for k in range(n):
+                rows[j][k] = rows[k][j] = rows[i][k]
+    return DistanceMatrix.from_scaled(index_ground(n), rows)
+
+
+def test_kendall_engine_matches_pair_scan_and_eq1():
+    # every pair of distance rows through the brute pair scan, and the
+    # whole matrix against eq1, on four input families
+    rng = random.Random(14)
+    families = (
+        lambda n: random_distance_matrix(n, rng),
+        lambda n: random_distance_matrix(n, rng, tie_rich=True),
+        lambda n: _zero_heavy_matrix(n, rng),
+        lambda n: random_two_valued_matrix(n, rng),
+    )
+    params_list = [
+        OrderParams(p, q)
+        for p, q in ((2, 1), (2, Fraction(3, 2)), (1, Fraction(3, 2)), (2, 3))
+    ]
+    for n in (1, 2, 3, 7, 33, 64):
+        for family in families:
+            matrix = family(n)
+            rows = matrix.comparison_rows()
+            counts = {
+                (x, y): kendall_counts_brute(rows[x], rows[y])
+                for x in range(n)
+                for y in range(x + 1, n)
+            }
+            for params in params_list:
+                kendall = order_distance_kendall(matrix, params)
+                for (x, y), (discordant, tied_one) in counts.items():
+                    assert kendall[x, y] == params.p * discordant + params.q * tied_one
+                assert kendall == order_distance_eq1(matrix, params)
 
 
 def test_two_split_unit_blocks():

@@ -119,6 +119,26 @@ def test_kendall_counts_match_pair_scan_on_seeded_keys():
         assert kendall_counts(distinct, distinct) == (0, 0)
         ranked = sorted(distinct)
         assert kendall_counts(ranked, ranked[::-1]) == (n * (n - 1) // 2, 0)
+        # all-equal keys, long tie blocks, strictly decreasing keys, and
+        # ties among negative and 10^30 keys
+        equal = [7] * n
+        block = max(1, n // 3)
+        blocks = [i // block for i in range(n)]
+        rng.shuffle(blocks)
+        decreasing = list(range(n, 0, -1))
+        extremes = [rng.choice((-(10**30), -1, 0, 10**30)) for _ in range(n)]
+        assert kendall_counts(equal, equal) == (0, 0)
+        for b1, b2 in (
+            (equal, distinct),
+            (blocks, equal),
+            (blocks, blocks[::-1]),
+            (blocks, decreasing),
+            (decreasing, distinct),
+            (extremes, blocks),
+            (extremes, extremes[::-1]),
+        ):
+            assert kendall_counts(b1, b2) == kendall_counts_brute(b1, b2)
+            assert kendall_counts(b2, b1) == kendall_counts_brute(b2, b1)
 
 
 def test_distance_rows_and_block_indices_give_the_same_counts():

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import (
@@ -115,26 +116,25 @@ class CircularOrdering:
         """The positions (i, j) of the arc i..j that is the split's side
         avoiding the last element, or None when the split is not an arc.
 
-        i is the first position whose prefix meets that side, found by
-        binary search over the prefix masks; the side is an arc exactly
-        when it equals arc_bits(i, i + size - 1).  O(log n) int operations.
+        Were the side an arc, its elements before the position p of any one
+        of them would be the p - i elements at positions i..p-1, so
+        i = p - popcount(side & prefix[p]); the side is an arc exactly when
+        it equals arc_bits(i, i + size - 1).  O(1) int operations on n-bit
+        masks.
         """
-        if split.ground != self.ground:
+        if split.ground is not self.ground and split.ground != self.ground:
             raise ValueError("ground set mismatch")
         prefix = self._prefix
         n = len(self.sequence)
         side = split.bits
         if side >> self.sequence[-1] & 1:
             side ^= prefix[n]
-        lo, hi = 0, n - 1  # prefix[lo] misses the side, prefix[hi] meets it
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if prefix[mid] & side:
-                hi = mid
-            else:
-                lo = mid
-        i = hi - 1
-        j = i + side.bit_count() - 1  # <= n - 2: the side lies in i..n-2
+        p = self._pos[side.bit_length() - 1]
+        before = (side & prefix[p]).bit_count()
+        i = p - before
+        # the side's other size - before elements fit in positions p..n-2,
+        # so j <= n-2
+        j = i + side.bit_count() - 1
         if prefix[j + 1] ^ prefix[i] == side:
             return i, j
         return None
@@ -157,7 +157,7 @@ class CircularOrdering:
         return f"CircularOrdering({self})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalSplit:
     """One split of a circular ordering, keyed by the arc positions i..j
     (0-based, 0 <= i <= j <= n-2) of the side avoiding the last element."""
@@ -166,13 +166,24 @@ class IntervalSplit:
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.i <= self.j <= self.ordering.n - 2:
-            raise ValueError(f"bad interval ({self.i},{self.j})")
+    def __init__(self, ordering: CircularOrdering, i: int, j: int):
+        # through the slots' own setters: interval_weight_map, which builds
+        # one per split, runs about a quarter faster than with the generated
+        # __init__'s object.__setattr__ calls and a __post_init__
+        if not 0 <= i <= j <= ordering.n - 2:
+            raise ValueError(f"bad interval ({i},{j})")
+        _set_ordering(self, ordering)
+        _set_i(self, i)
+        _set_j(self, j)
 
     def to_split(self) -> Split:
         theta = self.ordering
         return Split.from_bits(theta.ground, theta.arc_bits(self.i, self.j))
+
+
+_set_ordering = IntervalSplit.ordering.__set__
+_set_i = IntervalSplit.i.__set__
+_set_j = IntervalSplit.j.__set__
 
 
 def all_interval_splits(theta: CircularOrdering) -> list[IntervalSplit]:
@@ -186,14 +197,23 @@ def all_interval_splits(theta: CircularOrdering) -> list[IntervalSplit]:
 
 
 def maximum_circular_splits(theta: CircularOrdering) -> list[Split]:
-    """The maximum circular split system fitting an ordering, as splits."""
-    return [iv.to_split() for iv in all_interval_splits(theta)]
+    """The maximum circular split system fitting an ordering, as splits,
+    in the order of ``all_interval_splits``: arc i..j is the prefix-mask
+    difference prefix[j+1] ^ prefix[i]."""
+    ground, prefix = theta.ground, theta._prefix
+    last = theta.n - 1
+    from_bits = Split.from_bits
+    return [
+        from_bits(ground, prefix[j] ^ prefix_i)
+        for i, prefix_i in enumerate(prefix[:last])
+        for j in range(i + 1, last + 1)
+    ]
 
 
 def fits_on_ordering(splits: Iterable[Split], theta: CircularOrdering) -> bool:
     """True when every split cuts the ordering into two arcs.
 
-    Each split costs one ``CircularOrdering.interval_of``: O(log n) int
+    Each split costs one ``CircularOrdering.interval_of``: O(1) int
     operations on n-bit masks, no walk over the elements.
     """
     return all(theta.interval_of(split) is not None for split in splits)
@@ -205,14 +225,15 @@ def interval_weight_map(
     """Re-key a fitting weighted system by arc positions on the ordering,
     in the system's split order.
 
-    Each split costs one ``CircularOrdering.interval_of``: O(log n) int
+    Each split costs one ``CircularOrdering.interval_of``: O(1) int
     operations on n-bit masks, no walk over the elements.
     """
     if system.ground != theta.ground:
         raise ValueError("ground set mismatch")
+    interval_of = theta.interval_of
     out: dict[IntervalSplit, Fraction] = {}
     for split, weight in system.items():
-        interval = theta.interval_of(split)
+        interval = interval_of(split)
         if interval is None:
             raise ValueError(f"split {split} does not fit on the ordering")
         out[IntervalSplit(theta, *interval)] = weight
@@ -377,6 +398,16 @@ def is_circular_split_system(
     return None
 
 
+def _gather(indices: list[int] | tuple[int, ...]):
+    """A function taking a row to the tuple of its entries at the indices,
+    in their order; an ``itemgetter`` unless there is only one index, where
+    an ``itemgetter`` would give the entry rather than a 1-tuple."""
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
+
+
 def _table_distance(
     theta: CircularOrdering, table: list[list[int]], scale: int
 ) -> DistanceMatrix:
@@ -400,8 +431,9 @@ def _table_distance(
                 - dist[a + 1][b - 1]
                 - 2 * table[a + 1][b - 1]
             )
-    pos = [theta.position(e) for e in range(n)]
-    out = [[row[b] for b in pos] for row in map(dist.__getitem__, pos)]
+    # back from positions to elements: row and column e are position pos[e]
+    by_element = _gather([theta.position(e) for e in range(n)])
+    out = list(map(by_element, by_element(dist)))
     return DistanceMatrix.from_scaled(theta.ground, out, scale)
 
 
@@ -411,18 +443,19 @@ def evaluate_circular_distance(
     """Distance generated by weighted interval splits of one ordering,
     computed in O(n^2) by a boundary recurrence instead of touching every
     split for every pair."""
-    checked = []
+    entries = []  # (i, j, numerator, denominator)
     for iv, raw in weights.items():
         if iv.ordering is not theta and iv.ordering != theta:
             raise ValueError("interval split belongs to a different ordering")
         w = as_rational(raw)
-        if w < 0:
+        numerator = w.numerator
+        if numerator < 0:
             raise ValueError("negative weight")
-        checked.append((iv, w))
-    scale = lcm(*(w.denominator for _, w in checked))
+        entries.append((iv.i, iv.j, numerator, w.denominator))
+    scale = lcm(*(entry[3] for entry in entries))
     table = [[0] * (theta.n - 1) for _ in range(theta.n - 1)]
-    for iv, w in checked:
-        table[iv.i][iv.j] += w.numerator * (scale // w.denominator)
+    for i, j, numerator, denominator in entries:
+        table[i][j] += numerator * (scale // denominator)
     return _table_distance(theta, table, scale)
 
 
@@ -462,7 +495,8 @@ def order_distance_circular(
     seq = theta.sequence
     # rows and columns by position; the path b..a runs over the indices
     # b-n..a, whose negative part Python's indexing wraps round to b..n-1
-    pos_rows = [[rows[x][y] for y in seq] for x in seq]
+    by_position = _gather(seq)
+    pos_rows = list(map(by_position, by_position(rows)))
     weight = params.half_p.numerator
     table = [[0] * (n - 1) for _ in range(n - 1)]
     for a, row_a in enumerate(pos_rows):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 import time
@@ -380,7 +381,15 @@ def run(argv: list[str] | None = None) -> CommandOutcome:
 def main(argv: list[str] | None = None) -> int:
     outcome = run(argv)
     stream = sys.stdout if outcome.exit_code == OK else sys.stderr
-    print(outcome.report, file=stream)
+    try:
+        print(outcome.report, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the command's exit code stands, and
+        # what is still buffered goes to devnull, so that the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
     return outcome.exit_code
 
 

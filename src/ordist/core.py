@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -39,10 +40,16 @@ _DIGIT_SELECTS_FLIPPED = bytes.maketrans(b"01", b"\x01\x00")
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an exact value to Fraction.  Floats are refused on purpose:
     they would silently contaminate exact computations."""
-    if isinstance(value, float):
-        raise ValueError(f"refusing float {value!r}; pass int, str or Fraction")
+    # exact types first: isinstance against Fraction, an ABC subclass, is slow
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise ValueError(f"refusing float {value!r}; pass int, str or Fraction")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
@@ -340,12 +347,13 @@ class WeightedSplitSystem:
             w = as_rational(w)
             if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {split}")
-            if split in table:
+            size = len(table)
+            table[split] = w  # a duplicate leaves the size unchanged
+            if len(table) == size:
                 raise ValueError(f"duplicate split {split}")
-            table[split] = w
         self.ground = ground
         self._weights = table
-        self._sorted = tuple(sorted(table, key=lambda s: s.bits))
+        self._sorted = tuple(sorted(table, key=attrgetter("bits")))
 
     @classmethod
     def unit(cls, ground: GroundSet, splits: Iterable[Split]) -> "WeightedSplitSystem":

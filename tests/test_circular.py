@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -150,6 +152,78 @@ def test_arc_masks_match_the_element_scans(n):
             assert _raised(call) == "ground set mismatch"
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_popcount_interval_lookup_matches_the_element_scan(n):
+    rng = random.Random(4000 + n)
+    theta = CircularOrdering(index_ground(n), rng.sample(range(n), n))
+    g, seq = theta.ground, theta.sequence
+    # arcs read forward from every start, wrapping past the last position
+    # as often as not, and the arcs ending there, whose canonical side (the
+    # one avoiding element 0, at position 0) holds the last element
+    arcs = [Split(g, theta.arc(start, n - 1)) for start in range(1, n)]
+    for start in range(n):
+        for length in {1, n - 1, rng.randint(1, n - 1)}:
+            arcs.append(Split(g, theta.arc(start, (start + length - 1) % n)))
+    full = (1 << n) - 1
+    last = 1 << seq[-1]
+    others = [Split.from_bits(g, rng.randint(1, full - 1)) for _ in range(3 * n)]
+    others += [Split.from_bits(g, rng.randint(0, full) & ~1 | last) for _ in range(n)]
+    for split in arcs:
+        assert theta.interval_of(split) is not None
+    assert sum(split.bits & last != 0 for split in arcs) >= n - 1
+    non_arcs = 0
+    for split in arcs + others:
+        found = theta.interval_of(split)
+        assert found == interval_of_by_scan(theta, split)
+        non_arcs += found is None
+    assert non_arcs >= (len(others) // 2 if n >= 8 else 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33])
+def test_maximum_splits_come_off_the_prefix_masks_in_interval_order(n):
+    theta = CircularOrdering(index_ground(n), random.Random(n).sample(range(n), n))
+    splits = maximum_circular_splits(theta)
+    expected = [iv.to_split() for iv in all_interval_splits(theta)]
+    assert splits == expected
+    assert [s.bits for s in splits] == [s.bits for s in expected]
+    assert all(s.ground is theta.ground for s in splits)
+    assert len(set(splits)) == n * (n - 1) // 2
+
+
+def test_interval_split_is_an_immutable_value():
+    theta = CircularOrdering(index_ground(5), [0, 3, 1, 4, 2])
+    twin = CircularOrdering(index_ground(5), [2, 4, 1, 3, 0])
+    iv = IntervalSplit(theta, 1, 3)
+    for i, j in ((2, 1), (0, 4), (-1, 0), (3, 7)):
+        with pytest.raises(ValueError, match=rf"^bad interval \({i},{j}\)$"):
+            IntervalSplit(theta, i, j)
+    assert iv == IntervalSplit(twin, 1, 3) and hash(iv) == hash(IntervalSplit(twin, 1, 3))
+    assert iv != IntervalSplit(theta, 1, 2) and iv != IntervalSplit(theta, 0, 3)
+    assert iv != IntervalSplit(CircularOrdering(index_ground(5), range(5)), 1, 3)
+    assert iv != (theta, 1, 3)
+    assert hash(iv) == hash((theta, 1, 3))
+    assert len({iv, IntervalSplit(twin, 1, 3), IntervalSplit(theta, 1, 2)}) == 2
+    assert repr(iv) == "IntervalSplit(ordering=CircularOrdering(x0,x2,x4,x1,x3), i=1, j=3)"
+    for name, value in (("i", 0), ("j", 2), ("ordering", twin)):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(iv, name, value)
+    # a name that is no field: Python 3.11's frozen slotted dataclass raises
+    # TypeError from its own __setattr__ where later versions may differ
+    with pytest.raises((AttributeError, TypeError)):
+        iv.other = 1
+    assert not hasattr(iv, "other")
+    with pytest.raises(AttributeError, match="^cannot delete field 'i'$"):
+        del iv.i
+    assert (iv.ordering, iv.i, iv.j) == (theta, 1, 3)
+    for duplicate in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert duplicate(iv) == iv and hash(duplicate(iv)) == hash(iv)
+    match iv:
+        case IntervalSplit(ordering, i, j):
+            assert (ordering, i, j) == (theta, 1, 3)
+        case _:
+            pytest.fail("no positional match")
+
+
 @given(distance_matrices(min_n=4, max_n=6, values=st.integers(0, 4)))
 def test_kalmanson_check_matches_direct_scan(matrix):
     theta = CircularOrdering(matrix.ground, range(matrix.n))
@@ -239,10 +313,41 @@ def test_interval_evaluation_rejects_foreign_and_negative():
     g = index_ground(4)
     theta = CircularOrdering(g, range(4))
     other = CircularOrdering(g, [0, 2, 1, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^interval split belongs to a different ordering$"):
         evaluate_circular_distance(theta, {IntervalSplit(other, 0, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative weight$"):
         evaluate_circular_distance(theta, {IntervalSplit(theta, 0, 0): -1})
+    with pytest.raises(ValueError, match="^negative weight$"):
+        evaluate_circular_distance(
+            theta, {IntervalSplit(theta, 0, 1): "1/2", IntervalSplit(theta, 1, 2): "-1/3"}
+        )
+    with pytest.raises(ValueError, match="^refusing float"):
+        evaluate_circular_distance(theta, {IntervalSplit(theta, 0, 0): 0.5})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_orderings_through_table_and_engine(n):
+    """One- and two-index gathers: an itemgetter of one index returns the
+    entry itself, not a 1-tuple."""
+    rng = random.Random(n)
+    g = index_ground(n)
+    theta = CircularOrdering(g, rng.sample(range(n), n))
+    if n == 1:
+        single = evaluate_circular_distance(theta, {})
+        assert single == DistanceMatrix(g, [[0]])
+        assert order_distance_circular(single, OrderParams(2, 1)) == single
+        return
+    for _ in range(5):
+        weights = {
+            iv: Fraction(rng.randint(0, 6), rng.randint(1, 3))
+            for iv in all_interval_splits(theta)
+        }
+        d = evaluate_circular_distance(theta, weights)
+        system = WeightedSplitSystem(g, [(iv.to_split(), w) for iv, w in weights.items()])
+        assert d == generate_distance(system)
+        for p in (2, "1/2", 3):
+            params = OrderParams(p, Fraction(p) / 2)
+            assert order_distance_circular(d, params) == order_distance_eq1(d, params)
 
 
 @pytest.mark.parametrize("n,seed,p", [(5, 10, 2), (8, 11, 3), (12, 12, "1/2")])

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -455,3 +456,50 @@ def test_console_entry_point(tmp_path, quartet_file, src_env):
     )
     assert package.returncode == 0
     assert package.stdout == ok.stdout
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,closed,code",
+    [
+        (["order", "-i", str(GOLDEN / "ties12.dist"), "-p", "2", "-q", "1"], "stdout", 0),
+        (["gen", "circular", "-n", "40", "--seed", "1"], "stdout", 0),
+        (["check", "circular", "-s", str(GOLDEN / "flat7.splits"), "--strict"], "stderr", 1),
+        (["order", "-i", str(GOLDEN / "missing.dist"), "-p", "2", "-q", "1"], "stderr", 2),
+        (["order", "-i", str(GOLDEN / "ties12.dist"), "-p", "2", "-q", "1/4"], "stderr", 3),
+    ],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_pipe_keeps_the_exit_code(argv, closed, code, unbuffered, src_env):
+    """A reader that has closed the pipe before any output is written gets
+    no traceback, and the command's own exit code stands, whether the
+    report waits in a buffer until exit or is written at once."""
+    env = {key: value for key, value in src_env.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {closed: write_end}
+    other = "stderr" if closed == "stdout" else "stdout"
+    streams[other] = subprocess.PIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "ordist", *argv], env=env, **streams)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, getattr(done, other)) == (code, b"")
+
+
+def test_a_reader_that_stops_early_gets_no_traceback(src_env):
+    # about 120 kB of output, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordist", "gen", "circular", "-n", "40", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env,
+    )
+    assert proc.stdout.readline() == b"kind: circular\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")

@@ -163,10 +163,21 @@ def test_matrix_restriction_keeps_entries():
 def test_weighted_system_rejects_duplicates_and_negatives():
     g = GroundSet("abcd")
     s = Split(g, "ab")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate split a,b \| c,d$"):
         WeightedSplitSystem(g, [(s, 1), (Split(g, "cd"), 2)])
-    with pytest.raises(ValueError):
+    # the same weight object twice, and the same split object twice
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^duplicate split a,b \| c,d$"):
+        WeightedSplitSystem(g, [(s, half), (Split(g, "bc"), 1), (s, half)])
+    with pytest.raises(ValueError, match=r"^negative weight -1 on a,b \| c,d$"):
         WeightedSplitSystem(g, [(s, -1)])
+    with pytest.raises(ValueError, match=r"^negative weight -1/3 on a,b \| c,d$"):
+        WeightedSplitSystem(g, {Split(g, "a"): 1, s: "-1/3"})
+    # a negative weight on a repeated split is named as negative
+    with pytest.raises(ValueError, match=r"^negative weight -2 on a,b \| c,d$"):
+        WeightedSplitSystem(g, [(s, 1), (s, -2)])
+    with pytest.raises(ValueError, match="^ground set mismatch$"):
+        WeightedSplitSystem(g, [(Split(GroundSet("abce"), "ab"), 1)])
 
 
 def test_weighted_system_iteration_is_sorted_and_stable():

@@ -10,9 +10,7 @@ linear independence, flatness, closedness and orderliness.
 
 from .circular import (
     CircularOrdering,
-    IntervalSplit,
     NotCircularError,
-    all_interval_splits,
     evaluate_circular_distance,
     fits_on_ordering,
     interval_weight_map,
@@ -149,8 +147,6 @@ __all__ = [
     # circular
     "NotCircularError",
     "CircularOrdering",
-    "IntervalSplit",
-    "all_interval_splits",
     "maximum_circular_splits",
     "interval_weight_map",
     "kalmanson_check",

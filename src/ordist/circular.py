@@ -28,7 +28,6 @@ recovery verifies in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -49,8 +48,6 @@ from .core import (
 __all__ = [
     "NotCircularError",
     "CircularOrdering",
-    "IntervalSplit",
-    "all_interval_splits",
     "maximum_circular_splits",
     "interval_weight_map",
     "kalmanson_check",
@@ -71,8 +68,10 @@ class CircularOrdering:
     """A circular arrangement of all elements, canonicalized so that
     rotations and reversals of the same circle compare equal.
 
-    Arcs are int bitmasks read off the prefix masks of the sequence:
-    prefix k holds the elements at positions 0..k-1.
+    A split of the ordering is named by the positions (i, j),
+    0 <= i <= j <= n-2, of its side avoiding the last element; that arc's
+    bitmask is read off the prefix masks of the sequence, where prefix k
+    holds the elements at positions 0..k-1.
     """
 
     __slots__ = ("ground", "sequence", "_pos", "_prefix", "_hash")
@@ -101,12 +100,6 @@ class CircularOrdering:
 
     def position(self, element: int) -> int:
         return self._pos[element]
-
-    def arc(self, i: int, j: int) -> tuple[int, ...]:
-        """Elements at positions i..j inclusive, moving forward circularly."""
-        n = self.n
-        length = (j - i) % n + 1
-        return tuple(self.sequence[(i + k) % n] for k in range(length))
 
     def arc_bits(self, i: int, j: int) -> int:
         """Bitmask of the elements at positions i..j, 0 <= i <= j < n."""
@@ -157,49 +150,10 @@ class CircularOrdering:
         return f"CircularOrdering({self})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class IntervalSplit:
-    """One split of a circular ordering, keyed by the arc positions i..j
-    (0-based, 0 <= i <= j <= n-2) of the side avoiding the last element."""
-
-    ordering: CircularOrdering
-    i: int
-    j: int
-
-    def __init__(self, ordering: CircularOrdering, i: int, j: int):
-        # through the slots' own setters: interval_weight_map, which builds
-        # one per split, runs about a quarter faster than with the generated
-        # __init__'s object.__setattr__ calls and a __post_init__
-        if not 0 <= i <= j <= ordering.n - 2:
-            raise ValueError(f"bad interval ({i},{j})")
-        _set_ordering(self, ordering)
-        _set_i(self, i)
-        _set_j(self, j)
-
-    def to_split(self) -> Split:
-        theta = self.ordering
-        return Split.from_bits(theta.ground, theta.arc_bits(self.i, self.j))
-
-
-_set_ordering = IntervalSplit.ordering.__set__
-_set_i = IntervalSplit.i.__set__
-_set_j = IntervalSplit.j.__set__
-
-
-def all_interval_splits(theta: CircularOrdering) -> list[IntervalSplit]:
-    """All C(n,2) interval splits of an ordering, lexicographic by (i, j)."""
-    n = theta.n
-    return [
-        IntervalSplit(theta, i, j)
-        for i in range(n - 1)
-        for j in range(i, n - 1)
-    ]
-
-
 def maximum_circular_splits(theta: CircularOrdering) -> list[Split]:
     """The maximum circular split system fitting an ordering, as splits,
-    in the order of ``all_interval_splits``: arc i..j is the prefix-mask
-    difference prefix[j+1] ^ prefix[i]."""
+    lexicographic by (i, j): arc i..j is the prefix-mask difference
+    prefix[j+1] ^ prefix[i]."""
     ground, prefix = theta.ground, theta._prefix
     last = theta.n - 1
     from_bits = Split.from_bits
@@ -221,9 +175,9 @@ def fits_on_ordering(splits: Iterable[Split], theta: CircularOrdering) -> bool:
 
 def interval_weight_map(
     theta: CircularOrdering, system: WeightedSplitSystem
-) -> dict[IntervalSplit, Fraction]:
-    """Re-key a fitting weighted system by arc positions on the ordering,
-    in the system's split order.
+) -> dict[tuple[int, int], Fraction]:
+    """Re-key a fitting weighted system by arc positions (i, j) on the
+    ordering, in the system's split order.
 
     Each split costs one ``CircularOrdering.interval_of``: O(1) int
     operations on n-bit masks, no walk over the elements.
@@ -231,12 +185,12 @@ def interval_weight_map(
     if system.ground != theta.ground:
         raise ValueError("ground set mismatch")
     interval_of = theta.interval_of
-    out: dict[IntervalSplit, Fraction] = {}
+    out: dict[tuple[int, int], Fraction] = {}
     for split, weight in system.items():
         interval = interval_of(split)
         if interval is None:
             raise ValueError(f"split {split} does not fit on the ordering")
-        out[IntervalSplit(theta, *interval)] = weight
+        out[interval] = weight
     return out
 
 
@@ -438,24 +392,24 @@ def _table_distance(
 
 
 def evaluate_circular_distance(
-    theta: CircularOrdering, weights: Mapping[IntervalSplit, object]
+    theta: CircularOrdering, weights: Mapping[tuple[int, int], object]
 ) -> DistanceMatrix:
-    """Distance generated by weighted interval splits of one ordering,
-    computed in O(n^2) by a boundary recurrence instead of touching every
-    split for every pair."""
-    entries = []  # (i, j, numerator, denominator)
-    for iv, raw in weights.items():
-        if iv.ordering is not theta and iv.ordering != theta:
-            raise ValueError("interval split belongs to a different ordering")
+    """Distance generated by weights on the arcs (i, j) of one ordering,
+    0 <= i <= j <= n-2, computed in O(n^2) by a boundary recurrence instead
+    of touching every split for every pair."""
+    last = theta.n - 2
+    rationals = []
+    for (i, j), raw in weights.items():
+        if not 0 <= i <= j <= last:
+            raise ValueError(f"bad interval ({i},{j})")
         w = as_rational(raw)
-        numerator = w.numerator
-        if numerator < 0:
+        if w.numerator < 0:
             raise ValueError("negative weight")
-        entries.append((iv.i, iv.j, numerator, w.denominator))
-    scale = lcm(*(entry[3] for entry in entries))
-    table = [[0] * (theta.n - 1) for _ in range(theta.n - 1)]
-    for i, j, numerator, denominator in entries:
-        table[i][j] += numerator * (scale // denominator)
+        rationals.append(w)
+    scale = lcm(*(w.denominator for w in rationals))
+    table = [[0] * (last + 1) for _ in range(last + 1)]
+    for (i, j), w in zip(weights, rationals):
+        table[i][j] += w.numerator * (scale // w.denominator)
     return _table_distance(theta, table, scale)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -332,7 +331,7 @@ class WeightedSplitSystem:
     reproducible.
     """
 
-    __slots__ = ("ground", "_weights", "_sorted")
+    __slots__ = ("ground", "_weights", "_sorted", "_sorted_weights")
 
     def __init__(
         self,
@@ -353,7 +352,11 @@ class WeightedSplitSystem:
                 raise ValueError(f"duplicate split {split}")
         self.ground = ground
         self._weights = table
-        self._sorted = tuple(sorted(table, key=attrgetter("bits")))
+        # splits and their weights in bitmask order, kept as two columns so
+        # that items() hashes no split and holds no pair per split
+        pairs = sorted(table.items(), key=lambda pair: pair[0].bits)
+        self._sorted = tuple([split for split, _ in pairs])
+        self._sorted_weights = tuple([weight for _, weight in pairs])
 
     @classmethod
     def unit(cls, ground: GroundSet, splits: Iterable[Split]) -> "WeightedSplitSystem":
@@ -367,8 +370,7 @@ class WeightedSplitSystem:
         return self._weights[split]
 
     def items(self) -> Iterator[tuple[Split, Fraction]]:
-        for s in self._sorted:
-            yield s, self._weights[s]
+        return zip(self._sorted, self._sorted_weights)
 
     def split_set(self) -> frozenset[Split]:
         return frozenset(self._weights)

@@ -43,7 +43,6 @@ from .core import (
 __all__ = [
     "FormatError",
     "format_rational",
-    "parse_value",
     "parse_distance_matrix",
     "format_distance_matrix",
     "parse_split_system",

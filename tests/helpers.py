@@ -16,7 +16,6 @@ from ordist import (
     DistanceMatrix,
     FormatError,
     GroundSet,
-    IntervalSplit,
     MidpathDecomposition,
     NoCounterexampleFound,
     OrderParams,
@@ -418,10 +417,16 @@ def interval_of_by_scan(theta: CircularOrdering, split: Split):
     return side[0], side[-1]
 
 
-def interval_split_by_slice(iv: IntervalSplit) -> Split:
-    """The split of an interval, from the slice i..j of the sequence."""
-    seq = iv.ordering.sequence
-    return Split(iv.ordering.ground, seq[iv.i : iv.j + 1])
+def arc_by_walk(theta: CircularOrdering, i: int, j: int) -> tuple[int, ...]:
+    """Elements at positions i..j inclusive, moving forward circularly."""
+    n = theta.n
+    length = (j - i) % n + 1
+    return tuple(theta.sequence[(i + k) % n] for k in range(length))
+
+
+def interval_split_by_slice(theta: CircularOrdering, i: int, j: int) -> Split:
+    """The split of the arc (i, j), from the slice i..j of the sequence."""
+    return Split(theta.ground, theta.sequence[i : j + 1])
 
 
 def interval_weight_map_by_scan(theta: CircularOrdering, system: WeightedSplitSystem) -> dict:
@@ -433,7 +438,7 @@ def interval_weight_map_by_scan(theta: CircularOrdering, system: WeightedSplitSy
         interval = interval_of_by_scan(theta, split)
         if interval is None:
             raise ValueError(f"split {split} does not fit on the ordering")
-        out[IntervalSplit(theta, *interval)] = weight
+        out[interval] = weight
     return out
 
 

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 import subprocess
 import sys
@@ -14,13 +12,11 @@ from ordist import (
     CircularOrdering,
     DistanceMatrix,
     GroundSet,
-    IntervalSplit,
     NotCircularError,
     OrderParams,
     PreconditionError,
     Split,
     WeightedSplitSystem,
-    all_interval_splits,
     evaluate_circular_distance,
     fits_on_ordering,
     generate_distance,
@@ -38,6 +34,7 @@ from ordist import (
 )
 from ordist.circular import _greedy_insertion, _insertion_positions
 from helpers import (
+    arc_by_walk,
     circular_orderings_brute,
     fits_on_ordering_by_transitions,
     greedy_insertion_by_sort,
@@ -53,6 +50,16 @@ from helpers import (
 from strategies import distance_matrices
 
 
+def _intervals(n: int) -> list[tuple[int, int]]:
+    """The arcs (i, j), 0 <= i <= j <= n-2, of an n-element ordering,
+    lexicographic."""
+    return [(i, j) for i in range(n - 1) for j in range(i, n - 1)]
+
+
+def _arc_split(theta: CircularOrdering, i: int, j: int) -> Split:
+    return Split.from_bits(theta.ground, theta.arc_bits(i, j))
+
+
 def test_ordering_canonical_under_rotation_and_reversal():
     g = index_ground(5)
     base = CircularOrdering(g, [0, 1, 2, 3, 4])
@@ -62,7 +69,7 @@ def test_ordering_canonical_under_rotation_and_reversal():
     assert hash(CircularOrdering(g, [2, 3, 4, 0, 1])) == hash(base)
     assert CircularOrdering(g, [0, 2, 1, 3, 4]) != base
     assert base.position(3) == 3
-    assert base.arc(3, 1) == (3, 4, 0, 1)
+    assert arc_by_walk(base, 3, 1) == (3, 4, 0, 1)
     assert str(base) == "x0,x1,x2,x3,x4"
     with pytest.raises(ValueError):
         CircularOrdering(g, [0, 0, 1, 2, 3])
@@ -73,17 +80,11 @@ def test_ordering_canonical_under_rotation_and_reversal():
 def test_interval_splits_enumerate_all_arcs():
     g = GroundSet("abcde")
     theta = CircularOrdering(g, range(5))
-    intervals = all_interval_splits(theta)
-    assert len(intervals) == 10
-    assert IntervalSplit(theta, 1, 2).to_split() == Split(g, "bc")
+    assert _arc_split(theta, 1, 2) == Split(g, "bc")
     splits = maximum_circular_splits(theta)
     assert len(set(splits)) == 10
     assert fits_on_ordering(splits, theta)
     assert not fits_on_ordering([Split(g, "ac")], theta)
-    with pytest.raises(ValueError):
-        IntervalSplit(theta, 2, 1)
-    with pytest.raises(ValueError):
-        IntervalSplit(theta, 0, 4)
     with pytest.raises(ValueError):
         fits_on_ordering([Split(GroundSet("abcdf"), "ab")], theta)
 
@@ -91,11 +92,13 @@ def test_interval_splits_enumerate_all_arcs():
 def test_interval_weight_map_round_trip():
     g = GroundSet("abcde")
     theta = CircularOrdering(g, [0, 2, 4, 1, 3])
-    weights = {iv: Fraction(k + 1) for k, iv in enumerate(all_interval_splits(theta))}
+    weights = {iv: Fraction(k + 1) for k, iv in enumerate(_intervals(5))}
     system = WeightedSplitSystem(
-        g, [(iv.to_split(), w) for iv, w in weights.items()]
+        g, [(_arc_split(theta, *iv), w) for iv, w in weights.items()]
     )
-    assert interval_weight_map(theta, system) == weights
+    keyed = interval_weight_map(theta, system)
+    assert keyed == weights
+    assert list(keyed) == [theta.interval_of(s) for s in system.splits]
     other = WeightedSplitSystem.unit(g, [Split(g, "ab")])
     with pytest.raises(ValueError):
         interval_weight_map(theta, other)
@@ -116,9 +119,9 @@ def test_arc_masks_match_the_element_scans(n):
     for _ in range(3):
         theta, system = random_maximum_circular_system(n, rng, positive=False)
         g = theta.ground
-        intervals = all_interval_splits(theta)
-        arcs = [iv.to_split() for iv in intervals]
-        assert arcs == [interval_split_by_slice(iv) for iv in intervals]
+        intervals = _intervals(n)
+        arcs = [_arc_split(theta, i, j) for i, j in intervals]
+        assert arcs == [interval_split_by_slice(theta, i, j) for i, j in intervals]
         full = (1 << n) - 1
         others = [Split.from_bits(g, rng.randint(1, full - 1)) for _ in range(4 * n)]
         for split in arcs + others:
@@ -127,7 +130,7 @@ def test_arc_masks_match_the_element_scans(n):
                 [split], theta
             )
         for iv, split in zip(intervals, arcs):
-            assert theta.interval_of(split) == (iv.i, iv.j)
+            assert theta.interval_of(split) == iv
         fast = interval_weight_map(theta, system)
         assert list(fast.items()) == list(interval_weight_map_by_scan(theta, system).items())
         assert fits_on_ordering(system.splits, theta)
@@ -160,10 +163,10 @@ def test_popcount_interval_lookup_matches_the_element_scan(n):
     # arcs read forward from every start, wrapping past the last position
     # as often as not, and the arcs ending there, whose canonical side (the
     # one avoiding element 0, at position 0) holds the last element
-    arcs = [Split(g, theta.arc(start, n - 1)) for start in range(1, n)]
+    arcs = [Split(g, arc_by_walk(theta, start, n - 1)) for start in range(1, n)]
     for start in range(n):
         for length in {1, n - 1, rng.randint(1, n - 1)}:
-            arcs.append(Split(g, theta.arc(start, (start + length - 1) % n)))
+            arcs.append(Split(g, arc_by_walk(theta, start, (start + length - 1) % n)))
     full = (1 << n) - 1
     last = 1 << seq[-1]
     others = [Split.from_bits(g, rng.randint(1, full - 1)) for _ in range(3 * n)]
@@ -183,45 +186,11 @@ def test_popcount_interval_lookup_matches_the_element_scan(n):
 def test_maximum_splits_come_off_the_prefix_masks_in_interval_order(n):
     theta = CircularOrdering(index_ground(n), random.Random(n).sample(range(n), n))
     splits = maximum_circular_splits(theta)
-    expected = [iv.to_split() for iv in all_interval_splits(theta)]
+    expected = [interval_split_by_slice(theta, i, j) for i, j in _intervals(n)]
     assert splits == expected
     assert [s.bits for s in splits] == [s.bits for s in expected]
     assert all(s.ground is theta.ground for s in splits)
     assert len(set(splits)) == n * (n - 1) // 2
-
-
-def test_interval_split_is_an_immutable_value():
-    theta = CircularOrdering(index_ground(5), [0, 3, 1, 4, 2])
-    twin = CircularOrdering(index_ground(5), [2, 4, 1, 3, 0])
-    iv = IntervalSplit(theta, 1, 3)
-    for i, j in ((2, 1), (0, 4), (-1, 0), (3, 7)):
-        with pytest.raises(ValueError, match=rf"^bad interval \({i},{j}\)$"):
-            IntervalSplit(theta, i, j)
-    assert iv == IntervalSplit(twin, 1, 3) and hash(iv) == hash(IntervalSplit(twin, 1, 3))
-    assert iv != IntervalSplit(theta, 1, 2) and iv != IntervalSplit(theta, 0, 3)
-    assert iv != IntervalSplit(CircularOrdering(index_ground(5), range(5)), 1, 3)
-    assert iv != (theta, 1, 3)
-    assert hash(iv) == hash((theta, 1, 3))
-    assert len({iv, IntervalSplit(twin, 1, 3), IntervalSplit(theta, 1, 2)}) == 2
-    assert repr(iv) == "IntervalSplit(ordering=CircularOrdering(x0,x2,x4,x1,x3), i=1, j=3)"
-    for name, value in (("i", 0), ("j", 2), ("ordering", twin)):
-        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
-            setattr(iv, name, value)
-    # a name that is no field: Python 3.11's frozen slotted dataclass raises
-    # TypeError from its own __setattr__ where later versions may differ
-    with pytest.raises((AttributeError, TypeError)):
-        iv.other = 1
-    assert not hasattr(iv, "other")
-    with pytest.raises(AttributeError, match="^cannot delete field 'i'$"):
-        del iv.i
-    assert (iv.ordering, iv.i, iv.j) == (theta, 1, 3)
-    for duplicate in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-        assert duplicate(iv) == iv and hash(duplicate(iv)) == hash(iv)
-    match iv:
-        case IntervalSplit(ordering, i, j):
-            assert (ordering, i, j) == (theta, 1, 3)
-        case _:
-            pytest.fail("no positional match")
 
 
 @given(distance_matrices(min_n=4, max_n=6, values=st.integers(0, 4)))
@@ -286,14 +255,13 @@ def test_small_ground_sets_are_trivially_circular():
 @given(st.integers(2, 7), st.data())
 def test_interval_evaluation_matches_split_sum(n, data):
     theta = CircularOrdering(index_ground(n), range(n))
-    intervals = all_interval_splits(theta)
     chosen = data.draw(
-        st.dictionaries(st.sampled_from(intervals), st.integers(0, 6)),
+        st.dictionaries(st.sampled_from(_intervals(n)), st.integers(0, 6)),
         label="weights",
     )
     fast = evaluate_circular_distance(theta, chosen)
     system = WeightedSplitSystem(
-        theta.ground, [(iv.to_split(), w) for iv, w in chosen.items()]
+        theta.ground, [(_arc_split(theta, *iv), w) for iv, w in chosen.items()]
     )
     assert fast == generate_distance(system)
 
@@ -302,27 +270,26 @@ def test_interval_evaluation_accepts_an_equal_ordering():
     theta = CircularOrdering(index_ground(5), [0, 3, 1, 4, 2])
     twin = CircularOrdering(index_ground(5), [2, 4, 1, 3, 0])
     assert twin is not theta and twin == theta and twin.ground is not theta.ground
-    weights = {IntervalSplit(theta, 0, 2): 1, IntervalSplit(theta, 1, 3): "1/2"}
-    twin_weights = {IntervalSplit(twin, iv.i, iv.j): w for iv, w in weights.items()}
-    assert evaluate_circular_distance(theta, twin_weights) == evaluate_circular_distance(
+    # the same splits sit at the same positions of both
+    for split in maximum_circular_splits(theta):
+        assert twin.interval_of(split) == theta.interval_of(split)
+    weights = {(0, 2): 1, (1, 3): "1/2"}
+    assert evaluate_circular_distance(twin, weights) == evaluate_circular_distance(
         theta, weights
     )
 
 
-def test_interval_evaluation_rejects_foreign_and_negative():
-    g = index_ground(4)
-    theta = CircularOrdering(g, range(4))
-    other = CircularOrdering(g, [0, 2, 1, 3])
-    with pytest.raises(ValueError, match="^interval split belongs to a different ordering$"):
-        evaluate_circular_distance(theta, {IntervalSplit(other, 0, 0): 1})
+def test_interval_evaluation_rejects_bad_intervals_and_negative():
+    theta = CircularOrdering(index_ground(5), [0, 3, 1, 4, 2])
+    for i, j in ((2, 1), (0, 4), (-1, 0), (3, 7)):
+        with pytest.raises(ValueError, match=rf"^bad interval \({i},{j}\)$"):
+            evaluate_circular_distance(theta, {(0, 0): 1, (i, j): 1})
     with pytest.raises(ValueError, match="^negative weight$"):
-        evaluate_circular_distance(theta, {IntervalSplit(theta, 0, 0): -1})
+        evaluate_circular_distance(theta, {(0, 0): -1})
     with pytest.raises(ValueError, match="^negative weight$"):
-        evaluate_circular_distance(
-            theta, {IntervalSplit(theta, 0, 1): "1/2", IntervalSplit(theta, 1, 2): "-1/3"}
-        )
+        evaluate_circular_distance(theta, {(0, 1): "1/2", (1, 2): "-1/3"})
     with pytest.raises(ValueError, match="^refusing float"):
-        evaluate_circular_distance(theta, {IntervalSplit(theta, 0, 0): 0.5})
+        evaluate_circular_distance(theta, {(0, 0): 0.5})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -339,15 +306,40 @@ def test_tiny_orderings_through_table_and_engine(n):
         return
     for _ in range(5):
         weights = {
-            iv: Fraction(rng.randint(0, 6), rng.randint(1, 3))
-            for iv in all_interval_splits(theta)
+            iv: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for iv in _intervals(n)
         }
         d = evaluate_circular_distance(theta, weights)
-        system = WeightedSplitSystem(g, [(iv.to_split(), w) for iv, w in weights.items()])
+        system = WeightedSplitSystem(
+            g, [(_arc_split(theta, *iv), w) for iv, w in weights.items()]
+        )
         assert d == generate_distance(system)
         for p in (2, "1/2", 3):
             params = OrderParams(p, Fraction(p) / 2)
             assert order_distance_circular(d, params) == order_distance_eq1(d, params)
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 8, 40])
+def test_generated_systems_through_the_arc_map(n, positive):
+    # the route ``ordist bench`` builds its input by: generator, arc map,
+    # table recurrence; it must give the split system's own distance
+    theta, system = random_maximum_circular_system(
+        n, random.Random(n), positive=positive
+    )
+    keyed = interval_weight_map(theta, system)
+    assert len(keyed) == n * (n - 1) // 2
+    assert evaluate_circular_distance(theta, keyed) == generate_distance(system)
+
+
+def test_fractional_weights_through_the_arc_map():
+    rng = random.Random(30)
+    theta, system = random_maximum_circular_system(30, rng, positive=False)
+    system = system.reweighted(
+        {s: Fraction(rng.randint(0, 9), rng.randint(1, 6)) for s in system.splits}
+    )
+    d = evaluate_circular_distance(theta, interval_weight_map(theta, system))
+    assert d == generate_distance(system)
+    assert d.scale > 1
 
 
 @pytest.mark.parametrize("n,seed,p", [(5, 10, 2), (8, 11, 3), (12, 12, "1/2")])
@@ -403,12 +395,14 @@ def _engine_cases(rng):
         yield DistanceMatrix(index_ground(n), rows)
 
 
-def _interval_of_arc(theta: CircularOrdering, start: int, end: int) -> IntervalSplit:
-    """The interval split cut by the arc start..end of positions."""
+def _interval_of_arc(theta: CircularOrdering, start: int, end: int) -> tuple[int, int]:
+    """The positions (i, j) of the split cut by the arc start..end of
+    positions: the arc itself, or its complement when it holds the last
+    position."""
     n = theta.n
     if start <= end <= n - 2:
-        return IntervalSplit(theta, start, end)
-    return IntervalSplit(theta, (end + 1) % n, (start - 1) % n)
+        return start, end
+    return (end + 1) % n, (start - 1) % n
 
 
 def test_circular_engine_against_eq1_and_the_scan_oracle():
@@ -442,9 +436,9 @@ def test_circular_engine_against_eq1_and_the_scan_oracle():
         # the lemma: every strict-comparison side is one arc holding u, not v
         arcs = strict_side_arcs(d, theta)
         for (u, v), (start, end) in arcs.items():
-            side = theta.arc(start, end)
+            side = arc_by_walk(theta, start, end)
             assert u in side and v not in side
-            tally["tied"] += len(side) + len(theta.arc(*arcs[v, u])) < n
+            tally["tied"] += len(side) + len(arc_by_walk(theta, *arcs[v, u])) < n
         uses = Counter(_interval_of_arc(theta, *arc) for arc in arcs.values())
         for params in params_list:
             expected = order_distance_eq1(d, params)

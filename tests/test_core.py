@@ -189,6 +189,27 @@ def test_weighted_system_iteration_is_sorted_and_stable():
     assert re.weight(splits[0]) == 5 and re.weight(splits[1]) == 0
 
 
+def test_weighted_system_items_hash_no_split(monkeypatch):
+    g = index_ground(6)
+    weights = {Split.from_bits(g, bits): Fraction(bits, 3) for bits in (6, 1, 12, 5, 3)}
+    system = WeightedSplitSystem(g, weights)
+    expected = [(s, weights[s]) for s in sorted(weights, key=lambda s: s.bits)]
+    calls = []
+    split_hash = Split.__hash__
+
+    def counting_hash(split):
+        calls.append(split)
+        return split_hash(split)
+
+    monkeypatch.setattr(Split, "__hash__", counting_hash)
+    assert list(system.items()) == expected
+    assert list(system.items()) == expected
+    assert calls == []
+    # the counter does see lookups by split
+    assert system.weight(expected[0][0]) == expected[0][1]
+    assert len(calls) == 1
+
+
 def test_order_params_bounds():
     OrderParams(2, 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import ordist
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "ordist").glob("*.py"))
 
@@ -47,3 +50,23 @@ def test_the_package_reads_no_environment_variables():
         if getattr(node, field, None) in ("environ", "environb", "getenv", "getenvb")
     ]
     assert found == []
+
+
+def test_the_package_exports_exactly_the_library_modules_names():
+    """ordist.__all__ holds each name of the eight library modules' __all__
+    once and nothing else, so a name that leaves its module cannot stay
+    exported from the package."""
+    library = (
+        "circular", "compat", "core", "flatlab",
+        "formats", "generators", "order", "rankings",
+    )
+    module_names = [
+        name
+        for module in library
+        for name in importlib.import_module(f"ordist.{module}").__all__
+    ]
+    exported = [name for name in ordist.__all__ if name != "__version__"]
+    assert len(exported) == len(set(exported))
+    assert len(module_names) == len(set(module_names))
+    assert set(exported) == set(module_names)
+    assert all(hasattr(ordist, name) for name in exported)

@@ -29,8 +29,9 @@ recovery verifies in full.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
 from .core import (
@@ -42,6 +43,7 @@ from .core import (
     WeightedSplitSystem,
     as_rational,
     ground_and_splits,
+    separation_rows,
     transpose_bits,
 )
 
@@ -88,10 +90,7 @@ class CircularOrdering:
         self.ground = ground
         self.sequence = tuple(seq)
         self._pos = {e: i for i, e in enumerate(seq)}
-        prefix = [0]
-        for e in seq:
-            prefix.append(prefix[-1] | 1 << e)
-        self._prefix = prefix
+        self._prefix = list(accumulate([1 << e for e in seq], or_, initial=0))
         self._hash = hash((ground, self.sequence))
 
     @property
@@ -165,11 +164,8 @@ def maximum_circular_splits(theta: CircularOrdering) -> list[Split]:
 
 
 def fits_on_ordering(splits: Iterable[Split], theta: CircularOrdering) -> bool:
-    """True when every split cuts the ordering into two arcs.
-
-    Each split costs one ``CircularOrdering.interval_of``: O(1) int
-    operations on n-bit masks, no walk over the elements.
-    """
+    """True when every split cuts the ordering into two arcs: one
+    ``CircularOrdering.interval_of`` per split."""
     return all(theta.interval_of(split) is not None for split in splits)
 
 
@@ -177,11 +173,9 @@ def interval_weight_map(
     theta: CircularOrdering, system: WeightedSplitSystem
 ) -> dict[tuple[int, int], Fraction]:
     """Re-key a fitting weighted system by arc positions (i, j) on the
-    ordering, in the system's split order.
-
-    Each split costs one ``CircularOrdering.interval_of``: O(1) int
-    operations on n-bit masks, no walk over the elements.
-    """
+    ordering, in the system's split order: one
+    ``CircularOrdering.interval_of`` per split, O(1) int operations on
+    n-bit masks, no walk over the elements."""
     if system.ground != theta.ground:
         raise ValueError("ground set mismatch")
     interval_of = theta.interval_of
@@ -336,20 +330,16 @@ def is_circular_split_system(
     Works through distances: the unit weighting of a circular system
     generates a circular distance whose valid orderings are exactly the
     orderings the system fits on, and the fit is re-checked explicitly.
-    That distance counts the splits separating x and y, the popcount of
-    side[x] ^ side[y], where bit t of side[e] (``transpose_bits``) says
-    element e lies on the canonical side of split t.
+    That distance counts the splits separating x and y: the split
+    distance kernel (``separation_rows``) with every weight 1.
     """
     ground, split_list = ground_and_splits(splits)
-    n = ground.n
     if not split_list:
-        return CircularOrdering(ground, range(n))
-    side = transpose_bits([s.bits for s in split_list], n)
-    unit = [[(side_x ^ side_y).bit_count() for side_y in side] for side_x in side]
+        return CircularOrdering(ground, range(ground.n))
+    side = transpose_bits([s.bits for s in split_list], ground.n)
+    unit = separation_rows(side, [1] * len(split_list))
     theta = recover_circular_ordering(DistanceMatrix.from_scaled(ground, unit))
-    if theta is not None and fits_on_ordering(split_list, theta):
-        return theta
-    return None
+    return theta if theta is not None and fits_on_ordering(split_list, theta) else None
 
 
 def _gather(indices: list[int] | tuple[int, ...]):
@@ -420,19 +410,17 @@ def order_distance_circular(
 
     Recovers and verifies an ordering, locates every strict-comparison arc,
     and evaluates the weighted arc system with the O(n^2) recurrence.  For
-    positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z) never decreases
-    along the path a..b and never increases along b..a (module docstring),
-    so {f < 0} and {f > 0} are arcs whose ends are found by one search on
-    each path, and a second, binary one only past a tied boundary.  For a
-    fixed a the ends barely move from one b to the next, so each of the two
-    main searches gallops (Bentley and Yao, "An almost optimal algorithm
-    for unbounded searching", IPL 5, 1976): it starts at the end found for
-    the previous b, doubles its step in the direction f points until it
-    passes the boundary, and closes the last step by binary search.  A
-    boundary d places away costs about 2 log2(d) + 2 comparisons, so
-    O(log n) at worst, and the same lemma that makes a binary search
-    correct makes any start correct.  The verified ordering proves the
-    lemma for every pair, so no scan or other fallback is needed.
+    positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z) is monotone
+    along each path between them (module docstring), so {f < 0} and
+    {f > 0} are arcs whose ends take one search on each path, and a second,
+    binary one only past a tied boundary.  The ends barely move from one b
+    to the next, so each main search gallops (Bentley and Yao, IPL 5,
+    1976): from the end found for the previous b it doubles its step
+    towards the boundary, then closes the last step by binary search,
+    about 2 log2(d) + 2 comparisons for a boundary d places away.  The
+    monotonicity that makes a binary search correct makes any start
+    correct, and the verified ordering proves it for every pair, so no
+    scan or other fallback is needed.
 
     Raises PreconditionError when q != p/2, and its subclass
     NotCircularError when no ordering passes verification or when a

@@ -4,6 +4,8 @@ All arithmetic is exact: values are `fractions.Fraction` at the API and
 ints over one common denominator inside a distance matrix; floats are
 rejected at the boundary.  Splits are stored canonically (the side not
 containing element 0, as an int bitmask), so `A|B` and `B|A` compare equal.
+One kernel, ``separation_sums``, sums weighted splits into distances for
+``generate_distance``, ``is_circular_split_system`` and flatlab's solver.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -34,6 +37,8 @@ _LABEL_FORBIDDEN = set(",|:#")
 # '0'/'1' digits to 0/1 selector bytes for itertools.compress, and flipped
 _DIGIT_SELECTS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_SELECTS_FLIPPED = bytes.maketrans(b"01", b"\x01\x00")
+# byte value to the '0'/'1' digit of its bit b, one table for each b < 8
+_BIT_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -133,20 +138,22 @@ def transpose_bits(rows: Sequence[int], width: int) -> list[int]:
     """The bit matrix read by columns: bit t of out[e] is bit e of rows[t],
     for e < width.
 
-    The rows are written out as '0'/'1' digits into one bytearray, the last
-    row first and each row most significant bit first, so every column is
-    one strided slice that ``int(..., 2)`` reads back.  The bytearray holds
-    len(rows) * width bytes.  Each row must be a non-negative int below
-    2**width.
+    The rows go little-endian into one bytes object, last row first, so
+    byte e // 8 of every row is one strided slice; a table per bit b < 8
+    turns the object into '0'/'1' digits that ``int(..., 2)`` reads back
+    as the columns e = b mod 8.  Rows must be ints in [0, 2**width).
     """
-    if any(row >> width for row in rows):
+    if rows and (min(rows) < 0 or max(rows) >> width):
         raise ValueError(f"rows must be non-negative ints below 2**{width}")
     if not rows or not width:
         return [0] * width
-    text = bytearray(len(rows) * width)
-    for start, row in zip(range(0, len(text), width), reversed(rows)):
-        text[start : start + width] = format(row, f"0{width}b").encode()
-    return [int(text[width - 1 - e :: width], 2) for e in range(width)]
+    size = (width + 7) // 8
+    data = b"".join([row.to_bytes(size, "little") for row in reversed(rows)])
+    out = [0] * width
+    for b in range(min(width, 8)):
+        digits = data.translate(_BIT_DIGITS[b])
+        out[b::8] = [int(digits[e >> 3 :: size], 2) for e in range(b, width, 8)]
+    return out
 
 
 def canonical_mask(mask: int, full: int) -> int:
@@ -202,13 +209,8 @@ class Split:
 
     def parts(self) -> tuple[frozenset[int], frozenset[int]]:
         """Both parts as index sets: (part containing element 0, the other)."""
-        with0, without0 = self.index_lists()
-        return frozenset(with0), frozenset(without0)
-
-    def index_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Both parts as sorted index tuples, cheap form for inner loops."""
         full = (1 << self.ground.n) - 1
-        return tuple(bit_indices(full ^ self.bits)), tuple(bit_indices(self.bits))
+        return frozenset(bit_indices(full ^ self.bits)), frozenset(bit_indices(self.bits))
 
     @property
     def min_side_size(self) -> int:
@@ -460,31 +462,53 @@ class OrderParams:
 
 def split_metric(split: Split) -> DistanceMatrix:
     """The 0/1 distance matrix of one split: 1 exactly for separated pairs."""
-    n = split.ground.n
-    rows = [[int(split.separates(i, j)) for j in range(n)] for i in range(n)]
-    return DistanceMatrix.from_scaled(split.ground, rows)
+    return generate_distance(WeightedSplitSystem.unit(split.ground, [split]))
+
+
+def separation_sums(weights: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
+    """The split distance kernel: a function taking masks sep of splits to
+    the sums of weights[t] over the set bits t of each.
+
+    With side = ``transpose_bits`` of the split bits, sep = side[x] ^ side[y]
+    holds the splits separating x and y.  With low = min(0, min w) and W_k
+    the mask of the splits whose w - low has bit k, built once here, ints
+    of any sign sum as
+        D(x, y) = sum over k of 2**k * popcount(sep & W_k) + low * popcount(sep).
+    """
+    low = min(0, min(weights, default=0))
+    shifted = [w - low for w in weights]
+    planes = transpose_bits(shifted, max(shifted, default=0).bit_length())
+    planes = [(k, plane) for k, plane in enumerate(planes) if plane]
+
+    def sums(masks: Sequence[int]) -> list[int]:
+        out = [low * mask.bit_count() for mask in masks] if low else [0] * len(masks)
+        for k, plane in planes:
+            out = [s + ((mask & plane).bit_count() << k) for s, mask in zip(out, masks)]
+        return out
+
+    return sums
+
+
+def separation_rows(side: Sequence[int], weights: Sequence[int]) -> list[list[int]]:
+    """The symmetric int rows of D(x, y): ``separation_sums`` on the masks
+    side[x] ^ side[y] for y > x, added to their transpose."""
+    sums = separation_sums(weights)
+    upper = [[0] * x + sums([a ^ b for b in side[x:]]) for x, a in enumerate(side)]
+    return [list(map(add, row, column)) for row, column in zip(upper, zip(*upper))]
 
 
 def generate_distance(system: WeightedSplitSystem) -> DistanceMatrix:
     """The distance generated by a weighted split system:
     D(x, y) = sum of weights of the splits separating x and y.
 
-    The weights are scaled to integers by their common denominator and
-    summed as ints over that scale.
+    The nonzero weights are scaled to ints by their common denominator
+    and summed over that scale by ``separation_rows``.
     """
-    n = system.ground.n
     weighted = [(split, w) for split, w in system.items() if w != 0]
     scale = lcm(*(w.denominator for _, w in weighted))
-    totals = [[0] * n for _ in range(n)]
-    for split, w in weighted:
-        w = w.numerator * (scale // w.denominator)
-        a_side, b_side = split.index_lists()
-        for i in a_side:
-            row = totals[i]
-            for j in b_side:
-                row[j] += w
-    rows = [[totals[i][j] + totals[j][i] for j in range(n)] for i in range(n)]
-    return DistanceMatrix.from_scaled(system.ground, rows, scale)
+    side = transpose_bits([split.bits for split, _ in weighted], system.ground.n)
+    ints = [w.numerator * (scale // w.denominator) for _, w in weighted]
+    return DistanceMatrix.from_scaled(system.ground, separation_rows(side, ints), scale)
 
 
 def restrict_split_system(

@@ -9,11 +9,13 @@ circular case is Chepoi & Fichet 1998, the weakly compatible case the
 isolation index of Bandelt & Dress 1992).  The splits that do not peel, the
 core, go through a fraction-free Gauss-Jordan elimination (Bareiss 1968),
 which divides each row update exactly by the previous pivot and leaves
-every pivot equal to one integer det.  A distance enters as its integer
-rows over its scale, so the weights express_in_basis returns are the only
-Fractions, each over 2 * scale, or det * 2 * scale on the core.  Span
-questions have no tolerance knobs, which the orderliness probe below
-depends on.
+every pivot equal to one integer det.  Each element pair keeps the mask of
+the splits separating it; the core rows and, through the kernel
+``core.separation_sums``, every weighted sum of split metrics come from
+these masks.  A distance enters as its integer rows over its scale, so the
+weights express_in_basis returns are the only Fractions, each over
+2 * scale, or det * 2 * scale on the core.  Span questions have no
+tolerance knobs, which the orderliness probe below depends on.
 
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
@@ -42,6 +44,7 @@ from .core import (
     WeightedSplitSystem,
     bit_indices,
     ground_and_splits,
+    separation_sums,
     transpose_bits,
 )
 from .order import order_distance_eq1
@@ -74,10 +77,11 @@ class _ExactSolver:
     """Exact weights of a fixed split sequence, set up once so that many
     targets can be expressed against the same splits.
 
-    Bit t of side[e] is set when element e lies on the `bits` side of
-    split t (the split bits transposed by ``transpose_bits``), so
-    side[x] ^ side[y] holds the splits separating x and y.  Two
-    kinds of functional read a weighted sum of splits off D:
+    Bit t of side[e] is set when element e lies on the `bits` side of split
+    t (``transpose_bits`` of the split bits), so the pair mask
+    side[x] ^ side[y] holds the splits separating x and y; pair_masks lists
+    them in the order of pairs.  Two kinds of functional read a weighted
+    sum of splits off D:
       3-point (x; a, b): 1/2 (D(x,a) + D(x,b) - D(a,b)) is the total weight
         of the splits putting x on one side and a, b on the other;
       4-point Qa - Qb on i < j < k < l, where Q1, Q2, Q3 hold the splits
@@ -92,10 +96,11 @@ class _ExactSolver:
     and annihilates the splits left over, the core: the rank is the number
     peeled plus the core's rank, and the splits are independent exactly
     when the core is.  Only the core is eliminated, fraction-free
-    Gauss-Jordan on its incidence rows, each followed by the unit vector
-    that records the row operations; every entry stays an integer minor of
-    these extended rows.  An empty core is the common case; peeled and
-    core_size count the splits in each part.
+    Gauss-Jordan on its incidence rows (bit t of each pair mask for core
+    split t), each followed by the unit vector that records the row
+    operations; every entry stays an integer minor of these extended rows.
+    An empty core is the common case; peeled and core_size count the
+    splits in each part.
     """
 
     def __init__(self, ground: GroundSet, splits: list[Split]):
@@ -104,27 +109,22 @@ class _ExactSolver:
         n = ground.n
         self.pairs = list(combinations(range(n), 2))
         m = len(self.pairs)
+        side = transpose_bits([split.bits for split in self.splits], n)
+        sep = [[a ^ b for b in side] for a in side]
         slot = [[0] * n for _ in range(n)]
         for p, (i, j) in enumerate(self.pairs):
             slot[i][j] = slot[j][i] = p
-        self._separated: list[list[int]] = []  # the pair slots each split separates
-        for split in self.splits:
-            a_side, b_side = split.index_lists()
-            self._separated.append([slot[i][j] for i in a_side for j in b_side])
-        side = transpose_bits([split.bits for split in self.splits], n)
-        self._steps, unsolved = self._peel(side, slot)
-        core = [t for t in range(len(self.splits)) if unsolved >> t & 1]
-        self._core = core
+        self.pair_masks = [sep[i][j] for i, j in self.pairs]
+        self._steps, unsolved = self._peel(sep, slot)
+        self._core = core = [t for t in range(len(self.splits)) if unsolved >> t & 1]
         self.peeled = len(self._steps)
         self.core_size = k = len(core)
-        rows = [[0] * (m + k) for _ in core]
-        for idx, t in enumerate(core):
-            for p in self._separated[t]:
-                rows[idx][p] = 1
-            rows[idx][m + idx] = 1
+        rows = [
+            [mask >> t & 1 for mask in self.pair_masks] + [int(c == idx) for c in range(k)]
+            for idx, t in enumerate(core)
+        ]
         self.pivot_cols: list[int] = []
-        rank = 0
-        det = 1
+        rank, det = 0, 1
         for col in range(m):
             pivot = next((r for r in range(rank, k) if rows[r][col] != 0), None)
             if pivot is None:
@@ -148,21 +148,20 @@ class _ExactSolver:
         self._rows = rows
 
     def _peel(
-        self, side: list[int], slot: list[list[int]]
+        self, sep: list[list[int]], slot: list[list[int]]
     ) -> tuple[list[tuple[int, tuple[int, ...], tuple[int, ...]]], int]:
-        """Run the waves; return the steps and the mask of the splits left
-        unsolved.
+        """Run the waves over the masks sep[x][y] of the splits separating
+        x and y; return the steps and the mask of the splits left unsolved.
 
         Each solved split t gets a step (slot, plus, minus), in schedule
         order: with the target's pair values in slots 0..m-1 and the solved
         weights, times 2 * scale, in slot m + s for split s, weight t times
-        2 * scale is the sum over the plus slots minus the sum over the
-        minus slots.
+        2 * scale is the sum over the plus slots minus that over the minus.
         """
         n, m = self.ground.n, len(self.pairs)
-        sep = [[a ^ b for b in side] for a in side]
         unsolved = (1 << len(self.splits)) - 1
         steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        split_slot = list(range(m, m + len(self.splits))).__getitem__  # shared ints m + t
 
         def solve(plus_mask: int, minus_mask: int, plus_pairs: tuple, minus_pairs: tuple) -> None:
             nonlocal unsolved
@@ -171,11 +170,11 @@ class _ExactSolver:
             if minus_mask & hit:
                 plus_mask, minus_mask = minus_mask, plus_mask
                 plus_pairs, minus_pairs = minus_pairs, plus_pairs
-            plus = [slot[i][j] for i, j in plus_pairs] + [m + s for s in bit_indices(minus_mask)]
-            minus = [slot[i][j] for i, j in minus_pairs] + [
-                m + s for s in bit_indices(plus_mask ^ hit)
-            ]
-            steps.append((m + hit.bit_length() - 1, tuple(plus), tuple(minus)))
+            plus = [slot[i][j] for i, j in plus_pairs]
+            plus += map(split_slot, bit_indices(minus_mask))
+            minus = [slot[i][j] for i, j in minus_pairs]
+            minus += map(split_slot, bit_indices(plus_mask ^ hit))
+            steps.append((split_slot(hit.bit_length() - 1), tuple(plus), tuple(minus)))
 
         solved_before = -1
         while unsolved and len(steps) > solved_before:
@@ -240,9 +239,16 @@ class _ExactSolver:
         split, so each int has its weight's sign.
 
         The peeled weights come by back-substitution in schedule order,
-        then the residual 2D - sum(weight * split metric) is expressed on
-        the core.  None unless the residual is matched exactly, so the
-        weights regenerate D."""
+        then the residual 2D - sum(weight * split metric), the kernel over
+        the pair masks, is expressed on the core.  None unless the residual
+        is matched exactly, so the weights regenerate D.
+
+        When all m = C(n, 2) splits peel, the residual is zero and skipped:
+        peeled functional t is +-2 on split t and 0 on every split solved
+        after it, so the m functionals against the m split metrics form a
+        square triangular matrix with diagonal +-2.  It is invertible, so
+        the split metrics span all distances and back-substitution returns
+        the weights regenerating D."""
         m = len(self.pairs)
         rows = matrix.comparison_rows()
         values = [rows[i][j] for i, j in self.pairs]
@@ -251,11 +257,9 @@ class _ExactSolver:
         for slot, plus, minus in self._steps:
             buf[slot] = sum(map(get, plus)) - sum(map(get, minus))
         weights = buf[m:]
-        residual = [2 * v for v in values]
-        for w, separated in zip(weights, self._separated):
-            if w:
-                for p in separated:
-                    residual[p] -= w
+        if self.peeled == m:
+            return weights
+        residual = [2 * v - g for v, g in zip(values, separation_sums(weights)(self.pair_masks))]
         total = [0] * (m + len(self._core))
         for col, row in zip(self.pivot_cols, self._rows):
             c = residual[col]
@@ -300,13 +304,6 @@ def express_in_basis(
     return _ExactSolver(ground, split_list).express(matrix)
 
 
-def _corner_masks(ground: GroundSet, s1: Split, s2: Split) -> tuple[int, int, int, int]:
-    full = (1 << ground.n) - 1
-    a1, b1 = s1.bits, full ^ s1.bits
-    a2, b2 = s2.bits, full ^ s2.bits
-    return a1 & a2, b1 & a2, a1 & b2, b1 & b2
-
-
 def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Split] | None:
     """First incompatible pair violating closedness, or None.
 
@@ -324,6 +321,7 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
     """
     ground, split_list = ground_and_splits(splits)
     have = set(split_list)
+    full = (1 << ground.n) - 1
 
     def _in(mask: int) -> bool:
         return Split.from_bits(ground, mask) in have
@@ -331,7 +329,9 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
     for s1, s2 in combinations(split_list, 2):
         if is_compatible_pair(s1, s2):
             continue
-        m11, m21, m12, m22 = _corner_masks(ground, s1, s2)
+        a1, a2 = s1.bits, s2.bits
+        b1, b2 = full ^ a1, full ^ a2
+        m11, m21, m12, m22 = a1 & a2, b1 & a2, a1 & b2, b1 & b2
         n1, n2, n3, n4 = m11.bit_count(), m21.bit_count(), m12.bit_count(), m22.bit_count()
         if _in(m11) and _in(m21) and _in(m12) and _in(m22):
             continue
@@ -361,10 +361,7 @@ def _pairsep_ok_for(
         required.append(a_mask | bx | by)
     if a_mask:
         required.append(a_mask)
-    for mask in required:
-        if Split.from_bits(ground, mask) not in have:
-            return False
-    return True
+    return all(Split.from_bits(ground, mask) in have for mask in required)
 
 
 def pairwise_separation_check(
@@ -476,9 +473,7 @@ class CounterexampleFound:
     phase: int
     trial: int | None = None
 
-    @property
-    def is_counterexample(self) -> bool:
-        return True
+    is_counterexample = True
 
 
 @dataclass(frozen=True)
@@ -486,9 +481,7 @@ class NoCounterexampleFound:
     pair_probes: int
     trials: int
 
-    @property
-    def is_counterexample(self) -> bool:
-        return False
+    is_counterexample = False
 
 
 OrderlyVerdict = Union[CounterexampleFound, NoCounterexampleFound]
@@ -507,11 +500,11 @@ def orderly_test(
     independence so that expressions are unique; a verdict of
     NoCounterexampleFound is evidence, not proof.
 
-    A probe is a list of int weights in split order.  The generated
-    distance is summed into the solver's pair slots, its order distance
-    comes from ``order_distance_eq1``, and the solver's integer weights
-    give the signs of the re-expression.  Only a counterexample gets its
-    Fraction weighting and expression.
+    A probe is a list of int weights in split order.  Its generated
+    distance is the split distance kernel over the solver's pair masks,
+    its order distance comes from ``order_distance_eq1``, and the solver's
+    integer weights give the signs of the re-expression.  Only a
+    counterexample gets its Fraction weighting and expression.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -523,13 +516,8 @@ def orderly_test(
     n, pairs = ground.n, solver.pairs
 
     def probe(weights: list[int], phase: int, trial: int | None) -> CounterexampleFound | None:
-        totals = [0] * len(pairs)
-        for w, separated in zip(weights, solver._separated):
-            if w:
-                for p in separated:
-                    totals[p] += w
         rows = [[0] * n for _ in range(n)]
-        for (i, j), d in zip(pairs, totals):
+        for (i, j), d in zip(pairs, separation_sums(weights)(solver.pair_masks)):
             rows[i][j] = rows[j][i] = d
         order_values = order_distance_eq1(DistanceMatrix.from_scaled(ground, rows), params)
         signed = solver._signed_weights(order_values)

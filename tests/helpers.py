@@ -99,19 +99,25 @@ def midpath_by_scan(matrix: DistanceMatrix) -> MidpathDecomposition:
 
 
 def orderly_by_fractions(splits, trials: int = 200, seed: int = 0):
-    """``orderly_test`` on Fraction weightings: each probe builds the
-    weighted system, generates its distance, takes the order distance at
-    (2, 1), expresses it with ``express_in_basis`` and tests the Fraction
-    weights in split order.  The oracle for the integer probes."""
+    """``orderly_test`` on Fraction weightings: each probe sums its
+    distance pair by pair over ``Split.separates``, takes the order
+    distance at (2, 1), expresses it with ``express_in_basis`` and tests
+    the Fraction weights in split order.  The oracle for the integer
+    probes, independent of the split distance kernel."""
     ground, split_list = ground_and_splits(splits)
     if not is_linearly_independent(split_list):
         raise DependentBasisError("orderly test requires linearly independent splits")
     params = OrderParams(2, 1)
+    n = ground.n
 
     def probe(weights, phase, trial):
-        system = WeightedSplitSystem(ground, weights)
-        order_values = order_distance_eq1(generate_distance(system), params)
-        expr = express_in_basis(order_values, system)
+        generated = [
+            [sum((w for s, w in weights.items() if s.separates(x, y)), Fraction(0))
+             for y in range(n)]
+            for x in range(n)
+        ]
+        order_values = order_distance_eq1(DistanceMatrix(ground, generated), params)
+        expr = express_in_basis(order_values, split_list)
         if expr is None:
             return CounterexampleFound(dict(weights), None, None, phase, trial)
         for s in split_list:

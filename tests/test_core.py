@@ -16,8 +16,8 @@ from ordist import (
     restrict_split_system,
     split_metric,
 )
-from ordist.core import transpose_bits
-from strategies import distance_matrices, rationals, split_systems
+from ordist.core import separation_rows, separation_sums, transpose_bits
+from strategies import canonical_masks, distance_matrices, rationals, split_systems
 
 
 def test_as_rational_accepts_exact_forms():
@@ -93,7 +93,7 @@ def test_split_from_bits_round_trip(n, data):
     s = Split(g, [i for i in range(n) if mask >> i & 1])
     assert Split.from_bits(g, mask) == s
     assert Split.from_bits(g, ((1 << n) - 1) ^ mask) == s
-    parts = (",".join(g.labels[i] for i in part) for part in s.index_lists())
+    parts = (",".join(g.labels[i] for i in sorted(part)) for part in s.parts())
     assert str(s) == " | ".join(parts)
 
 
@@ -304,6 +304,60 @@ def test_transpose_bits_refuses_rows_wider_than_width():
     for rows, width in (([8], 3), ([-1], 3), ([1], 0)):
         with pytest.raises(ValueError):
             transpose_bits(rows, width)
+
+
+@st.composite
+def signed_split_weights(draw):
+    """n in 1..7, distinct splits of index_ground(n) (none when n = 1) and
+    an int weight in -50..50 for each."""
+    n = draw(st.integers(1, 7))
+    masks = draw(st.sets(canonical_masks(n), max_size=12)) if n > 1 else set()
+    splits = [Split.from_bits(index_ground(n), m) for m in sorted(masks)]
+    weights = draw(st.lists(st.integers(-50, 50), min_size=len(splits), max_size=len(splits)))
+    return n, splits, weights
+
+
+def _kernel_against_separates(n, splits, weights):
+    """separation_sums on every pair mask and separation_rows on the
+    transposed splits, both against the per-pair sum over Split.separates."""
+    side = transpose_bits([s.bits for s in splits], n)
+    brute = [
+        [sum(w for s, w in zip(splits, weights) if s.separates(x, y)) for y in range(n)]
+        for x in range(n)
+    ]
+    masks = [side[x] ^ side[y] for x in range(n) for y in range(n)]
+    assert separation_sums(weights)(masks) == [d for row in brute for d in row]
+    assert separation_rows(side, weights) == brute
+
+
+@given(signed_split_weights())
+def test_split_distance_kernel_matches_the_per_pair_sum(case):
+    _kernel_against_separates(*case)
+
+
+@pytest.mark.parametrize(
+    "n, side_lists, weights",
+    [
+        (1, [], []),
+        (2, [], []),
+        (2, [[1]], [7]),
+        (2, [[1]], [-3]),
+        (5, [], []),
+        (5, [[1], [1, 2], [0, 3]], [0, 0, 0]),
+        (5, [[1], [1, 2], [0, 3]], [2**64, 2**70 + 3, -(2**65) - 1]),
+        (4, [[0], [1], [2], [3], [0, 1], [0, 2]], [2**64 - 1, 2**64, -1, 0, 5, 2**100]),
+    ],
+)
+def test_split_distance_kernel_edge_cases(n, side_lists, weights):
+    ground = index_ground(n)
+    splits = [Split(ground, side) for side in side_lists]
+    _kernel_against_separates(n, splits, weights)
+
+
+def test_split_distance_kernel_of_no_masks_or_no_weights():
+    assert separation_sums([3, -4])([]) == []
+    assert separation_sums([])([0, 0]) == [0, 0]
+    assert separation_rows([0], []) == [[0]]
 
 
 def test_restrict_split_system_merges_and_drops():

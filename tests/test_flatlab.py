@@ -206,6 +206,33 @@ def test_maximum_systems_peel_with_an_empty_core():
         assert express_in_basis(generate_distance(system), system) == dict(system.items())
 
 
+def test_full_rank_systems_express_arbitrary_matrices():
+    # all C(n,2) splits peel, so no residual is checked: the weights of any
+    # symmetric matrix, generated by the system or not, must still be the
+    # ones Fraction elimination finds
+    rng = random.Random(2019)
+    systems = [random_maximum_circular_system(n, rng)[1] for n in range(4, 10)]
+    systems += [random_maximum_flat_system(n, rng) for n in range(4, 8)]
+    negative = 0
+    for system in systems:
+        ground, splits = ground_and_splits(system)
+        n = ground.n
+        pairs = list(combinations(range(n), 2))
+        assert _ExactSolver(ground, splits).peeled == len(splits) == len(pairs)
+        vectors = [[int(s.separates(i, j)) for i, j in pairs] for s in splits]
+        for _ in range(3):
+            rows = [[0] * n for _ in range(n)]
+            for i, j in pairs:
+                rows[i][j] = rows[j][i] = rng.randint(0, 30)
+            values = [rows[i][j] for i, j in pairs]
+            rank, in_span, solution = fraction_rank_and_solution(vectors, values)
+            assert (rank, in_span) == (len(splits), True)
+            weights = express_in_basis(DistanceMatrix(ground, rows), splits)
+            assert weights == dict(zip(splits, solution))
+            negative += min(solution) < 0
+    assert negative >= 20
+
+
 def test_express_rejects_dependent_basis():
     _, splits = seven_split_cluster()
     d = generate_distance(WeightedSplitSystem.unit(splits[0].ground, splits))

@@ -5,23 +5,23 @@ is empty; a system is compatible when all its pairs are.  Compatible
 weighted systems are exactly the edge-split systems of trees whose vertices
 of degree at most 2 carry labels, and this module converts between the two
 presentations.  The sides stored for the splits (those without element 0)
-nest or are disjoint exactly when the system is compatible, so a tree is
-built by placing them, largest first, under the vertex holding their
-lowest element; the way back hangs the tree from vertex 0 and reads each
-edge's split off the elements below it.  It also provides the classical
-four-point and ultrametric checks and an exhaustive six-point search that
-certifies when the strict comparison splits of a distance matrix fail to be
-compatible.  The search is complete only while the distances off the
-diagonal are positive: with zeros there, incompatible input can have no
-six-point certificate of this form (61 of 4149 incompatible inputs of a
-seeded zero-rich family on 4 to 7 elements had none), so finding no
-witness does not show that the splits are compatible.
+nest or are disjoint exactly when the system is compatible, so one pass
+that places them, largest first, under the vertex holding their lowest
+element both decides compatibility and builds the tree; the way back
+hangs the tree from vertex 0 and reads each edge's split off the elements
+below it.  It also provides the classical four-point and ultrametric
+checks and an exhaustive six-point search that certifies when the strict
+comparison splits of a distance matrix fail to be compatible.  The search
+is complete only while the distances off the diagonal are positive: with
+zeros there, incompatible input can have no six-point certificate of this
+form (61 of 4149 incompatible inputs of a seeded zero-rich family on 4 to
+7 elements had none), so finding no witness does not show that the splits
+are compatible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
@@ -63,10 +63,9 @@ def incompatible_pair(
 ) -> tuple[Split, Split] | None:
     """The first incompatible pair in canonical order, or None.  An empty
     collection has no pairs, so it needs no ground set."""
-    if not isinstance(splits, WeightedSplitSystem):
-        splits = list(splits)
-        if not splits:
-            return None
+    splits = splits if isinstance(splits, WeightedSplitSystem) else list(splits)
+    if not splits:
+        return None
     _, items = ground_and_splits(splits)
     for i, s1 in enumerate(items):
         for s2 in items[i + 1 :]:
@@ -76,9 +75,36 @@ def incompatible_pair(
 
 
 def is_compatible(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
-    """True when every pair of splits is compatible.  An empty collection
-    is vacuously compatible."""
-    return incompatible_pair(splits) is None
+    """True when every pair of splits is compatible, decided by the
+    nesting pass of ``xtree_from_compatible`` in O(sum of the side sizes)
+    rather than pair by pair.  An empty collection is vacuously compatible."""
+    splits = splits if isinstance(splits, WeightedSplitSystem) else list(splits)
+    if not splits:
+        return True
+    ground, items = ground_and_splits(splits)
+    return len(_nest(ground.n, items)[1]) == len(items)
+
+
+def _nest(n: int, splits: Iterable[Split]) -> tuple[list[Split], list[int], list[int]]:
+    """Place the stored sides of canonically ordered splits, largest first
+    (a stable sort), as vertices 1, 2, ... under a root 0 that starts with
+    every element: each under the vertex holding its lowest element, taking
+    its elements from that vertex's bag.  Returns the splits largest first,
+    each placed one's parent and each element's vertex.  A side not inside
+    that one bag crosses an earlier side and stops the placing, so fewer
+    parents than splits means they are not compatible."""
+    by_size = sorted(splits, key=lambda split: -split.bits.bit_count())
+    owner = [0] * n
+    parents: list[int] = []
+    for split in by_size:
+        side = bit_indices(split.bits)
+        parent = owner[side[0]]
+        if any(owner[e] != parent for e in side):
+            break
+        parents.append(parent)
+        for e in side:
+            owner[e] = len(parents)
+    return by_size, parents, owner
 
 
 def _hang(
@@ -163,27 +189,17 @@ class XTree:
 def xtree_from_compatible(system: WeightedSplitSystem) -> XTree:
     """Build the tree realizing a compatible weighted split system.
 
-    Each split becomes exactly one edge with the same weight.  The stored
-    sides never contain element 0, so on compatible input they nest or are
-    disjoint.  Starting from one root vertex holding every element, the
-    sides are placed largest first, each as a new vertex under the vertex
-    that currently holds its lowest element, taking its elements out of
-    that vertex's bag.  A side that does not lie inside that bag overlaps
-    an earlier side partly, so the input is rejected there.  Vertices are
-    numbered in placement order, from the root outward.
+    Each split becomes exactly one edge with the same weight, placed by
+    ``_nest``; a side that crosses an earlier one rejects the input there.
+    Vertices are numbered in placement order, from the root outward.
     """
-    owner = [0] * system.ground.n  # vertex whose bag holds each element
-    edges: list[tuple[int, int, Fraction]] = []
-    by_size = sorted(system.items(), key=lambda it: (-it[0].bits.bit_count(), it[0].bits))
-    for split, weight in by_size:
-        side = bit_indices(split.bits)
-        parent = owner[side[0]]
-        if any(owner[e] != parent for e in side):
-            raise ValueError(f"split system is not compatible at {split}")
-        vertex = len(edges) + 1
-        for e in side:
-            owner[e] = vertex
-        edges.append((parent, vertex, weight))
+    by_size, parents, owner = _nest(system.ground.n, system.splits)
+    if len(parents) < len(by_size):
+        raise ValueError(f"split system is not compatible at {by_size[len(parents)]}")
+    edges = [
+        (parent, vertex, system.weight(split))
+        for vertex, (parent, split) in enumerate(zip(parents, by_size), 1)
+    ]
     bags: list[list[int]] = [[] for _ in range(len(edges) + 1)]
     for e, v in enumerate(owner):
         bags[v].append(e)

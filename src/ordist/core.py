@@ -409,12 +409,16 @@ def ground_and_splits(
     A bare collection takes its ground set from its splits, so it must not
     be empty, and all its splits must share one ground set.
     """
-    if not isinstance(splits, WeightedSplitSystem):
-        distinct = set(splits)
-        if not distinct:
-            raise ValueError("cannot infer the ground set of an empty collection")
-        splits = WeightedSplitSystem.unit(next(iter(distinct)).ground, distinct)
-    return splits.ground, splits.splits
+    if isinstance(splits, WeightedSplitSystem):
+        return splits.ground, splits.splits
+    distinct = set(splits)
+    if not distinct:
+        raise ValueError("cannot infer the ground set of an empty collection")
+    ground = next(iter(distinct)).ground
+    for split in distinct:
+        if split.ground is not ground:
+            _check_same_ground(ground, split.ground)
+    return ground, tuple(sorted(distinct, key=lambda split: split.bits))
 
 
 class PreconditionError(ValueError):

@@ -19,7 +19,9 @@ comparison of D(u, .) with D(v, .).  So O(x, y) counts the pairs on which
 the comparison sets of x and y differ: ``order_distance_eq1`` evaluates
 Eq. (1) with popcounts of their XOR, never listing the splits.
 ``midpath_split_system`` reads the same sets by columns: transposed, the
-column of bit (u, v) is the part {z : D(u, z) < D(v, z)} itself, so the
+column of bit (u, v) is the part {z : D(u, z) < D(v, z)} itself, so one
+transpose of the strict sets gives every closer-to-u side, and the
+equidistant set of {u, v} is what neither strict side holds.  The
 aggregated parts come out without comparing entries one z at a time.
 ``order_distance_kendall`` is a per-pair reformulation through penalized
 Kendall distances of the distance-from-x rankings.  The engines return
@@ -110,32 +112,37 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     """Aggregate the proper closer-to-u sides and equidistant sets of all
     pairs into two multiplicity maps keyed by canonical splits.
 
-    The sides are read off the comparison sets of ``order_distance_eq1``:
-    bit u*w + v (w = 8 * ceil(n/8)) of element z's strict set says
-    D(u, z) < D(v, z), so transposing the n strict sets
-    (``transpose_bits``) gives, at column u*w + v, the side
-    {z : D(u, z) < D(v, z)} as an n-bit mask, and the tie sets give the
-    equidistant sets the same way.  Diagonal and padding columns come out
-    empty or full and drop with the improper sides.  Each transpose holds
-    the sets as n * n * w / 8 bytes plus one digit copy, 4.2 MB at n = 256.
+    Bit u*w + v (w = 8 * ceil(n/8)) of element z's strict comparison set
+    says D(u, z) < D(v, z), so one transpose of the n strict sets gives, at
+    column u*w + v, the side X(u, v) = {z : D(u, z) < D(v, z)} as an n-bit
+    mask.  The equidistant set of {u, v} is what neither strict side holds,
+    full ^ (X(u, v) | X(v, u)); for u < v the columns u*w + v form a slice
+    and the columns v*w + u a slice with stride w.  Improper sides drop,
+    the empty diagonal and padding columns among them.  The raw columns are
+    counted first and only the distinct ones canonicalized, in first-seen
+    order.  Only the strict sets are built; they, the transpose's byte copy
+    and its digit copy hold n * n * w / 8 bytes each, and the traced peak
+    is 12.5 MB at n = 256.
     """
     n = matrix.n
     full = (1 << n) - 1
     width = 8 * ((n + 7) // 8)
     rows = matrix.comparison_rows()
     # rows[z] is column z too: the matrix is symmetric
-    strict, ties = zip(*(_comparison_sets(rows[z], True) for z in range(n)))
-    x_sides = transpose_bits(strict, n * width)
-    x_masks = Counter(canonical_mask(m, full) for m in x_sides if 0 < m < full)
-    del x_sides  # one transpose alive at a time
-    e_sides = transpose_bits(ties, n * width)
-    # each unordered pair once: the columns u*w + v with u < v
-    e_masks = Counter(
-        canonical_mask(m, full)
+    sides = transpose_bits([_comparison_sets(rows[z], False)[0] for z in range(n)], n * width)
+    ties = (
+        full ^ (near_u | near_v)
         for u in range(n)
-        for m in e_sides[u * width + u + 1 : u * width + n]
-        if 0 < m < full
+        for near_u, near_v in zip(
+            sides[u * width + u + 1 : u * width + n], sides[(u + 1) * width + u :: width]
+        )
     )
+    x_masks, e_masks = {}, {}
+    for counts, masks in ((x_masks, sides), (e_masks, ties)):
+        for mask, count in Counter(masks).items():
+            if 0 < mask < full:
+                key = canonical_mask(mask, full)
+                counts[key] = counts.get(key, 0) + count
     if len(x_masks) > n * (n - 1):
         raise AssertionError("split count exceeds the n(n-1) bound")
     ground = matrix.ground

@@ -56,6 +56,55 @@ def test_incompatible_pair_reporting():
         is_compatible_pair(ab, Split(g2, "ab"))
 
 
+def compatible_by_pairs(splits) -> bool:
+    splits = list(splits)
+    return all(
+        compatible_pair_brute(s1, s2)
+        for i, s1 in enumerate(splits)
+        for s2 in splits[i + 1 :]
+    )
+
+
+@given(split_systems(min_n=2, max_n=8))
+def test_compatibility_matches_the_pairwise_check(system):
+    expected = compatible_by_pairs(system.splits)
+    assert is_compatible(system) == expected
+    assert is_compatible(reversed(system.splits)) == expected
+    assert (incompatible_pair(system) is None) == expected
+
+
+@pytest.mark.parametrize(
+    "sides,expected",
+    [
+        (["b", "bc", "bcd", "bcde"], True),  # a nested chain
+        (["bc", "de", "f"], True),  # disjoint siblings
+        (["bcdef", "bc", "de", "b", "c"], True),  # siblings under one parent
+        # cde is placed first; bc overlaps it but not at bc's lowest element b
+        (["cde", "bc"], False),
+        (["cde", "cf"], False),  # the overlap holds cf's lowest element
+        (["bcd", "cde"], False),  # two crossing sides of one size
+    ],
+)
+def test_compatibility_on_small_systems(sides, expected):
+    g = GroundSet("abcdef")
+    splits = [Split(g, side) for side in sides]
+    assert is_compatible(splits) == expected
+    assert is_compatible(WeightedSplitSystem.unit(g, splits)) == expected
+    assert compatible_by_pairs(splits) == expected
+
+
+def test_compatibility_edge_cases():
+    g = GroundSet("ab")
+    assert is_compatible([Split(g, "a")])
+    assert is_compatible([Split(g, "a"), Split(g, "b")])  # one split, twice
+    assert is_compatible([])
+    assert is_compatible(WeightedSplitSystem(g, []))
+    with pytest.raises(ValueError, match="ground set mismatch"):
+        is_compatible([Split(g, "a"), Split(GroundSet("xy"), "x")])
+    with pytest.raises(ValueError, match="ground set mismatch"):
+        incompatible_pair([Split(g, "a"), Split(GroundSet("xy"), "x")])
+
+
 def caterpillar() -> WeightedSplitSystem:
     g = GroundSet("abcde")
     sides = ["a", "b", "c", "d", "e", "ab", "abc"]
@@ -85,7 +134,9 @@ def test_tree_round_trip_on_random_trees(n, seed):
 
 @given(split_systems(min_n=2, max_n=8))
 def test_tree_building_rejects_exactly_the_incompatible_systems(system):
-    if not is_compatible(system):
+    # the verdict comes from the pairwise check: is_compatible shares the
+    # nesting pass with xtree_from_compatible
+    if not compatible_by_pairs(system.splits):
         with pytest.raises(ValueError, match="not compatible"):
             xtree_from_compatible(system)
     else:

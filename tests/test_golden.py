@@ -1,8 +1,11 @@
 """Golden reports: CLI commands replayed byte for byte against reports
 written before the split-system kernels moved onto bitsets, order
 matrices replayed against files written before the Kendall engine moved
-onto per-row tables, and ``gen circular`` systems replayed against those
-written before arcs were read off prefix masks and popcounts.
+onto per-row tables, ``gen circular`` systems replayed against those
+written before arcs were read off prefix masks and popcounts, and
+``midpath`` of a zero-rich matrix and ``check compat`` reports written
+before the equidistant sets were read off the strict sides and
+compatibility was decided by one nesting pass.
 
 Each report case runs one command over the inputs in ``tests/data/golden``
 and compares its exit code and report with ``<case>.report`` there, whose
@@ -33,6 +36,9 @@ DATA = Path(__file__).parent / "data" / "golden"
 CASES = {
     "midpath-tree64": "midpath -i {data}/tree64.dist",
     "midpath-ties12": "midpath -i {data}/ties12.dist --witness",
+    "midpath-zeros12": "midpath -i {data}/zeros12.dist",
+    "compat-circular32": "check compat -s {data}/circular32.splits",
+    "compat-tree16": "check compat -s {data}/tree16.splits",
     "circular-32": "check circular -s {data}/circular32.splits",
     "circular-flat7": "check circular -s {data}/flat7.splits --strict",
     "orderly-S1_5": "orderly -s S1_5 --trials 20 --seed 0",

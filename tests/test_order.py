@@ -22,6 +22,7 @@ from ordist import (
     two_split_instance,
     two_split_order_values,
 )
+from ordist import order as order_module
 from helpers import (
     kendall_counts_brute,
     midpath_by_scan,
@@ -150,9 +151,10 @@ def _zero_rich_matrix(n: int, rng: random.Random) -> DistanceMatrix:
 
 def test_midpath_matches_the_scan():
     # the transposed comparison sets against the per-element scan, split
-    # for split and count for count, in the same first-seen key order
+    # for split and count for count, in the same first-seen key order; 63,
+    # 64 and 65 pad the row width to 64, 64 and 72 bits
     rng = random.Random(2019)
-    for n in range(1, 41):
+    for n in [*range(1, 41), 63, 64, 65]:
         matrices = [
             random_distance_matrix(n, rng),
             random_distance_matrix(n, rng, tie_rich=True),
@@ -165,6 +167,29 @@ def test_midpath_matches_the_scan():
             assert fast == scan
             assert list(fast.x_splits) == list(scan.x_splits)
             assert list(fast.e_splits) == list(scan.e_splits)
+
+
+def test_midpath_transposes_the_strict_sets_once(monkeypatch):
+    # the equidistant sets come from the strict sides, so one call builds
+    # no tie sets and runs one transpose, of width n * w with w = 16 here
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append((name, args[-1]))
+            return function(*args)
+
+        return wrapper
+
+    for attr, name in (("transpose_bits", "transpose"), ("_comparison_sets", "sets")):
+        monkeypatch.setattr(order_module, attr, counted(name, getattr(order_module, attr)))
+    matrix = random_distance_matrix(9, random.Random(9), tie_rich=True)
+    decomposition = midpath_split_system(matrix)
+    assert decomposition == midpath_by_scan(matrix)
+    assert decomposition.e_splits
+    assert calls.count(("transpose", 9 * 16)) == 1
+    assert calls.count(("sets", False)) == 9
+    assert len(calls) == 10
 
 
 def _zero_heavy_matrix(n: int, rng: random.Random) -> DistanceMatrix:

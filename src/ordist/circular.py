@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, Mapping
 
 from .core import (
@@ -42,6 +42,7 @@ from .core import (
     Split,
     WeightedSplitSystem,
     as_rational,
+    gather,
     ground_and_splits,
     separation_rows,
     transpose_bits,
@@ -342,16 +343,6 @@ def is_circular_split_system(
     return theta if theta is not None and fits_on_ordering(split_list, theta) else None
 
 
-def _gather(indices: list[int] | tuple[int, ...]):
-    """A function taking a row to the tuple of its entries at the indices,
-    in their order; an ``itemgetter`` unless there is only one index, where
-    an ``itemgetter`` would give the entry rather than a 1-tuple."""
-    if len(indices) == 1:
-        index = indices[0]
-        return lambda row: (row[index],)
-    return itemgetter(*indices)
-
-
 def _table_distance(
     theta: CircularOrdering, table: list[list[int]], scale: int
 ) -> DistanceMatrix:
@@ -376,7 +367,7 @@ def _table_distance(
                 - 2 * table[a + 1][b - 1]
             )
     # back from positions to elements: row and column e are position pos[e]
-    by_element = _gather([theta.position(e) for e in range(n)])
+    by_element = gather([theta.position(e) for e in range(n)])
     out = list(map(by_element, by_element(dist)))
     return DistanceMatrix.from_scaled(theta.ground, out, scale)
 
@@ -437,7 +428,7 @@ def order_distance_circular(
     seq = theta.sequence
     # rows and columns by position; the path b..a runs over the indices
     # b-n..a, whose negative part Python's indexing wraps round to b..n-1
-    by_position = _gather(seq)
+    by_position = gather(seq)
     pos_rows = list(map(by_position, by_position(rows)))
     weight = params.half_p.numerator
     table = [[0] * (n - 1) for _ in range(n - 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -138,22 +138,36 @@ def transpose_bits(rows: Sequence[int], width: int) -> list[int]:
     """The bit matrix read by columns: bit t of out[e] is bit e of rows[t],
     for e < width.
 
-    The rows go little-endian into one bytes object, last row first, so
-    byte e // 8 of every row is one strided slice; a table per bit b < 8
-    turns the object into '0'/'1' digits that ``int(..., 2)`` reads back
-    as the columns e = b mod 8.  Rows must be ints in [0, 2**width).
+    The rows go little-endian into one bytes object, last row first (one
+    byte each when width <= 8), so byte e // 8 of every row is one strided
+    slice; a table per bit b < 8 turns the object into '0'/'1' digits that
+    ``int(..., 2)`` reads back as the columns e = b mod 8.  Rows must be
+    ints in [0, 2**width).
     """
     if rows and (min(rows) < 0 or max(rows) >> width):
         raise ValueError(f"rows must be non-negative ints below 2**{width}")
     if not rows or not width:
         return [0] * width
     size = (width + 7) // 8
-    data = b"".join([row.to_bytes(size, "little") for row in reversed(rows)])
+    if size == 1:
+        data = bytes(reversed(rows))
+    else:
+        data = b"".join([row.to_bytes(size, "little") for row in reversed(rows)])
     out = [0] * width
     for b in range(min(width, 8)):
         digits = data.translate(_BIT_DIGITS[b])
         out[b::8] = [int(digits[e >> 3 :: size], 2) for e in range(b, width, 8)]
     return out
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function taking a row to the tuple of its entries at the indices,
+    in their order; an ``itemgetter`` unless there is only one index, where
+    an ``itemgetter`` would give the entry rather than a 1-tuple."""
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda row: (row[index],)
+    return itemgetter(*indices)
 
 
 def canonical_mask(mask: int, full: int) -> int:

@@ -21,9 +21,12 @@ A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
 weights.  orderly_test searches for a violating weighting: first the
 two-split weightings supported on incompatible pairs, whose order distances
-have known closed form, then seeded random weightings.  Its probes stay in
-ints from the weighting to the signs of the weights re-expressing the order
-distance; Fractions are built only for a counterexample.
+have known closed form, then seeded random weightings.  Each probe is one
+int pipeline in the solver's pair order: the split distance kernel gives
+the generated pair values, per-element column gathers feed the strict
+comparison sets of ``order``, and the popcounts of Eq. (1) give the order
+distance, whose re-expression the solver signs.  No DistanceMatrix and no
+Fraction is built unless the probe finds a counterexample.
 """
 
 from __future__ import annotations
@@ -38,16 +41,16 @@ from .compat import is_compatible_pair
 from .core import (
     DistanceMatrix,
     GroundSet,
-    OrderParams,
     PreconditionError,
     Split,
     WeightedSplitSystem,
     bit_indices,
+    gather,
     ground_and_splits,
     separation_sums,
     transpose_bits,
 )
-from .order import order_distance_eq1
+from .order import _comparison_sets
 
 __all__ = [
     "DependentBasisError",
@@ -223,7 +226,8 @@ class _ExactSolver:
             raise DependentBasisError("splits are linearly dependent")
         if matrix.ground != self.ground:
             raise ValueError("ground set mismatch")
-        signed = self._signed_weights(matrix)
+        rows = matrix.comparison_rows()
+        signed = self._signed_weights([rows[i][j] for i, j in self.pairs])
         if signed is None:
             return None
         scale = 2 * matrix.scale
@@ -232,11 +236,13 @@ class _ExactSolver:
             out[t] = Fraction(signed[t], abs(self.det) * scale)
         return dict(zip(self.splits, out))
 
-    def _signed_weights(self, matrix: DistanceMatrix) -> list[int] | None:
+    def _signed_weights(self, values: list[int]) -> list[int] | None:
         """The weights of an independent split sequence as ints, in split
-        order, or None when the matrix leaves their span: weight t times
-        2 * scale for a peeled split, times |det| * 2 * scale for a core
-        split, so each int has its weight's sign.
+        order, or None when the distance leaves their span.  values holds
+        the distance's ints over its scale in pair order, and the weights
+        are weight t times 2 * scale for a peeled split, times
+        |det| * 2 * scale for a core split, so each int has its weight's
+        sign.
 
         The peeled weights come by back-substitution in schedule order,
         then the residual 2D - sum(weight * split metric), the kernel over
@@ -250,8 +256,6 @@ class _ExactSolver:
         the split metrics span all distances and back-substitution returns
         the weights regenerating D."""
         m = len(self.pairs)
-        rows = matrix.comparison_rows()
-        values = [rows[i][j] for i, j in self.pairs]
         buf = values + [0] * len(self.splits)
         get = buf.__getitem__
         for slot, plus, minus in self._steps:
@@ -500,11 +504,17 @@ def orderly_test(
     independence so that expressions are unique; a verdict of
     NoCounterexampleFound is evidence, not proof.
 
-    A probe is a list of int weights in split order.  Its generated
-    distance is the split distance kernel over the solver's pair masks,
-    its order distance comes from ``order_distance_eq1``, and the solver's
-    integer weights give the signs of the re-expression.  Only a
-    counterexample gets its Fraction weighting and expression.
+    A probe is a list of int weights in split order and runs in ints in
+    the solver's pair order.  The split distance kernel over the pair
+    masks gives the generated pair values.  Gathers built once per test
+    read each element's column off them, with the diagonal zero appended
+    as an extra slot, and ``order._comparison_sets`` turns each column
+    into its strict comparison set T_x.  At (2, 1) Eq. (1) is
+    O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie
+    sets), and the solver's integer weights of these values give the
+    signs of the re-expression.  Only a counterexample gets its Fraction
+    weighting and, through a DistanceMatrix of the order values, its
+    expression.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -512,14 +522,19 @@ def orderly_test(
     solver = _ExactSolver(ground, split_list)
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")
-    params = OrderParams(2, 1)
-    n, pairs = ground.n, solver.pairs
+    n, pairs, pair_masks = ground.n, solver.pairs, solver.pair_masks
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    diagonal = len(pairs)  # the zero appended to the pair values
+    columns = [
+        gather([slot[min(u, x), max(u, x)] if u != x else diagonal for u in range(n)])
+        for x in range(n)
+    ]
 
     def probe(weights: list[int], phase: int, trial: int | None) -> CounterexampleFound | None:
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), d in zip(pairs, separation_sums(weights)(solver.pair_masks)):
-            rows[i][j] = rows[j][i] = d
-        order_values = order_distance_eq1(DistanceMatrix.from_scaled(ground, rows), params)
+        generated = separation_sums(weights)(pair_masks)
+        generated.append(0)
+        strict = [_comparison_sets(column(generated), False)[0] for column in columns]
+        order_values = [(strict[i] ^ strict[j]).bit_count() for i, j in pairs]
         signed = solver._signed_weights(order_values)
         if signed is not None and min(signed, default=0) >= 0:
             return None
@@ -527,9 +542,11 @@ def orderly_test(
         if signed is None:
             return CounterexampleFound(weighting, None, None, phase, trial)
         negative = next(s for s, w in zip(split_list, signed) if w < 0)
-        return CounterexampleFound(
-            weighting, solver.express(order_values), negative, phase, trial
-        )
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), value in zip(pairs, order_values):
+            rows[i][j] = rows[j][i] = value
+        expression = solver.express(DistanceMatrix.from_scaled(ground, rows))
+        return CounterexampleFound(weighting, expression, negative, phase, trial)
 
     pair_probes = 0
     for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):

@@ -35,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .core import (
     DistanceMatrix,
@@ -151,7 +152,7 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     return MidpathDecomposition(x_splits, e_splits)
 
 
-def _comparison_sets(column: list[int], with_ties: bool) -> tuple[int, int]:
+def _comparison_sets(column: Sequence[int], with_ties: bool) -> tuple[int, int]:
     """The strict and the tie comparison sets of one element x, as ints.
 
     ``column[u]`` is D(u, x).  Row u of the strict set (bits u*w .. u*w+n-1,
@@ -170,17 +171,19 @@ def _comparison_sets(column: list[int], with_ties: bool) -> tuple[int, int]:
     for value in sorted(blocks, reverse=True):
         above[value] = farther
         farther |= blocks[value]
-    strict = int.from_bytes(
-        b"".join(above[value].to_bytes(width, "little") for value in column),
-        "little",
-    )
+    strict = _joined_rows(above, column, width)
     if not with_ties:
         return strict, 0
-    ties = int.from_bytes(
-        b"".join(blocks[value].to_bytes(width, "little") for value in column),
-        "little",
-    )
-    return strict, ties
+    return strict, _joined_rows(blocks, column, width)
+
+
+def _joined_rows(row_of: dict[int, int], column: Sequence[int], width: int) -> int:
+    """The int whose row u, of width bytes, is row_of[column[u]]."""
+    if width == 1:
+        data = bytes(map(row_of.__getitem__, column))
+    else:
+        data = b"".join(row_of[value].to_bytes(width, "little") for value in column)
+    return int.from_bytes(data, "little")
 
 
 def order_distance_eq1(

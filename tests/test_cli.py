@@ -341,6 +341,18 @@ def test_empty_split_system(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "text", ["1\na\n", "2\na b\na | b\n", "3\na b c\n"], ids=["n1", "n2-one-split", "n3-empty"]
+)
+def test_orderly_on_the_smallest_systems(tmp_path, text):
+    # one element, one split on two, no split on three: per-element column
+    # gathers over one index must still give one-entry columns
+    splits = write(tmp_path, "small.splits", text)
+    outcome = run(["orderly", "-s", splits, "--trials", "3", "--seed", "0"])
+    assert outcome.exit_code == 0
+    assert outcome.report == "verdict: no-counterexample\npair-probes: 0\ntrials: 3"
+
+
+@pytest.mark.parametrize(
     "command,message",
     [
         (["decompose", "-i", "big.dist", "-s", "one.splits"], "bad value '1e5000' in row 'a'"),

@@ -39,6 +39,8 @@ from ordist import (
     split_rank,
     two_split_instance,
 )
+import ordist.flatlab as flatlab_module
+import ordist.order as order_module
 from ordist.core import ground_and_splits
 from ordist.flatlab import _ExactSolver
 from helpers import (
@@ -415,8 +417,9 @@ def test_orderly_probe_is_deterministic():
 def test_orderly_matches_fraction_probes():
     # the integer probes against the Fraction path, verdict field by field
     # and in the same key order; random independent subsets of all splits
-    # add NOT-IN-SPAN verdicts and eliminated cores, and the two 4-element
-    # systems phase-2 verdicts of both kinds
+    # add NOT-IN-SPAN verdicts and eliminated cores, the two 4-element
+    # systems phase-2 verdicts of both kinds, and n = 9, 10 comparison set
+    # rows wider than one byte
     rng = random.Random(31)
     cases = [(flat_fixture(name), 10, 0) for name in FLAT_FIXTURE_NAMES]
     for n in range(5, 9):
@@ -432,6 +435,10 @@ def test_orderly_matches_fraction_probes():
         subset = rng.sample(every, rng.randint(2, n * (n - 1) // 2))
         if is_linearly_independent(subset):
             cases.append((subset, rng.choice([0, 10]), rng.randrange(100)))
+    for n in (9, 10):
+        cases.append((random_maximum_circular_system(n, rng)[1], 5, n))
+        cases.append((random_maximum_flat_system(n, rng), 5, n))
+        cases.append((random_binary_tree_system(n, rng), 5, n))
     seen = Counter()
     for system, trials, seed in cases:
         verdict = orderly_test(system, trials=trials, seed=seed)
@@ -452,6 +459,41 @@ def test_orderly_matches_fraction_probes():
         assert (verdict.phase, verdict.trial) == (oracle.phase, oracle.trial)
     kinds = ["none", "core", (1, True), (1, False), (2, True), (2, False)]
     assert all(seen[kind] for kind in kinds), seen
+
+
+def test_orderly_probes_build_no_matrix(monkeypatch):
+    # a probe stays in pair-order ints: only a counterexample builds a
+    # DistanceMatrix, for its expression
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        DistanceMatrix, "from_scaled",
+        staticmethod(counted("from_scaled", DistanceMatrix.from_scaled)),
+    )
+    monkeypatch.setattr(_ExactSolver, "express", counted("express", _ExactSolver.express))
+    for module in (order_module, flatlab_module):
+        if hasattr(module, "order_distance_eq1"):
+            monkeypatch.setattr(
+                module, "order_distance_eq1", counted("eq1", module.order_distance_eq1)
+            )
+    _, splits = random_maximum_circular_system(8, random.Random(8))
+    verdict = orderly_test(splits, trials=10, seed=1)
+    assert isinstance(verdict, NoCounterexampleFound)
+    assert verdict.pair_probes > 0
+    assert not calls
+    system = flat_fixture("S1_5")
+    verdict = orderly_test(system, trials=0)
+    assert calls == {"from_scaled": 1, "express": 1}
+    assert all(type(w) is Fraction for w in verdict.expression.values())
+    monkeypatch.undo()
+    check_counterexample(verdict, list(system.split_set()))
 
 
 def test_orderly_needs_independence():

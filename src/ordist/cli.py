@@ -24,7 +24,7 @@ from .circular import (
     is_circular_split_system,
     order_distance_circular,
 )
-from .compat import incompatible_pair, is_compatible, six_point_witness
+from .compat import incompatible_pair, six_point_witness
 from .core import (
     DistanceMatrix,
     OrderParams,
@@ -37,7 +37,6 @@ from .flatlab import (
     express_in_basis,
     flat_fixture,
     is_closed,
-    is_linearly_independent,
     is_maximum_flat,
     orderly_test,
     pairwise_separation_check,
@@ -138,7 +137,8 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
     n = matrix.n
     decomp = midpath_split_system(matrix)
     splits = sorted(decomp.x_splits, key=lambda s: s.bits)
-    compatible = is_compatible(splits)
+    pair = incompatible_pair(splits)
+    compatible = pair is None
     lines = [
         f"elements: {n}",
         f"x-splits: {len(decomp.x_splits)}",
@@ -147,7 +147,6 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
         f"compatible: {_verdict(compatible)}",
     ]
     if not compatible:
-        pair = incompatible_pair(splits)
         lines.append(f"incompatible-pair: [{pair[0]}] [{pair[1]}]")
     if args.witness:
         # a witness shows two crossing strict sides, so none exists here
@@ -178,10 +177,10 @@ def _cmd_check(args: argparse.Namespace) -> CommandOutcome:
     labels = system.ground.labels
     lines: list[str] = []
     if args.kind == "compat":
-        ok = is_compatible(system)
+        pair = incompatible_pair(system)
+        ok = pair is None
         lines.append(f"compat: {_verdict(ok)}")
         if not ok:
-            pair = incompatible_pair(system)
             lines.append(f"incompatible-pair: [{pair[0]}] [{pair[1]}]")
     elif args.kind == "circular":
         theta = is_circular_split_system(system)
@@ -190,9 +189,10 @@ def _cmd_check(args: argparse.Namespace) -> CommandOutcome:
             lines.append(f"ordering: {theta}")
         ok = theta is not None
     elif args.kind == "independent":
-        ok = is_linearly_independent(system)
+        rank = split_rank(system)
+        ok = rank == len(system)
         lines.append(f"independent: {_verdict(ok)}")
-        lines.append(f"rank: {split_rank(system)}")
+        lines.append(f"rank: {rank}")
         lines.append(f"size: {len(system)}")
     elif args.kind == "flat":
         ok = is_maximum_flat(system)

@@ -1,22 +1,22 @@
 """Compatibility of split systems, trees, and treelike distances.
 
 Two splits are compatible when one of the four pairwise side intersections
-is empty; a system is compatible when all its pairs are.  Compatible
-weighted systems are exactly the edge-split systems of trees whose vertices
-of degree at most 2 carry labels, and this module converts between the two
-presentations.  The sides stored for the splits (those without element 0)
-nest or are disjoint exactly when the system is compatible, so one pass
-that places them, largest first, under the vertex holding their lowest
-element both decides compatibility and builds the tree; the way back
-hangs the tree from vertex 0 and reads each edge's split off the elements
-below it.  It also provides the classical four-point and ultrametric
-checks and an exhaustive six-point search that certifies when the strict
-comparison splits of a distance matrix fail to be compatible.  The search
-is complete only while the distances off the diagonal are positive: with
-zeros there, incompatible input can have no six-point certificate of this
-form (61 of 4149 incompatible inputs of a seeded zero-rich family on 4 to
-7 elements had none), so finding no witness does not show that the splits
-are compatible.
+is empty, that is, when their stored sides (those without element 0) do not
+cross; a system is compatible when all its pairs are.  Compatible weighted
+systems are exactly the edge-split systems of trees whose vertices of
+degree at most 2 carry labels, and this module converts between the two
+presentations.  The stored sides nest or are disjoint exactly when the
+system is compatible, so one pass that places them, largest first, under
+the vertex holding their lowest element both decides compatibility and
+builds the tree; the way back hangs the tree from vertex 0 and reads each
+edge's split off the elements below it.  It also provides the classical
+four-point and ultrametric checks and an exhaustive six-point search that
+certifies when the strict comparison splits of a distance matrix fail to be
+compatible.  The search is complete only while the distances off the
+diagonal are positive: with zeros there, incompatible input can have no
+six-point certificate of this form (61 of 4149 incompatible inputs of a
+seeded zero-rich family on 4 to 7 elements had none), so finding no witness
+does not show that the splits are compatible.
 """
 
 from __future__ import annotations
@@ -48,30 +48,38 @@ __all__ = [
 ]
 
 
+def _crosses(a: int, b: int) -> bool:
+    """Whether the splits with stored sides a and b cross: the sides meet
+    and neither holds the other.  The fourth corner, outside both sides,
+    holds element 0, so it is never empty."""
+    both = a & b
+    return both != 0 and both != a and both != b
+
+
 def is_compatible_pair(s1: Split, s2: Split) -> bool:
     """True when some side of s1 is disjoint from some side of s2."""
     if s1.ground != s2.ground:
         raise ValueError("ground set mismatch")
-    full = (1 << s1.ground.n) - 1
-    a1, a2 = s1.bits, s2.bits
-    b1, b2 = full ^ a1, full ^ a2
-    return not (a1 & a2) or not (a1 & b2) or not (b1 & a2) or not (b1 & b2)
+    return not _crosses(s1.bits, s2.bits)
 
 
 def incompatible_pair(
     splits: WeightedSplitSystem | Iterable[Split],
 ) -> tuple[Split, Split] | None:
-    """The first incompatible pair in canonical order, or None.  An empty
-    collection has no pairs, so it needs no ground set."""
+    """The first incompatible pair in canonical order, or None.  The
+    nesting pass of ``is_compatible`` settles a compatible collection;
+    only an incompatible one is scanned pair by pair."""
     splits = splits if isinstance(splits, WeightedSplitSystem) else list(splits)
-    if not splits:
+    if is_compatible(splits):
         return None
-    _, items = ground_and_splits(splits)
-    for i, s1 in enumerate(items):
-        for s2 in items[i + 1 :]:
-            if not is_compatible_pair(s1, s2):
-                return s1, s2
-    return None
+    items = ground_and_splits(splits)[1]
+    sides = [split.bits for split in items]
+    return next(
+        (items[i], items[j])
+        for i, a in enumerate(sides)
+        for j in range(i + 1, len(sides))
+        if _crosses(a, sides[j])
+    )
 
 
 def is_compatible(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
@@ -277,42 +285,32 @@ class SixPointWitness:
         return (self.a, self.b, self.s, self.t, self.x, self.y)
 
     def holds_in(self, matrix: DistanceMatrix) -> bool:
-        """Re-evaluate the recorded inequalities against a matrix."""
-        rows = matrix.comparison_rows()
+        """Whether the witness certifies two crossing strict sides of the
+        matrix.  With X(u, v) = {z : D(u, z) < D(v, z)}, take P = X(x, y),
+        and Q = X(s, t) in branch 1 or the complement of X(t, s) in branch
+        2.  It holds when D(x, y) > 0, P holds a but not b, and Q holds a
+        and b but not x or y under condition 1, b and x but not a or y
+        under condition 2.  Any other condition or branch does not hold."""
         a, b, s, t, x, y = self.elements()
-        if not (
-            rows[x][y] > 0 and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]
-        ):
+        sides = {1: ((a, b), (x, y)), 2: ((b, x), (a, y))}
+        if self.condition not in sides or self.branch not in (1, 2):
             return False
-        if self.condition == 1 and self.branch == 1:
-            return (
-                rows[a][s] < rows[a][t]
-                and rows[b][s] < rows[b][t]
-                and rows[x][t] <= rows[x][s]
-                and rows[y][t] <= rows[y][s]
-            )
-        if self.condition == 1 and self.branch == 2:
-            return (
-                rows[a][s] <= rows[a][t]
-                and rows[b][s] <= rows[b][t]
-                and rows[x][t] < rows[x][s]
-                and rows[y][t] < rows[y][s]
-            )
-        if self.condition == 2 and self.branch == 1:
-            return (
-                rows[b][s] < rows[b][t]
-                and rows[a][t] <= rows[a][s]
-                and rows[x][s] < rows[x][t]
-                and rows[y][t] <= rows[y][s]
-            )
-        if self.condition == 2 and self.branch == 2:
-            return (
-                rows[b][s] <= rows[b][t]
-                and rows[a][t] < rows[a][s]
-                and rows[x][s] <= rows[x][t]
-                and rows[y][t] < rows[y][s]
-            )
-        return False
+        rows = matrix.comparison_rows()
+
+        def closer(u: int, v: int, z: int) -> bool:  # z in X(u, v)
+            return rows[u][z] < rows[v][z]
+
+        def in_q(z: int) -> bool:
+            return closer(s, t, z) if self.branch == 1 else not closer(t, s, z)
+
+        inside, outside = sides[self.condition]
+        return (
+            rows[x][y] > 0
+            and closer(x, y, a)
+            and not closer(x, y, b)
+            and all(map(in_q, inside))
+            and not any(map(in_q, outside))
+        )
 
 
 def six_point_witness(matrix: DistanceMatrix) -> SixPointWitness | None:

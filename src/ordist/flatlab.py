@@ -25,8 +25,8 @@ have known closed form, then seeded random weightings.  Each probe is one
 int pipeline in the solver's pair order: the split distance kernel gives
 the generated pair values, per-element column gathers feed the strict
 comparison sets of ``order``, and the popcounts of Eq. (1) give the order
-distance, whose re-expression the solver signs.  No DistanceMatrix and no
-Fraction is built unless the probe finds a counterexample.
+distance, whose re-expression the solver signs.  No DistanceMatrix is
+built, and no Fraction unless the probe finds a counterexample.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Union
 
-from .compat import is_compatible_pair
+from .compat import _crosses
 from .core import (
     DistanceMatrix,
     GroundSet,
@@ -45,6 +45,7 @@ from .core import (
     Split,
     WeightedSplitSystem,
     bit_indices,
+    canonical_mask,
     gather,
     ground_and_splits,
     separation_sums,
@@ -228,9 +229,12 @@ class _ExactSolver:
             raise ValueError("ground set mismatch")
         rows = matrix.comparison_rows()
         signed = self._signed_weights([rows[i][j] for i, j in self.pairs])
-        if signed is None:
-            return None
-        scale = 2 * matrix.scale
+        return None if signed is None else self._fractions(signed, matrix.scale)
+
+    def _fractions(self, signed: list[int], scale: int) -> dict[Split, Fraction]:
+        """The weights of ``_signed_weights`` for a distance over scale, as
+        Fractions keyed by split."""
+        scale *= 2
         out = [Fraction(w, scale) for w in signed]
         for t in self._core:
             out[t] = Fraction(signed[t], abs(self.det) * scale)
@@ -324,22 +328,23 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
     A system without incompatible pairs is closed by default.
     """
     ground, split_list = ground_and_splits(splits)
-    have = set(split_list)
     full = (1 << ground.n) - 1
+    have = {split.bits for split in split_list}
 
     def _in(mask: int) -> bool:
-        return Split.from_bits(ground, mask) in have
+        return canonical_mask(mask, full) in have
 
     for s1, s2 in combinations(split_list, 2):
-        if is_compatible_pair(s1, s2):
-            continue
         a1, a2 = s1.bits, s2.bits
         b1, b2 = full ^ a1, full ^ a2
         m11, m21, m12, m22 = a1 & a2, b1 & a2, a1 & b2, b1 & b2
-        n1, n2, n3, n4 = m11.bit_count(), m21.bit_count(), m12.bit_count(), m22.bit_count()
+        # m22 holds element 0, so the pair crosses when the others meet
+        if not (m11 and m21 and m12):
+            continue
         if _in(m11) and _in(m21) and _in(m12) and _in(m22):
             continue
-        diag, anti = n1 * n4, n2 * n3
+        diag = m11.bit_count() * m22.bit_count()
+        anti = m21.bit_count() * m12.bit_count()
         if not _in(m11 | m22):
             return (s1, s2)
         if diag == anti:
@@ -350,22 +355,6 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
             continue
         return (s1, s2)
     return None
-
-
-def _pairsep_ok_for(
-    ground: GroundSet, have: set[Split], x: int, y: int, a_mask: int
-) -> bool:
-    """Check one candidate disjoint pair (A, B) partitioning everything
-    but x and y; a_mask is A, the rest (minus x, y) is B."""
-    full = (1 << ground.n) - 1
-    bx, by = 1 << x, 1 << y
-    b_mask = full ^ a_mask ^ bx ^ by
-    required = [a_mask | bx, a_mask | by]
-    if b_mask:
-        required.append(a_mask | bx | by)
-    if a_mask:
-        required.append(a_mask)
-    return all(Split.from_bits(ground, mask) in have for mask in required)
 
 
 def pairwise_separation_check(
@@ -380,17 +369,32 @@ def pairwise_separation_check(
     makes A+x|B+y a split of the system, which pins (A, B) down.
     """
     ground, split_list = ground_and_splits(splits)
-    n = ground.n
+    return _unseparated_pair(ground.n, [split.bits for split in split_list])
+
+
+def _unseparated_pair(n: int, sides: list[int]) -> tuple[int, int] | None:
+    """``pairwise_separation_check`` on the stored sides of the splits of
+    an n-element ground set, which an empty system needs in hand."""
     full = (1 << n) - 1
-    have = set(split_list)
+    have = set(sides)
     for x in range(n):
         bx = 1 << x
         for y in range(x + 1, n):
-            for s in split_list:
-                if s.separates(x, y):
-                    x_side = s.bits if s.bits >> x & 1 else full ^ s.bits
-                    if _pairsep_ok_for(ground, have, x, y, x_side ^ bx):
-                        break
+            by = 1 << y
+            for side in sides:
+                x_side = side if side & bx else full ^ side
+                if x_side & by:
+                    continue
+                # the split is A+x|B+y; the frame adds A+y|B+x, A+x+y|B
+                # unless B is empty and A|B+x+y unless A is
+                a = x_side ^ bx
+                frame = [a | by]
+                if x_side | by != full:
+                    frame.append(x_side | by)
+                if a:
+                    frame.append(a)
+                if all(canonical_mask(mask, full) in have for mask in frame):
+                    break
             else:
                 return (x, y)
     return None
@@ -406,7 +410,7 @@ def is_maximum_flat(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
         return False
     if not _ExactSolver(ground, split_list).is_independent:
         return False
-    return pairwise_separation_check(WeightedSplitSystem.unit(ground, split_list)) is None
+    return _unseparated_pair(n, [split.bits for split in split_list]) is None
 
 
 @dataclass(frozen=True)
@@ -512,9 +516,8 @@ def orderly_test(
     into its strict comparison set T_x.  At (2, 1) Eq. (1) is
     O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie
     sets), and the solver's integer weights of these values give the
-    signs of the re-expression.  Only a counterexample gets its Fraction
-    weighting and, through a DistanceMatrix of the order values, its
-    expression.
+    signs of the re-expression.  Only a counterexample gets Fractions: its
+    weighting, and its expression from the same integer weights.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -542,15 +545,11 @@ def orderly_test(
         if signed is None:
             return CounterexampleFound(weighting, None, None, phase, trial)
         negative = next(s for s, w in zip(split_list, signed) if w < 0)
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), value in zip(pairs, order_values):
-            rows[i][j] = rows[j][i] = value
-        expression = solver.express(DistanceMatrix.from_scaled(ground, rows))
-        return CounterexampleFound(weighting, expression, negative, phase, trial)
+        return CounterexampleFound(weighting, solver._fractions(signed, 1), negative, phase, trial)
 
     pair_probes = 0
     for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
-        if is_compatible_pair(s1, s2):
+        if not _crosses(s1.bits, s2.bits):
             continue
         pair_probes += 1
         weights = [0] * len(split_list)

@@ -30,11 +30,9 @@ def index_ground(n: int, prefix: str = "x") -> GroundSet:
     return GroundSet(f"{prefix}{i}" for i in range(n))
 
 
-def random_binary_tree_system(
-    n: int, rng: random.Random, max_weight: int = 20
-) -> WeightedSplitSystem:
+def random_binary_tree_system(n: int, rng: random.Random) -> WeightedSplitSystem:
     """Splits of a uniformly grown unrooted binary tree with n labeled
-    leaves, each split carrying a random weight in 1..max_weight.
+    leaves, each split carrying a random weight in 1..20.
 
     Built by attaching one leaf at a time to a random existing edge, so the
     result always has 2n-3 edges and as many distinct splits (n >= 2).
@@ -51,16 +49,15 @@ def random_binary_tree_system(
         next_vertex += 1
         edges.extend([(u, mid), (mid, v), (mid, leaf)])
     bags = [[i] for i in range(n)] + [[]] * (next_vertex - n)
-    weighted = [(u, v, rng.randint(1, max_weight)) for u, v in edges]
+    weighted = [(u, v, rng.randint(1, 20)) for u, v in edges]
     return splits_from_xtree(XTree(ground, bags, weighted))
 
 
 def random_maximum_circular_system(
-    n: int, rng: random.Random, max_weight: int = 20, positive: bool = True
+    n: int, rng: random.Random, positive: bool = True
 ) -> tuple[CircularOrdering, WeightedSplitSystem]:
     """A random circular ordering of n elements together with all its C(n,2)
-    interval splits, weighted in 1..max_weight (0..max_weight when zero
-    weights are allowed)."""
+    interval splits, weighted in 1..20 (0..20 unless positive)."""
     if n < 2:
         raise ValueError("need at least 2 elements")
     ground = index_ground(n)
@@ -68,9 +65,7 @@ def random_maximum_circular_system(
     rng.shuffle(perm)
     theta = CircularOrdering(ground, perm)
     low = 1 if positive else 0
-    weighted = [
-        (s, rng.randint(low, max_weight)) for s in maximum_circular_splits(theta)
-    ]
+    weighted = [(s, rng.randint(low, 20)) for s in maximum_circular_splits(theta)]
     return theta, WeightedSplitSystem(ground, weighted)
 
 

@@ -11,12 +11,9 @@ of rankings (``pair_counts``), after per-ranking tables built once
 (``rank_table``); the tests hold them to a brute O(n^2) pair scan.  The
 walk shifts an n-bit int per element, so a pair costs O(n^2 / 64) word
 operations besides the sort.  For a single pair of key vectors, the
-tables included, this is about level with the former bisect-and-insort
-count at n = 4096 (7 ms on distinct keys, 4-5 against 5-6 ms on keys
-0..2) and at n = 16384 on keys 0..2 (30-32 against 29-30 ms); on
-distinct keys at n = 16384 it is 20-25% slower (60-68 against 51-54 ms;
-min of 9 interleaved calls, two runs, Python 3.11 on a shared 2-vCPU
-x86-64 host).
+tables included, it takes 7 ms on distinct keys and 4-5 ms on keys 0..2
+at n = 4096, and 60-68 ms and 30-32 ms at n = 16384 (min of 9 calls, two
+runs, Python 3.11 on a shared 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations

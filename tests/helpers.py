@@ -339,6 +339,58 @@ def compatible_pair_brute(s1: Split, s2: Split) -> bool:
     )
 
 
+def incompatible_pair_by_corners(splits):
+    """The first pair in canonical order with all four side intersections
+    non-empty, or None, testing every pair.  The oracle for
+    ``incompatible_pair``."""
+    ground, items = ground_and_splits(splits)
+    full = (1 << ground.n) - 1
+    for s1, s2 in combinations(items, 2):
+        a1, a2 = s1.bits, s2.bits
+        b1, b2 = full ^ a1, full ^ a2
+        if a1 & a2 and a1 & b2 and b1 & a2 and b1 & b2:
+            return s1, s2
+    return None
+
+
+def holds_in_by_inequalities(witness, matrix: DistanceMatrix) -> bool:
+    """A six-point witness re-evaluated as one block of inequalities per
+    (condition, branch).  The oracle for ``SixPointWitness.holds_in``."""
+    rows = matrix.comparison_rows()
+    a, b, s, t, x, y = witness.elements()
+    if not (rows[x][y] > 0 and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]):
+        return False
+    if witness.condition == 1 and witness.branch == 1:
+        return (
+            rows[a][s] < rows[a][t]
+            and rows[b][s] < rows[b][t]
+            and rows[x][t] <= rows[x][s]
+            and rows[y][t] <= rows[y][s]
+        )
+    if witness.condition == 1 and witness.branch == 2:
+        return (
+            rows[a][s] <= rows[a][t]
+            and rows[b][s] <= rows[b][t]
+            and rows[x][t] < rows[x][s]
+            and rows[y][t] < rows[y][s]
+        )
+    if witness.condition == 2 and witness.branch == 1:
+        return (
+            rows[b][s] < rows[b][t]
+            and rows[a][t] <= rows[a][s]
+            and rows[x][s] < rows[x][t]
+            and rows[y][t] <= rows[y][s]
+        )
+    if witness.condition == 2 and witness.branch == 2:
+        return (
+            rows[b][s] <= rows[b][t]
+            and rows[a][t] < rows[a][s]
+            and rows[x][s] <= rows[x][t]
+            and rows[y][t] < rows[y][s]
+        )
+    return False
+
+
 def quadruple_condition_holds(matrix: DistanceMatrix, seq) -> bool:
     """Direct Fraction evaluation of the circular quadruple condition on
     one ordering, no rescaling."""

@@ -378,8 +378,12 @@ def _engine_cases(rng):
     unit less, twins matching and skewed, and random matrices."""
     for n in range(2, 26):
         yield zero_heavy_circular_distance(n, rng)
-        _, system = random_maximum_circular_system(n, rng, max_weight=9)
-        d = generate_distance(system)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        theta = CircularOrdering(index_ground(n), perm)
+        d = generate_distance(WeightedSplitSystem(
+            theta.ground, [(s, rng.randint(1, 9)) for s in maximum_circular_splits(theta)]
+        ))
         low = min(d[i, j] for i in range(n) for j in range(i + 1, n))
         yield _shifted(d, low)
         yield _shifted(d, low - Fraction(1, 2))

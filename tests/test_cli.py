@@ -25,6 +25,7 @@ from ordist import (
     random_maximum_flat_system,
     split_metric,
 )
+import ordist.flatlab as flatlab_module
 from ordist.cli import main, run
 from helpers import quartet_fixture, six_point_table, zero_heavy_circular_distance
 
@@ -323,6 +324,69 @@ def test_orderly_command(tmp_path):
 
     with pytest.raises(SystemExit):
         run(["orderly", "-s", "S1_5"])
+
+
+@pytest.mark.parametrize(
+    "lines,seed,report",
+    [
+        (
+            ["a | b,c,d", "a,b | c,d", "a,c | b,d", "a,d | b,c"], 216,
+            "verdict: counterexample\nphase: 2\ntrial: 1\nreason: NOT-IN-SPAN\n"
+            "weighting:\n4\na b c d\na,d | b,c : 11\na,c | b,d : 11\n"
+            "a,b | c,d : 16\na | b,c,d : 9",
+        ),
+        (
+            ["a | b,c,d", "a,b | c,d", "a,c | b,d", "a,d | b,c", "a,b,c | d"], 16,
+            "verdict: counterexample\nphase: 2\ntrial: 9\nreason: NEGATIVE-WEIGHT\n"
+            "negative-split: [a,b,c | d]\nweighting:\n4\na b c d\n"
+            "a,d | b,c : 10\na,b,c | d : 5\na,c | b,d : 20\na,b | c,d : 20\n"
+            "a | b,c,d : 20",
+        ),
+    ],
+    ids=["not-in-span", "negative-weight"],
+)
+def test_orderly_reports_a_random_trial(tmp_path, lines, seed, report):
+    # phase-2 counterexamples on four elements report their trial
+    path = write(tmp_path, "four.splits", "4\na b c d\n" + "\n".join(lines) + "\n")
+    outcome = run(["orderly", "-s", path, "--trials", "10", "--seed", str(seed)])
+    assert outcome.exit_code == 0
+    assert outcome.report == report
+
+
+def test_check_independent_builds_one_solver(monkeypatch):
+    builds = []
+    init = flatlab_module._ExactSolver.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(flatlab_module._ExactSolver, "__init__", counted)
+    outcome = run(["check", "independent", "-s", "S2_5"])
+    assert outcome.report == "independent: true\nrank: 10\nsize: 10"
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "text,reports",
+    [
+        ("1\na\n", {
+            "flat": "flat: true", "pairsep": "pairsep: true",
+            "closed": "closed: true", "compat": "compat: true",
+        }),
+        ("3\na b c\n", {
+            "flat": "flat: false", "pairsep": "pairsep: false\nunseparated-pair: a b",
+            "closed": "closed: true", "compat": "compat: true",
+        }),
+    ],
+    ids=["n1", "n3-empty"],
+)
+def test_checks_of_systems_without_splits(tmp_path, text, reports):
+    # with no split to take it from, the ground set comes from the file
+    path = write(tmp_path, "none.splits", text)
+    for kind, report in reports.items():
+        outcome = run(["check", kind, "-s", path])
+        assert (outcome.exit_code, outcome.report) == (0, report), kind
 
 
 @pytest.mark.parametrize(

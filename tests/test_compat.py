@@ -8,6 +8,7 @@ from ordist import (
     DistanceMatrix,
     GroundSet,
     OrderParams,
+    SixPointWitness,
     Split,
     WeightedSplitSystem,
     XTree,
@@ -25,8 +26,11 @@ from ordist import (
     splits_from_xtree,
     xtree_from_compatible,
 )
+import ordist.compat as compat_module
 from helpers import (
     compatible_pair_brute,
+    holds_in_by_inequalities,
+    incompatible_pair_by_corners,
     quartet_fixture,
     six_point_table,
     ultrametric_fixture,
@@ -56,6 +60,26 @@ def test_incompatible_pair_reporting():
         is_compatible_pair(ab, Split(g2, "ab"))
 
 
+def test_incompatible_pair_on_a_large_tree_with_one_crossing_split(monkeypatch):
+    # a random binary tree on 256 leaves plus {1, n-2, n-1}: the crossing
+    # pair sorts late, so the scan runs through most pairs
+    n = 256
+    tree = random_binary_tree_system(n, random.Random(n))
+    extra = Split(tree.ground, [1, n - 2, n - 1])
+    system = WeightedSplitSystem.unit(tree.ground, [*tree.splits, extra])
+    found = incompatible_pair(system)
+    assert found is not None and extra in found
+    assert found == incompatible_pair_by_corners(system)
+
+    # a compatible system is settled by the nesting pass alone
+    def no_pair_test(a, b):
+        raise AssertionError("pair test on a compatible system")
+
+    monkeypatch.setattr(compat_module, "_crosses", no_pair_test)
+    assert incompatible_pair(tree) is None
+    assert incompatible_pair(list(tree.splits)) is None
+
+
 def compatible_by_pairs(splits) -> bool:
     splits = list(splits)
     return all(
@@ -70,7 +94,10 @@ def test_compatibility_matches_the_pairwise_check(system):
     expected = compatible_by_pairs(system.splits)
     assert is_compatible(system) == expected
     assert is_compatible(reversed(system.splits)) == expected
-    assert (incompatible_pair(system) is None) == expected
+    found = incompatible_pair_by_corners(system)
+    assert (found is None) == expected
+    assert incompatible_pair(system) == found
+    assert incompatible_pair(reversed(system.splits)) == found
 
 
 @pytest.mark.parametrize(
@@ -273,3 +300,33 @@ def test_witness_exists_exactly_when_splits_clash(matrix):
     else:
         assert not is_compatible(system)
         assert witness.holds_in(matrix)
+
+
+def test_holds_in_matches_the_inequality_form():
+    # zero-rich matrices: random tuples, then the first witness of each
+    # and reorderings of its elements, under conditions and branches 0..3
+    rng = random.Random(20)
+    verdicts = {True: 0, False: 0}
+    witnesses = 0
+    for case in range(1500):
+        n = rng.randint(2, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(0, 3)
+        matrix = DistanceMatrix.from_scaled(index_ground(n), rows)
+        tuples = [[rng.randrange(n) for _ in range(6)] for _ in range(4)]
+        found = six_point_witness(matrix) if n >= 4 and case % 3 == 0 else None
+        if found is not None:
+            witnesses += 1
+            assert found.holds_in(matrix)
+            tuples.append(list(found.elements()))
+            tuples += [rng.sample(found.elements(), 6) for _ in range(3)]
+        for elements in tuples:
+            for condition in range(4):
+                for branch in range(4):
+                    w = SixPointWitness(*elements, condition, branch)
+                    held = w.holds_in(matrix)
+                    assert held == holds_in_by_inequalities(w, matrix), w
+                    verdicts[held] += 1
+    assert verdicts[True] > 300 and witnesses > 200, (verdicts, witnesses)

@@ -307,6 +307,11 @@ def test_maximum_flat_verdicts():
     replaced = [s for s in splits if s != victim] + [Split(theta.ground, [0, 2])]
     assert len(replaced) == 10 and is_linearly_independent(replaced)
     assert not is_maximum_flat(replaced)
+    # C(5,2) splits, seven of them the splits of a b c d with e beside d,
+    # where the four singletons sum to the three 2|2 splits
+    dependent = system_from_sides("abcde", ["a", "b", "c", "de", "ab", "ac", "bc", "e", "ae", "be"])
+    assert len(dependent) == 10 and not is_linearly_independent(dependent)
+    assert not is_maximum_flat(dependent)
 
 
 def test_maximum_flat_matches_restriction_route():
@@ -462,8 +467,8 @@ def test_orderly_matches_fraction_probes():
 
 
 def test_orderly_probes_build_no_matrix(monkeypatch):
-    # a probe stays in pair-order ints: only a counterexample builds a
-    # DistanceMatrix, for its expression
+    # a probe stays in pair-order ints, and a counterexample's expression
+    # comes from the same ints: no probe builds a DistanceMatrix
     calls = Counter()
 
     def counted(name, function):
@@ -490,7 +495,7 @@ def test_orderly_probes_build_no_matrix(monkeypatch):
     assert not calls
     system = flat_fixture("S1_5")
     verdict = orderly_test(system, trials=0)
-    assert calls == {"from_scaled": 1, "express": 1}
+    assert not calls
     assert all(type(w) is Fraction for w in verdict.expression.values())
     monkeypatch.undo()
     check_counterexample(verdict, list(system.split_set()))

@@ -118,6 +118,9 @@ def test_pair_partition_on_quartet():
     assert part.equidistant == frozenset()
     with pytest.raises(ValueError):
         pair_partition(d, 1, 1)
+    ties = DistanceMatrix(index_ground(4), [[0, 1, 1, 2], [1, 0, 1, 3], [1, 1, 0, 1], [2, 3, 1, 0]])
+    part = pair_partition(ties, 0, 1)
+    assert (part.closer_to_u, part.closer_to_v, part.equidistant) == ({0, 3}, {1}, {2})
 
 
 def test_midpath_multiplicities_on_equilateral_triangle():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import ordist
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "ordist").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "ordist").glob("*.py"))
 
 
 def test_no_assert_statements_in_the_package():
@@ -70,3 +71,16 @@ def test_the_package_exports_exactly_the_library_modules_names():
     assert len(module_names) == len(set(module_names))
     assert set(exported) == set(module_names)
     assert all(hasattr(ordist, name) for name in exported)
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject promises Python 3.10, so no file of the package, the tests
+    or the benchmark may use syntax that needs a newer grammar."""
+    paths = [
+        path
+        for folder in ("src/ordist", "tests", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert len(paths) >= 25
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -155,14 +155,7 @@ def _cmd_midpath(args: argparse.Namespace) -> CommandOutcome:
             lines.append("witness: none")
         else:
             labels = matrix.ground.labels
-            parts = [
-                f"a={labels[witness.a]}",
-                f"b={labels[witness.b]}",
-                f"s={labels[witness.s]}",
-                f"t={labels[witness.t]}",
-                f"x={labels[witness.x]}",
-                f"y={labels[witness.y]}",
-            ]
+            parts = (f"{name}={labels[e]}" for name, e in zip("abstxy", witness.elements()))
             lines.append(f"witness: {' '.join(parts)}")
             lines.append(f"witness-condition: {witness.condition}{'ab'[witness.branch - 1]}")
     for split in splits:

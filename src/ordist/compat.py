@@ -10,18 +10,17 @@ system is compatible, so one pass that places them, largest first, under
 the vertex holding their lowest element both decides compatibility and
 builds the tree; the way back hangs the tree from vertex 0 and reads each
 edge's split off the elements below it.  It also provides the classical
-four-point and ultrametric checks and an exhaustive six-point search that
-certifies when the strict comparison splits of a distance matrix fail to be
-compatible.  The search is complete only while the distances off the
-diagonal are positive: with zeros there, incompatible input can have no
-six-point certificate of this form (61 of 4149 incompatible inputs of a
-seeded zero-rich family on 4 to 7 elements had none), so finding no witness
-does not show that the splits are compatible.
+four-point and ultrametric checks and the six-point certificate that the
+strict comparison splits of a distance matrix fail to be compatible.  One
+exists exactly when the strict side of a pair at positive distance crosses
+another strict side; with zeros off the diagonal, incompatible input whose
+crossing sides all come from pairs at distance 0 has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,8 +30,11 @@ from .core import (
     WeightedSplitSystem,
     as_rational,
     bit_indices,
+    canonical_mask,
     ground_and_splits,
+    transpose_bits,
 )
+from .order import _comparison_sets, _row_width
 
 __all__ = [
     "XTree",
@@ -290,10 +292,12 @@ class SixPointWitness:
         and Q = X(s, t) in branch 1 or the complement of X(t, s) in branch
         2.  It holds when D(x, y) > 0, P holds a but not b, and Q holds a
         and b but not x or y under condition 1, b and x but not a or y
-        under condition 2.  Any other condition or branch does not hold."""
+        under condition 2.  Any other condition or branch, or an element
+        outside 0..n-1, does not hold."""
         a, b, s, t, x, y = self.elements()
         sides = {1: ((a, b), (x, y)), 2: ((b, x), (a, y))}
-        if self.condition not in sides or self.branch not in (1, 2):
+        in_range = all(e in range(matrix.n) for e in self.elements())
+        if self.condition not in sides or self.branch not in (1, 2) or not in_range:
             return False
         rows = matrix.comparison_rows()
 
@@ -314,56 +318,47 @@ class SixPointWitness:
 
 
 def six_point_witness(matrix: DistanceMatrix) -> SixPointWitness | None:
-    """Exhaustive search for a six-point incompatibility certificate.
+    """The first six-point incompatibility certificate, or None.
 
-    Tuples (a, b, s, t, x, y) need a != b, s != t and D(x, y) > 0 (so x
-    lies on its own strict side of (x, y)) and nothing more;
-    the first witness in lexicographic tuple order is returned, checking
-    condition 1 before condition 2 and the strict-(s,t) branch before the
-    strict-(x,y) branch within each tuple.  None shows compatibility only
-    when every distance off the diagonal is positive.
+    With X(u, v) = {z : D(u, z) < D(v, z)}, one exists exactly when a side
+    X(x, y) with D(x, y) > 0 crosses another side X(s, t), so None states
+    that no such pair crosses.  The witness is the first (a, b, s, t, x, y)
+    in lexicographic order, condition 1 before 2 and branch 1 before 2.
+    Bit (s, t) of T_z says z is in X(s, t), and of W_z = T_z | E_z that z
+    is outside X(t, s).  For each (a, b) the (x, y) at positive distance in
+    T_a & ~T_b each give one mask of the (s, t) that complete them per
+    condition and branch; the lowest bit of their union is the first (s, t).
     """
-    rows = matrix.comparison_rows()
     n = matrix.n
-    elements = range(n)
-    for a in elements:
-        row_a = rows[a]
-        for b in elements:
-            if a == b:
-                continue
-            row_b = rows[b]
-            pairs_xy = [
-                (x, y)
-                for x in elements
-                for y in elements
-                if rows[x][y] > 0
-                and rows[x][a] < rows[y][a]
-                and rows[y][b] <= rows[x][b]
-            ]
-            if not pairs_xy:
-                continue
-            for s in elements:
-                for t in elements:
-                    if s == t:
-                        continue
-                    as_lt = row_a[s] < row_a[t]
-                    as_le = row_a[s] <= row_a[t]
-                    bs_lt = row_b[s] < row_b[t]
-                    bs_le = row_b[s] <= row_b[t]
-                    c1a = as_lt and bs_lt
-                    c1b = as_le and bs_le
-                    c2a = bs_lt and not as_lt
-                    c2b = bs_le and row_a[t] < row_a[s]
-                    if not (c1a or c1b or c2a or c2b):
-                        continue
-                    for x, y in pairs_xy:
-                        row_x, row_y = rows[x], rows[y]
-                        if c1a and row_x[t] <= row_x[s] and row_y[t] <= row_y[s]:
-                            return SixPointWitness(a, b, s, t, x, y, 1, 1)
-                        if c1b and row_x[t] < row_x[s] and row_y[t] < row_y[s]:
-                            return SixPointWitness(a, b, s, t, x, y, 1, 2)
-                        if c2a and row_x[s] < row_x[t] and row_y[t] <= row_y[s]:
-                            return SixPointWitness(a, b, s, t, x, y, 2, 1)
-                        if c2b and row_x[s] <= row_x[t] and row_y[t] < row_y[s]:
-                            return SixPointWitness(a, b, s, t, x, y, 2, 2)
+    full, width = (1 << n) - 1, _row_width(n)
+    rows = matrix.comparison_rows()
+    # rows[z] is column z too: the matrix is symmetric
+    strict, ties = zip(*(_comparison_sets(rows[z], True) for z in range(n)))
+    sides = transpose_bits(strict, n * width)
+    # bit (x, y) of T_x says D(x, x) < D(y, x), that is D(x, y) > 0
+    positive = sum(strict[x] & full << x * width for x in range(n))
+    near = {canonical_mask(sides[i], full) for i in bit_indices(positive)}
+    others = {canonical_mask(side, full) for side in set(sides)}
+    # the tuple search below would find no witness either, but only after
+    # walking every (a, b)
+    if not any(_crosses(p, q) for p in near for q in others):
+        return None
+    weak = [t | e for t, e in zip(strict, ties)]
+    for a, b in product(range(n), repeat=2):
+        ta, tb, wa, wb = strict[a], strict[b], weak[a], weak[b]
+        union, found = 0, []
+        for pair in bit_indices(ta & ~tb & positive):
+            x, y = divmod(pair, width)
+            tx, ty, wx, wy = strict[x], strict[y], weak[x], weak[y]
+            masks = (ta & tb & ~(tx | ty), wa & wb & ~(wx | wy),
+                     tb & ~ta & tx & ~ty, wb & ~wa & wx & ~wy)
+            union |= masks[0] | masks[1] | masks[2] | masks[3]
+            found.append((x, y, masks))
+        if union:
+            first = union & -union
+            s, t = divmod(first.bit_length() - 1, width)
+            x, y, k = next(
+                (x, y, k) for x, y, masks in found for k, mask in enumerate(masks) if mask & first
+            )
+            return SixPointWitness(a, b, s, t, x, y, k // 2 + 1, k % 2 + 1)
     return None

@@ -127,7 +127,7 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     """
     n = matrix.n
     full = (1 << n) - 1
-    width = 8 * ((n + 7) // 8)
+    width = _row_width(n)
     rows = matrix.comparison_rows()
     # rows[z] is column z too: the matrix is symmetric
     sides = transpose_bits([_comparison_sets(rows[z], False)[0] for z in range(n)], n * width)
@@ -152,6 +152,12 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     return MidpathDecomposition(x_splits, e_splits)
 
 
+def _row_width(n: int) -> int:
+    """The bit width w of one row of a comparison set on n elements, n
+    rounded up to whole bytes: bit u*w + v is the pair (u, v)."""
+    return 8 * ((n + 7) // 8)
+
+
 def _comparison_sets(column: Sequence[int], with_ties: bool) -> tuple[int, int]:
     """The strict and the tie comparison sets of one element x, as ints.
 
@@ -161,8 +167,7 @@ def _comparison_sets(column: Sequence[int], with_ties: bool) -> tuple[int, int]:
     pair u = v, the same bits for all x, so they cancel in E_x ^ E_y.  It
     is 0 unless ``with_ties``.
     """
-    n = len(column)
-    width = (n + 7) // 8
+    width = _row_width(len(column)) // 8
     blocks: dict[int, int] = {}
     for v, value in enumerate(column):
         blocks[value] = blocks.get(value, 0) | (1 << v)

@@ -20,6 +20,7 @@ from ordist import (
     NoCounterexampleFound,
     OrderParams,
     PartialRanking,
+    SixPointWitness,
     Split,
     WeightedSplitSystem,
     express_in_basis,
@@ -355,9 +356,12 @@ def incompatible_pair_by_corners(splits):
 
 def holds_in_by_inequalities(witness, matrix: DistanceMatrix) -> bool:
     """A six-point witness re-evaluated as one block of inequalities per
-    (condition, branch).  The oracle for ``SixPointWitness.holds_in``."""
+    (condition, branch), false for an element outside 0..n-1.  The oracle
+    for ``SixPointWitness.holds_in``."""
     rows = matrix.comparison_rows()
     a, b, s, t, x, y = witness.elements()
+    if not all(0 <= e < matrix.n for e in witness.elements()):
+        return False
     if not (rows[x][y] > 0 and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]):
         return False
     if witness.condition == 1 and witness.branch == 1:
@@ -389,6 +393,61 @@ def holds_in_by_inequalities(witness, matrix: DistanceMatrix) -> bool:
             and rows[y][t] < rows[y][s]
         )
     return False
+
+
+def six_point_witness_by_walk(matrix: DistanceMatrix):
+    """The first six-point witness found by walking (a, b, s, t, x, y) in
+    lexicographic order over the distance rows, one entry at a time,
+    condition 1 before 2 and branch 1 before 2 within a tuple; None when
+    no tuple holds.  The oracle for ``six_point_witness``."""
+    rows = matrix.comparison_rows()
+    elements = range(matrix.n)
+    for a, b in permutations(elements, 2):
+        row_a, row_b = rows[a], rows[b]
+        pairs_xy = [
+            (x, y)
+            for x in elements
+            for y in elements
+            if rows[x][y] > 0 and rows[x][a] < rows[y][a] and rows[y][b] <= rows[x][b]
+        ]
+        if not pairs_xy:
+            continue
+        for s, t in permutations(elements, 2):
+            as_lt, as_le = row_a[s] < row_a[t], row_a[s] <= row_a[t]
+            bs_lt, bs_le = row_b[s] < row_b[t], row_b[s] <= row_b[t]
+            c1a = as_lt and bs_lt
+            c1b = as_le and bs_le
+            c2a = bs_lt and not as_lt
+            c2b = bs_le and row_a[t] < row_a[s]
+            for x, y in pairs_xy:
+                row_x, row_y = rows[x], rows[y]
+                if c1a and row_x[t] <= row_x[s] and row_y[t] <= row_y[s]:
+                    return SixPointWitness(a, b, s, t, x, y, 1, 1)
+                if c1b and row_x[t] < row_x[s] and row_y[t] < row_y[s]:
+                    return SixPointWitness(a, b, s, t, x, y, 1, 2)
+                if c2a and row_x[s] < row_x[t] and row_y[t] <= row_y[s]:
+                    return SixPointWitness(a, b, s, t, x, y, 2, 1)
+                if c2b and row_x[s] <= row_x[t] and row_y[t] < row_y[s]:
+                    return SixPointWitness(a, b, s, t, x, y, 2, 2)
+    return None
+
+
+def positive_side_crosses_by_scan(matrix: DistanceMatrix) -> bool:
+    """Whether some strict side X(x, y) = {z : D(x, z) < D(y, z)} with
+    D(x, y) > 0 and some strict side X(s, t) have all four corners
+    non-empty, trying every pair of pairs on element sets."""
+    n = matrix.n
+    universe = set(range(n))
+    sides = {
+        (u, v): {z for z in universe if matrix[u, z] < matrix[v, z]}
+        for u, v in permutations(universe, 2)
+    }
+    return any(
+        p & q and p - q and q - p and universe - p - q
+        for (x, y), p in sides.items()
+        if matrix[x, y] > 0
+        for q in sides.values()
+    )
 
 
 def quadruple_condition_holds(matrix: DistanceMatrix, seq) -> bool:
@@ -584,6 +643,24 @@ def six_point_table() -> DistanceMatrix:
     """Six-element distance whose midpath system is incompatible although
     every five-element restriction has a compatible one."""
     return DistanceMatrix(GroundSet(SIX_POINT_LABELS), SIX_POINT_ROWS)
+
+
+WITNESSLESS_ROWS = (
+    (0, 2, 3, 0, 0),
+    (2, 0, 3, 0, 0),
+    (3, 3, 0, 3, 2),
+    (0, 0, 3, 0, 0),
+    (0, 0, 2, 0, 0),
+)
+
+
+def witnessless_blowup(n: int) -> DistanceMatrix:
+    """Zero-rich distance on n elements whose strict comparison splits are
+    not compatible although no six-point witness exists: element i copies
+    element i mod 5 of ``WITNESSLESS_ROWS`` (drawn by ``Random(463)``), and
+    copies of one element are at distance 0."""
+    rows = [[WITNESSLESS_ROWS[i % 5][j % 5] for j in range(n)] for i in range(n)]
+    return DistanceMatrix.from_scaled(index_ground(n), rows)
 
 
 def system_from_sides(labels: str, sides: list[str], weights=None) -> WeightedSplitSystem:

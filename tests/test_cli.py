@@ -27,7 +27,12 @@ from ordist import (
 )
 import ordist.flatlab as flatlab_module
 from ordist.cli import main, run
-from helpers import quartet_fixture, six_point_table, zero_heavy_circular_distance
+from helpers import (
+    quartet_fixture,
+    six_point_table,
+    witnessless_blowup,
+    zero_heavy_circular_distance,
+)
 
 
 def write(tmp_path, name, text):
@@ -153,6 +158,22 @@ def test_midpath_skips_the_witness_search_on_compatible_input(monkeypatch):
     assert outcome.exit_code == 0
     assert "compatible: true" in outcome.report.splitlines()
     assert "witness: none" in outcome.report.splitlines()
+
+
+def test_midpath_witness_on_the_witnessless_blowup_is_fast(tmp_path, src_env):
+    # 40 copies of a 5-element input whose strict splits cross only at
+    # pairs at distance 0: a six-fold walk over the tuples takes seconds
+    path = write(tmp_path, "blowup40.dist", format_distance_matrix(witnessless_blowup(40)))
+    result = subprocess.run(
+        [sys.executable, "-m", "ordist", "midpath", "-i", path, "--witness"],
+        capture_output=True,
+        text=True,
+        env=src_env,
+        timeout=10,
+    )
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert "compatible: false" in lines and "witness: none" in lines
 
 
 def test_midpath_report(tmp_path, tree_files):

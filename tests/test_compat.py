@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from ordist import (
     is_ultrametric,
     midpath_split_system,
     order_distance_eq1,
+    parse_distance_matrix,
     random_binary_tree_system,
     six_point_witness,
     splits_from_xtree,
@@ -31,11 +33,16 @@ from helpers import (
     compatible_pair_brute,
     holds_in_by_inequalities,
     incompatible_pair_by_corners,
+    positive_side_crosses_by_scan,
     quartet_fixture,
     six_point_table,
+    six_point_witness_by_walk,
     ultrametric_fixture,
+    witnessless_blowup,
 )
 from strategies import canonical_masks, distance_matrices, split_systems
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @given(st.integers(3, 7), st.data())
@@ -330,3 +337,74 @@ def test_holds_in_matches_the_inequality_form():
                     assert held == holds_in_by_inequalities(w, matrix), w
                     verdicts[held] += 1
     assert verdicts[True] > 300 and witnesses > 200, (verdicts, witnesses)
+    # elements outside 0..n-1 hold nowhere: -12 must not wrap round to x0,
+    # and 60 must not raise
+    ties12 = parse_distance_matrix((GOLDEN / "ties12.dist").read_text(encoding="utf-8"))
+    for elements in ((-12, 1, 0, 2, 2, 6), (-12, 1, 0, 2, 2, 60), (0, 1, 0, 2, 2, 60)):
+        for condition, branch in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            w = SixPointWitness(*elements, condition, branch)
+            assert not w.holds_in(ties12), w
+            assert not holds_in_by_inequalities(w, ties12), w
+    assert SixPointWitness(0, 1, 0, 2, 2, 6, 1, 1).holds_in(ties12)
+
+
+def _seeded_matrix(seed: int) -> DistanceMatrix:
+    """n in 4..8, entries zero-rich, tie-rich or distinct by seed mod 3."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    values = ((0, 0, 1, 2, 3), (1, 2, 3), range(1, 60))[seed % 3]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice(values)
+    return DistanceMatrix.from_scaled(index_ground(n), rows)
+
+
+def test_witness_matches_the_walk():
+    outcomes = {}
+    for seed in range(600):
+        matrix = _seeded_matrix(seed)
+        witness = six_point_witness(matrix)
+        assert witness == six_point_witness_by_walk(matrix), seed
+        key = None if witness is None else (witness.condition, witness.branch)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
+
+
+def test_no_witness_exactly_when_no_positive_side_crosses():
+    without = 0
+    matrices = [_seeded_matrix(seed) for seed in range(600, 1200)]
+    for matrix in [*matrices, witnessless_blowup(5), witnessless_blowup(12)]:
+        witness = six_point_witness(matrix)
+        assert (witness is not None) == positive_side_crosses_by_scan(matrix)
+        if witness is None and not is_compatible(midpath_split_system(matrix).split_system()):
+            without += 1
+        assert witness is None or witness.holds_in(matrix)
+    assert without >= 3
+
+
+def test_tuple_search_runs_only_when_a_positive_side_crosses(monkeypatch):
+    # the crossing test settles "none" alone; the tuple search would walk
+    # every (a, b) on these inputs
+    def no_search(*args, **kwargs):
+        raise AssertionError("tuple search ran with no crossing side")
+
+    monkeypatch.setattr(compat_module, "product", no_search)
+    assert six_point_witness(witnessless_blowup(20)) is None
+    tree = generate_distance(random_binary_tree_system(12, random.Random(5)))
+    assert six_point_witness(tree) is None
+
+
+def test_witness_on_bumped_trees():
+    # one tree distance bumped by 1 at one pair: compatible strict splits at
+    # n = 24, and at n = 64 a witness that the walk meets late; the walk
+    # takes seconds on each
+    for n, i, expected in ((24, 1, None), (64, 0, SixPointWitness(0, 15, 31, 59, 44, 29, 1, 2))):
+        rng = random.Random(100 * n + i)
+        tree = generate_distance(random_binary_tree_system(n, rng))
+        rows = [list(row) for row in tree.comparison_rows()]
+        x, y = rng.sample(range(n), 2)
+        rows[x][y] += tree.scale
+        rows[y][x] += tree.scale
+        matrix = DistanceMatrix.from_scaled(tree.ground, rows, tree.scale)
+        assert six_point_witness(matrix) == expected

@@ -5,7 +5,9 @@ onto per-row tables, ``gen circular`` systems replayed against those
 written before arcs were read off prefix masks and popcounts, and
 ``midpath`` of a zero-rich matrix and ``check compat`` reports written
 before the equidistant sets were read off the strict sides and
-compatibility was decided by one nesting pass.
+compatibility was decided by one nesting pass, and ``midpath --witness``
+of that matrix and of a 20-element input with no witness written before
+the witness was read off the comparison sets.
 
 Each report case runs one command over the inputs in ``tests/data/golden``
 and compares its exit code and report with ``<case>.report`` there, whose
@@ -37,6 +39,8 @@ CASES = {
     "midpath-tree64": "midpath -i {data}/tree64.dist",
     "midpath-ties12": "midpath -i {data}/ties12.dist --witness",
     "midpath-zeros12": "midpath -i {data}/zeros12.dist",
+    "midpath-zeros12-witness": "midpath -i {data}/zeros12.dist --witness",
+    "midpath-blowup20-witness": "midpath -i {data}/blowup20.dist --witness",
     "compat-circular32": "check compat -s {data}/circular32.splits",
     "compat-tree16": "check compat -s {data}/tree16.splits",
     "circular-32": "check circular -s {data}/circular32.splits",

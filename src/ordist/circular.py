@@ -24,16 +24,26 @@ never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
 side {f > 0} of b is the reverse, and the ties lie between them.  The lemma
 needs no triangle inequality, only the condition on the ordering, which
 recovery verifies in full.
+
+By the lemma, each level set L(u,v,c) = {u} | {z not in {u,v} : f(z) < c}
+of f = D(u,.) - D(v,.) is an arc of a passing ordering; conversely a
+violated edge pair (a, a+1), (b, b+1) leaves L(e_a, e_a+1, f(e_b+1)) off
+every arc.  So recovery is one repair loop: greedy cheapest insertion
+proposes an ordering, and while the check returns a quadruple the level
+sets of its four cyclic pairs, both ways, join the constraints, at least
+one of them new, and a consecutive-ones test (element 0 pinned first)
+proposes an ordering with every constraint an arc, or shows there is none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import lcm
 from operator import or_
 from typing import Iterable, Mapping
 
+from .compat import _crosses
 from .core import (
     DistanceMatrix,
     GroundSet,
@@ -42,6 +52,8 @@ from .core import (
     Split,
     WeightedSplitSystem,
     as_rational,
+    bit_indices,
+    canonical_mask,
     gather,
     ground_and_splits,
     separation_rows,
@@ -227,100 +239,101 @@ def kalmanson_check(
     return None
 
 
-def _new_edges_ok(rows: list[list[int]], seq: list[int], pz: int) -> bool:
-    """Check the two circle edges created by inserting the element at
-    position pz against every disjoint edge; used to prune the recovery
-    search.  Edge-pair instances not involving the new edges are untouched
-    by the insertion, so the partial circle keeps satisfying all of them."""
-    k = len(seq)
-    for first in (pz - 1, pz):
-        x = seq[first]
-        xn = seq[(first + 1) % k]
-        row_x, row_xn = rows[x], rows[xn]
-        for a in range(k):
-            y = seq[a]
-            yn = seq[(a + 1) % k]
-            if y == x or y == xn or yn == x or yn == xn:
-                continue
-            if row_x[y] + row_xn[yn] < row_x[yn] + row_xn[y]:
-                return False
-    return True
-
-
-def _detours(rows: list[list[int]], seq: list[int], z: int) -> list[int]:
-    """The detour D(x,z) + D(z,y) - D(x,y) of inserting z at each position
-    1..len(seq) of the circle, between x = seq[pos - 1] and its successor y."""
-    row_z = rows[z]
-    return [row_z[x] + row_z[y] - rows[x][y] for x, y in zip(seq, seq[1:] + seq[:1])]
-
-
-def _insertion_positions(rows: list[list[int]], seq: list[int], z: int) -> list[int]:
-    """Candidate insertion positions 1..len(seq), cheapest detour first and
-    ties in position order (the sort is stable)."""
-    detours = _detours(rows, seq, z)
-    return [k + 1 for k in sorted(range(len(seq)), key=detours.__getitem__)]
-
-
 def _greedy_insertion(rows: list[list[int]], n: int) -> list[int]:
     """Elements 3..n-1 inserted one by one into the circle 0, 1, 2, each at
-    its cheapest detour, the lowest such position on a tie: the first of
-    ``_insertion_positions`` without sorting."""
+    its cheapest detour D(x,z) + D(z,y) - D(x,y) between neighbours x and
+    y, the lowest such position on a tie."""
     seq = [0, 1, 2]
     for z in range(3, n):
-        detours = _detours(rows, seq, z)
+        row_z = rows[z]
+        detours = [row_z[x] + row_z[y] - rows[x][y] for x, y in pairwise(seq + seq[:1])]
         seq.insert(detours.index(min(detours)) + 1, z)
     return seq
 
 
-def _search_insertions(rows: list[list[int]], n: int) -> list[int] | None:
-    """Backtracking over insertion positions of elements 3..n-1 into the
-    circle 0, 1, 2, cheapest detour first, on an explicit stack of position
-    iterators (one per element being placed) instead of the call stack."""
-    seq = [0, 1, 2]
-    pending = [iter(_insertion_positions(rows, seq, 3))]
-    placed: list[int] = []  # the position at which each placed element went in
+def _level_sets(rows: list[list[int]], u: int, v: int, full: int) -> list[int]:
+    """The nontrivial level sets {u} | {z not in {u, v} : f(z) < c} of
+    f(z) = D(u,z) - D(v,z), one per value c taken by f, each as its side
+    avoiding element 0."""
+    row_u, row_v = rows[u], rows[v]
+    ranked = sorted(
+        (row_u[z] - row_v[z], z) for z in range(len(rows)) if z != u and z != v
+    )
+    out, mask, last = [], 1 << u, ranked[0][0]
+    for value, z in ranked:
+        if value != last:
+            out.append(canonical_mask(mask, full))
+            last = value
+        mask |= 1 << z
+    return out
+
+
+def _consecutive_order(sets: Iterable[int], universe: int) -> list[int] | None:
+    """An order of the universe's elements in which every set is
+    consecutive, or None (Fulkerson and Gross, Pacific J. Math. 15, 1965).
+
+    Sets that cross (``compat._crosses``) form components.  In one, each
+    set in search order crosses an earlier one, so its place is forced up
+    to reversal: a run of the classes so far, whole but for the two ends,
+    which it splits, then its new elements at one end.  Unions of different
+    components are nested or disjoint, a smaller one inside one class of a
+    larger, so the components, largest union first, refine one sequence.
+    """
+    pending = sorted(set(sets))
+    components = []
     while pending:
-        z = 3 + len(placed)
-        for pos in pending[-1]:
-            seq.insert(pos, z)
-            if _new_edges_ok(rows, seq, pos):
-                break
-            seq.pop(pos)
-        else:
-            pending.pop()
-            if placed:
-                seq.pop(placed.pop())
-            continue
-        if z + 1 == n:
-            return seq
-        placed.append(pos)
-        pending.append(iter(_insertion_positions(rows, seq, z + 1)))
-    return None
+        found = [pending.pop()]
+        for s in found:
+            crossing = [t for t in pending if _crosses(s, t)]
+            pending = [t for t in pending if not _crosses(s, t)]
+            found += crossing
+        covered = found[0]
+        classes = [covered]
+        for s in found[1:]:
+            fresh = s & ~covered
+            covered |= s
+            for seq in (classes, classes[::-1]):
+                seq = seq + [fresh] if fresh else seq
+                hit = [i for i, c in enumerate(seq) if c & s]
+                lo, hi = hit[0], hit[-1]
+                inner = seq[lo + 1 : hi]
+                if all(c & s == c for c in inner):
+                    run = [seq[lo] & ~s, seq[lo] & s, *inner, seq[hi] & s, seq[hi] & ~s]
+                    classes = [c for c in seq[:lo] + run + seq[hi + 1 :] if c]
+                    break
+            else:
+                return None
+        # largest union first; on a tie, the one set that equals the union
+        components.append((-covered.bit_count(), len(classes), covered, classes))
+    blocks = [universe]
+    for _, _, union, classes in sorted(components):
+        i = next(i for i, block in enumerate(blocks) if block & union)
+        blocks[i : i + 1] = [c for c in classes + [blocks[i] & ~union] if c]
+    return [e for block in blocks for e in bit_indices(block)]
 
 
 def recover_circular_ordering(matrix: DistanceMatrix) -> CircularOrdering | None:
     """An ordering on which the matrix passes the quadruple condition, or
-    None when no ordering works.
-
-    Strategy: greedy cheapest insertion first, then a complete backtracking
-    search over insertion positions (element 0 pinned first, which is safe
-    because the condition is rotation and reversal invariant).  Whatever the
-    search produces is verified in full before being returned, so the result
-    never depends on the heuristics.  With zero weights the ordering need
-    not be unique; any valid one may be returned.
+    None when no ordering works, by the repair loop of the module
+    docstring.  With zero weights the ordering need not be unique; any
+    valid one may be returned.
     """
     n = matrix.n
     if n <= 3:
         return CircularOrdering(matrix.ground, range(n))
     rows = matrix.comparison_rows()
+    full = (1 << n) - 1
+    constraints: set[int] = set()
     theta = CircularOrdering(matrix.ground, _greedy_insertion(rows, n))
-    if kalmanson_check(matrix, theta) is None:
-        return theta
-    found = _search_insertions(rows, n)
-    if found is None:
-        return None
-    theta = CircularOrdering(matrix.ground, found)
-    return theta if kalmanson_check(matrix, theta) is None else None
+    while (quad := kalmanson_check(matrix, theta)) is not None:
+        for u, v in zip(quad, quad[1:] + quad[:1]):
+            for a, b in ((u, v), (v, u)):
+                constraints.update(_level_sets(rows, a, b, full))
+        order = _consecutive_order(constraints, full ^ 1)
+        if order is None:
+            return None
+        theta = CircularOrdering(matrix.ground, [0] + order)
+    return theta
 
 
 def is_circular_split_system(

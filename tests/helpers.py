@@ -270,8 +270,8 @@ def parse_split_system_by_labels(text: str) -> WeightedSplitSystem:
 
 def insertion_positions_by_sort(rows, seq, z) -> list[int]:
     """Insertion positions 1..len(seq) for element z, sorted by the pair
-    (detour, position): the reference order for greedy insertion and the
-    backtracking search of ``recover_circular_ordering``."""
+    (detour, position): the reference order for the greedy insertion that
+    proposes ``recover_circular_ordering``'s first ordering."""
     k = len(seq)
     scored = []
     for pos in range(1, k + 1):
@@ -469,7 +469,7 @@ def quadruple_condition_holds(matrix: DistanceMatrix, seq) -> bool:
 
 def circular_orderings_brute(matrix: DistanceMatrix) -> list[CircularOrdering]:
     """Every canonical ordering passing the quadruple condition, found by
-    trying all (n-1)!; the oracle for the recovery search."""
+    trying all (n-1)!; the oracle for circular recovery."""
     n = matrix.n
     if n <= 3:
         return [CircularOrdering(matrix.ground, range(n))]
@@ -479,6 +479,23 @@ def circular_orderings_brute(matrix: DistanceMatrix) -> list[CircularOrdering]:
         if theta not in found and quadruple_condition_holds(matrix, theta.sequence):
             found.append(theta)
     return found
+
+
+def is_consecutive_in(order, sets) -> bool:
+    """Whether every bitmask set holds consecutive entries of order."""
+    place = {e: i for i, e in enumerate(order)}
+    for s in sets:
+        spots = [place[e] for e in range(s.bit_length()) if s >> e & 1]
+        if max(spots) - min(spots) + 1 != len(spots):
+            return False
+    return True
+
+
+def consecutive_order_brute(sets, n: int):
+    """The first permutation of range(n) in which every set is
+    consecutive, or None: the oracle for ``_consecutive_order``."""
+    orders = permutations(range(n))
+    return next((perm for perm in orders if is_consecutive_in(perm, sets)), None)
 
 
 def zero_heavy_circular_distance(n: int, rng, zero_share=0.7) -> DistanceMatrix:

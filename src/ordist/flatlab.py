@@ -20,13 +20,16 @@ tolerance knobs, which the orderliness probe below depends on.
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
 weights.  orderly_test searches for a violating weighting: first the
-two-split weightings supported on incompatible pairs, whose order distances
-have known closed form, then seeded random weightings.  Each probe is one
-int pipeline in the solver's pair order: the split distance kernel gives
-the generated pair values, per-element column gathers feed the strict
-comparison sets of ``order``, and the popcounts of Eq. (1) give the order
-distance, whose re-expression the solver signs.  No DistanceMatrix is
-built, and no Fraction unless the probe finds a counterexample.
+two-split weightings supported on incompatible pairs, then seeded random
+weightings.  A two-split probe reads its order distance off the closed
+form ``order.two_split_order_values``: the two splits cut the ground set
+into four corners, and a pair's value is the one between its elements'
+corners.  A random probe is one int pipeline: the split distance kernel
+gives the generated pair values, per-element column gathers feed the
+strict comparison sets of ``order``, and the popcounts of Eq. (1) give the
+order distance.  Either way the values come in the solver's pair order and
+the solver signs their re-expression.  No DistanceMatrix is built, and no
+Fraction unless the probe finds a counterexample.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .core import (
     separation_sums,
     transpose_bits,
 )
-from .order import _comparison_sets
+from .order import _comparison_sets, _two_split_values
 
 __all__ = [
     "DependentBasisError",
@@ -509,15 +512,18 @@ def orderly_test(
     NoCounterexampleFound is evidence, not proof.
 
     A probe is a list of int weights in split order and runs in ints in
-    the solver's pair order.  The split distance kernel over the pair
-    masks gives the generated pair values.  Gathers built once per test
-    read each element's column off them, with the diagonal zero appended
-    as an extra slot, and ``order._comparison_sets`` turns each column
-    into its strict comparison set T_x.  At (2, 1) Eq. (1) is
-    O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie
-    sets), and the solver's integer weights of these values give the
-    signs of the re-expression.  Only a counterexample gets Fractions: its
-    weighting, and its expression from the same integer weights.
+    the solver's pair order.  In phase 1 the stored sides a, b give the
+    corners a & b, b - a, a - b and the rest, blocks 1 to 4 of
+    ``order.two_split_order_values``, and a pair reads the closed form's
+    value between its elements' corners (0 within one).  In phase 2 the
+    split distance kernel over the pair masks gives the generated pair
+    values.  Gathers read each element's column off them, with the
+    diagonal zero appended as an extra slot, and ``order._comparison_sets``
+    turns each column into its strict comparison set T_x.  At (2, 1)
+    Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so
+    no tie sets).  The solver's integer weights of the order values give
+    the signs of the re-expression.  Only a counterexample gets Fractions:
+    its weighting, and its expression from the same integer weights.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -526,19 +532,11 @@ def orderly_test(
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")
     n, pairs, pair_masks = ground.n, solver.pairs, solver.pair_masks
-    slot = {pair: p for p, pair in enumerate(pairs)}
-    diagonal = len(pairs)  # the zero appended to the pair values
-    columns = [
-        gather([slot[min(u, x), max(u, x)] if u != x else diagonal for u in range(n)])
-        for x in range(n)
-    ]
 
-    def probe(weights: list[int], phase: int, trial: int | None) -> CounterexampleFound | None:
-        generated = separation_sums(weights)(pair_masks)
-        generated.append(0)
-        strict = [_comparison_sets(column(generated), False)[0] for column in columns]
-        order_values = [(strict[i] ^ strict[j]).bit_count() for i, j in pairs]
-        signed = solver._signed_weights(order_values)
+    def verdict(
+        weights: list[int], values: list[int], phase: int, trial: int | None
+    ) -> CounterexampleFound | None:
+        signed = solver._signed_weights(values)
         if signed is not None and min(signed, default=0) >= 0:
             return None
         weighting = {s: Fraction(w) for s, w in zip(split_list, weights)}
@@ -549,17 +547,32 @@ def orderly_test(
 
     pair_probes = 0
     for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
-        if not _crosses(s1.bits, s2.bits):
+        a, b = s1.bits, s2.bits
+        if not _crosses(a, b):
             continue
         pair_probes += 1
+        n1, n2, n3 = (a & b).bit_count(), (b & ~a).bit_count(), (a & ~b).bit_count()
+        o12, o13, o14, o23, o24, o34 = _two_split_values(n1, n2, n3, n - n1 - n2 - n3)
+        table = (0, o12, o13, o14, o12, 0, o23, o24, o13, o23, 0, o34, o14, o24, o34, 0)
+        corner = [3 - (a >> e & 1) - 2 * (b >> e & 1) for e in range(n)]
         weights = [0] * len(split_list)
         weights[t1] = weights[t2] = 2
-        hit = probe(weights, 1, None)
+        hit = verdict(weights, [table[4 * corner[i] + corner[j]] for i, j in pairs], 1, None)
         if hit is not None:
             return hit
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    diagonal = len(pairs)  # the zero appended to the pair values
+    columns = [
+        gather([slot[min(u, x), max(u, x)] if u != x else diagonal for u in range(n)])
+        for x in range(n)
+    ]
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        hit = probe([rng.randint(0, 20) for _ in split_list], 2, trial)
+        weights = [rng.randint(0, 20) for _ in split_list]
+        generated = separation_sums(weights)(pair_masks)
+        generated.append(0)
+        strict = [_comparison_sets(column(generated), False)[0] for column in columns]
+        hit = verdict(weights, [(strict[i] ^ strict[j]).bit_count() for i, j in pairs], 2, trial)
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)

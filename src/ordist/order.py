@@ -261,18 +261,24 @@ def two_split_order_values(
     distance generated by two incompatible splits of weight 2 each.
 
     Block sizes n1..n4 are the four pairwise intersections of the two
-    splits' sides (all at least 1).  Returns the six inter-block values
+    splits' sides, all at least 1: with A a side of the first split and
+    B a side of the second, block 1 lies in A and B, block 2 in B only,
+    block 3 in A only and block 4 in neither, as in ``two_split_instance``
+    and ``flatlab.orderly_test``.  Returns the six inter-block values
     (O12, O13, O14, O23, O24, O34); intra-block values are all 0.
     """
     if min(n1, n2, n3, n4) < 1:
         raise ValueError("all four blocks must be non-empty")
+    return tuple(map(Fraction, _two_split_values(n1, n2, n3, n4)))
+
+
+def _two_split_values(n1: int, n2: int, n3: int, n4: int) -> tuple[int, ...]:
+    """``two_split_order_values`` as ints, without the block check."""
     near = n1 * n4 + 2 * (n1 * n2 + n3 * n4) + n2 * n3
     cross = n1 * n4 + 2 * (n1 * n3 + n2 * n4) + n2 * n3
     far = 2 * (n1 * n4 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
     anti = 2 * (n2 * n3 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
-    return tuple(
-        Fraction(v) for v in (near, cross, far, anti, cross, near)
-    )
+    return near, cross, far, anti, cross, near
 
 
 def two_split_instance(

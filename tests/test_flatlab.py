@@ -501,6 +501,85 @@ def test_orderly_probes_build_no_matrix(monkeypatch):
     check_counterexample(verdict, list(system.split_set()))
 
 
+def _phase_one_values(monkeypatch, splits, swap: bool = False) -> dict:
+    # the pair-order values of every phase-1 probe, keyed by the probe's
+    # two splits in canonical order; the recorder passes every probe, so
+    # no counterexample stops the walk, and swap hands each pair of
+    # (index, split) items to the probe second split first
+    seen = []
+
+    def record(self, values):
+        seen.append(list(values))
+        return []
+
+    def swapped(items, r):
+        for pair in combinations(items, r):
+            yield pair[::-1] if r == 2 and isinstance(pair[0], tuple) else pair
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ExactSolver, "_signed_weights", record)
+        if swap:
+            patch.setattr(flatlab_module, "combinations", swapped)
+        verdict = orderly_test(splits, trials=0)
+    crossing = [(a, b) for a, b in combinations(splits, 2) if not is_compatible_pair(a, b)]
+    assert verdict.pair_probes == len(crossing) == len(seen)
+    return dict(zip(crossing, seen))
+
+
+def test_orderly_phase_one_values_match_eq1(monkeypatch):
+    # phase 1 reads the two-split closed form; eq1 of the generated
+    # distance of each crossing pair, in the solver's pair order, is the
+    # oracle, and the values do not depend on which split comes first
+    rng = random.Random(23)
+    systems = []
+    for n in range(4, 13):
+        systems.append(random_maximum_circular_system(n, rng)[1])
+        systems.append(random_maximum_flat_system(n, rng))
+        tree = random_binary_tree_system(n, rng)
+        every = [Split.from_bits(tree.ground, m << 1) for m in range(1, 1 << (n - 1))]
+        extra = [s for s in every if any(not is_compatible_pair(s, t) for t in tree.splits)]
+        systems.append(list(tree.splits) + [rng.choice(extra)])
+        systems.append(rng.sample(every, rng.randint(2, n * (n - 1) // 2)))
+    probed = 0
+    for system in systems:
+        splits = sorted(ground_and_splits(system)[1], key=lambda s: s.bits)
+        if not is_linearly_independent(splits):
+            continue
+        pairs = list(combinations(range(splits[0].ground.n), 2))
+        forward = _phase_one_values(monkeypatch, splits)
+        swapped = _phase_one_values(monkeypatch, splits, swap=True)
+        for (a, b), values in forward.items():
+            two = WeightedSplitSystem(a.ground, [(a, 2), (b, 2)])
+            o = order_distance_eq1(generate_distance(two), OrderParams(2, 1))
+            assert values == [o[i, j] for i, j in pairs]
+            assert swapped[a, b] == values
+        probed += len(forward)
+    assert probed > 4000
+
+
+def test_orderly_phase_one_runs_no_pipeline(monkeypatch):
+    # phase 1 takes no split distance kernel and no comparison sets: each
+    # phase-2 trial calls the kernel once and builds n comparison sets
+    calls = Counter()
+    for name in ("separation_sums", "_comparison_sets"):
+        function = getattr(flatlab_module, name)
+
+        def counted(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(flatlab_module, name, counted)
+    _, splits = random_maximum_circular_system(8, random.Random(8))
+    solver = _ExactSolver(*ground_and_splits(splits))
+    assert solver.peeled == len(solver.pairs)  # so the solver skips its residual kernel
+    for trials in (0, 1, 10):
+        calls.clear()
+        verdict = orderly_test(splits, trials=trials, seed=1)
+        assert isinstance(verdict, NoCounterexampleFound)
+        assert verdict.pair_probes > 0
+        assert calls == Counter(separation_sums=trials, _comparison_sets=trials * 8)
+
+
 def test_orderly_needs_independence():
     _, splits = seven_split_cluster()
     with pytest.raises(DependentBasisError):

@@ -10,7 +10,10 @@ One kernel, ``separation_sums``, sums weighted splits into distances for
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter
@@ -37,8 +40,10 @@ _LABEL_FORBIDDEN = set(",|:#")
 # '0'/'1' digits to 0/1 selector bytes for itertools.compress, and flipped
 _DIGIT_SELECTS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_SELECTS_FLIPPED = bytes.maketrans(b"01", b"\x01\x00")
-# byte value to the '0'/'1' digit of its bit b, one table for each b < 8
-_BIT_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+# transpose_bits: the array typecode of each word size in bits, and the
+# bits of one chunk of whole column blocks
+_WORD_CODES = {array(code).itemsize * 8: code for code in "QLIHB"}
+_CHUNK_BITS = 1 << 16
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -136,28 +141,94 @@ def bit_indices(mask: int) -> list[int]:
 
 def transpose_bits(rows: Sequence[int], width: int) -> list[int]:
     """The bit matrix read by columns: bit t of out[e] is bit e of rows[t],
-    for e < width.
+    for e < width.  Rows must be ints in [0, 2**width).
 
-    The rows go little-endian into one bytes object, last row first (one
-    byte each when width <= 8), so byte e // 8 of every row is one strided
-    slice; a table per bit b < 8 turns the object into '0'/'1' digits that
-    ``int(..., 2)`` reads back as the columns e = b mod 8.  Rows must be
-    ints in [0, 2**width).
+    Warren's masked-swap transpose (Hacker's Delight, 2nd ed., 7-3) on
+    S x S squares of S-bit words, S the least of 8, 16, 32 and 64 that is
+    at least the width, else 64.  Square (g, b) holds bits b*S .. b*S+S-1
+    of rows g*S .. g*S+S-1.  The G squares of column block b are stored
+    interleaved, row r of square g as word r*G + g of the block, so that
+    rounds j = S/2, ..., 1 of
+        t = ((x >> k) ^ x) & M_j;  x ^= t ^ (t << k),  k = j * (G*S - 1)
+    swap bit (r, c) with bit (r + j, c - j), where r & j = 0 and c & j != 0,
+    in every square at once.  x is the int of a chunk of whole blocks, of
+    about 2**16 bits, so a round is a few big-int operations and the
+    temporaries stay at chunk size.  Column b*S + c then is the G adjacent
+    words c*G .. c*G+G-1 of block b: one word of ``array.tolist`` when
+    G = 1, else one ``int.from_bytes``.
+
+    The ints are read and written little-endian, while an ``array`` holds
+    its words in host byte order: on a big-endian host the words are
+    byte-swapped between the two, so the result does not depend on the
+    host.  A row out of range fails to convert to words or sets a padding
+    column past the width, and either raises ValueError.
     """
-    if rows and (min(rows) < 0 or max(rows) >> width):
-        raise ValueError(f"rows must be non-negative ints below 2**{width}")
     if not rows or not width:
+        if any(rows):
+            raise _row_range_error(width)
         return [0] * width
-    size = (width + 7) // 8
-    if size == 1:
-        data = bytes(reversed(rows))
-    else:
-        data = b"".join([row.to_bytes(size, "little") for row in reversed(rows)])
-    out = [0] * width
-    for b in range(min(width, 8)):
-        digits = data.translate(_BIT_DIGITS[b])
-        out[b::8] = [int(digits[e >> 3 :: size], 2) for e in range(b, width, 8)]
+    side = 8 if width <= 8 else 16 if width <= 16 else 32 if width <= 32 else 64
+    code, size = _WORD_CODES[side], side // 8
+    blocks = -(-width // side)
+    groups = -(-len(rows) // side)
+    padded = list(rows) + [0] * (groups * side - len(rows))
+    # row g*S + r goes to place r*G + g, interleaving the squares of a block
+    order = []
+    for r in range(side):
+        order += padded[r::side]
+    try:
+        if blocks > 1:
+            words = array(code, b"".join([row.to_bytes(blocks * size, "little") for row in order]))
+        else:
+            words = array(code, bytes(order) if side == 8 else order)
+            if sys.byteorder == "big":
+                words.byteswap()
+    except (OverflowError, ValueError):
+        raise _row_range_error(width) from None
+    span = groups * side  # words in one block
+    per_chunk = max(1, _CHUNK_BITS // (span * side))
+    masks = _swap_masks(side, groups, min(per_chunk, blocks))
+    out: list[int] = []
+    for first in range(0, blocks, per_chunk):
+        stop = min(first + per_chunk, blocks)
+        data = b"".join([words[b::blocks] for b in range(first, stop)]) if blocks > 1 else words
+        x = int.from_bytes(data, "little")
+        for shift, mask in masks:
+            t = ((x >> shift) ^ x) & mask
+            x ^= t ^ (t << shift)
+        data = x.to_bytes((stop - first) * span * size, "little")
+        if groups == 1:
+            columns = array(code, data)
+            if sys.byteorder == "big":
+                columns.byteswap()
+            out += columns.tolist()
+        else:
+            step = groups * size
+            out += [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+    if any(out[width:]):
+        raise _row_range_error(width)
+    del out[width:]
     return out
+
+
+def _row_range_error(width: int) -> ValueError:
+    return ValueError(f"rows must be non-negative ints below 2**{width}")
+
+
+@lru_cache(maxsize=16)
+def _swap_masks(side: int, groups: int, blocks: int) -> tuple[tuple[int, int], ...]:
+    """The shift k and the mask M_j of each round j of ``transpose_bits``
+    on a chunk of blocks of interleaved squares: in each block, M_j has bit
+    c of word r*groups + g set iff r & j = 0 and c & j != 0."""
+    out = []
+    j = side // 2
+    while j:
+        word = sum(1 << c for c in range(side) if c & j).to_bytes(side // 8, "little")
+        rows_on = word * (groups * j)
+        mask = (rows_on + bytes(len(rows_on))) * (side // (2 * j) * blocks)
+        out.append((j * (groups * side - 1), int.from_bytes(mask, "little")))
+        j //= 2
+    return tuple(out)
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:

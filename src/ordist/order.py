@@ -121,9 +121,9 @@ def midpath_split_system(matrix: DistanceMatrix) -> MidpathDecomposition:
     and the columns v*w + u a slice with stride w.  Improper sides drop,
     the empty diagonal and padding columns among them.  The raw columns are
     counted first and only the distinct ones canonicalized, in first-seen
-    order.  Only the strict sets are built; they, the transpose's byte copy
-    and its digit copy hold n * n * w / 8 bytes each, and the traced peak
-    is 12.5 MB at n = 256.
+    order.  Only the strict sets are built; they and the transpose's word
+    copy hold n * n * w / 8 bytes each, the n * w column ints about twice
+    that, and the traced peak is 9.0 MB at n = 256.
     """
     n = matrix.n
     full = (1 << n) - 1

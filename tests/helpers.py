@@ -621,6 +621,13 @@ def kendall_penalized_brute(r1: PartialRanking, r2: PartialRanking, pi) -> Fract
     return discordant + Fraction(pi) * tied_one
 
 
+def transpose_bits_by_bits(rows, width: int) -> list[int]:
+    """The columns of a bit matrix read one bit at a time: bit t of out[e]
+    is bit e of rows[t]; the oracle for ``transpose_bits``."""
+    digits = [format(row, "b").zfill(width)[::-1] for row in rows]  # digit e is bit e
+    return [sum(1 << t for t, row in enumerate(digits) if row[e] == "1") for e in range(width)]
+
+
 def ultrametric_fixture() -> WeightedSplitSystem:
     """The weighted compatible 5-point system whose order distance follows
     the 4p+3q / 4p+5q / p+4q / 2p+4q patterns."""

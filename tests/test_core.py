@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given
@@ -16,7 +17,9 @@ from ordist import (
     restrict_split_system,
     split_metric,
 )
+from ordist import core
 from ordist.core import separation_rows, separation_sums, transpose_bits
+from helpers import transpose_bits_by_bits
 from strategies import canonical_masks, distance_matrices, rationals, split_systems
 
 
@@ -280,8 +283,8 @@ def test_generate_distance_is_linear_in_weights(system, data):
 
 @st.composite
 def bit_rows(draw):
-    width = draw(st.integers(0, 70))
-    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+    width = draw(st.integers(0, 300))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=140))
     return rows, width
 
 
@@ -293,15 +296,43 @@ def bit_rows(draw):
 def test_transpose_bits_reads_columns(case):
     rows, width = case
     columns = transpose_bits(rows, width)
-    assert len(columns) == width
-    for e, column in enumerate(columns):
-        assert column == sum((row >> e & 1) << t for t, row in enumerate(rows))
+    assert columns == transpose_bits_by_bits(rows, width)
     if rows and width:
         assert transpose_bits(columns, len(rows)) == rows
 
 
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65, 128, 129, 300])
+def test_transpose_bits_matches_the_bitwise_oracle(count):
+    # square sides 8 to 64, one or several squares per column block, one or
+    # several chunks; the last width is one column past a whole chunk of
+    # 64-column blocks
+    squares = -(-count // 64)
+    chunk = max(1, core._CHUNK_BITS // (squares * 64 * 64)) * 64
+    rng = Random(count)
+    for width in (1, 5, 8, 9, 31, 33, 63, 64, 65, 4096, 4097, chunk + 1):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        rows[-1] |= 1 << (width - 1)
+        columns = transpose_bits(rows, width)
+        assert columns == transpose_bits_by_bits(rows, width)
+        assert transpose_bits(columns, count) == rows
+
+
 def test_transpose_bits_refuses_rows_wider_than_width():
-    for rows, width in (([8], 3), ([-1], 3), ([1], 0)):
+    # too wide for the words (8, 64 and 65 columns), caught in a padding
+    # column (3, 9 and 70 columns), negative, or non-zero at width 0
+    cases = [
+        ([8], 3),
+        ([1 << 8], 8),
+        ([0] * 8 + [1 << 9], 9),
+        ([1 << 64], 64),
+        ([0, 1 << 65], 65),
+        ([1 << 70] + [0] * 64, 70),
+        ([-1], 3),
+        ([0, -1], 70),
+        ([1], 0),
+        ([-1], 0),
+    ]
+    for rows, width in cases:
         with pytest.raises(ValueError):
             transpose_bits(rows, width)
 

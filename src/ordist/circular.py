@@ -14,9 +14,10 @@ recovery can fix element 0 in place.
 
 For circular input and q = p/2 the order distance can be computed without
 touching all pairs-of-pairs: every strict-comparison side is an arc, whose
-end is located by a galloping search from the end found for the previous
-pair, and the resulting weighted arc system is evaluated by an O(n^2)
-recurrence.  The arcs come from a monotonicity lemma: for positions
+end is found by a forward gallop from the previous pair's end, or by a
+binary search when the end moved back, and one shared search past a tie;
+the weighted arc system is evaluated by an O(n^2) recurrence.  The arcs
+come from a monotonicity lemma: for positions
 a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
 f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
 never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
@@ -407,6 +408,19 @@ def evaluate_circular_distance(
     return _table_distance(theta, table, scale)
 
 
+def _past_ties(near: list[int], far: list[int], lo: int, stop: int) -> int:
+    """The first index past the tied boundary lo, up to stop, where near >
+    far, on a path along which near - far never decreases."""
+    hi = stop
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if near[mid] > far[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def order_distance_circular(
     matrix: DistanceMatrix, params: OrderParams
 ) -> DistanceMatrix:
@@ -417,14 +431,15 @@ def order_distance_circular(
     positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z) is monotone
     along each path between them (module docstring), so {f < 0} and
     {f > 0} are arcs whose ends take one search on each path, and a second,
-    binary one only past a tied boundary.  The ends barely move from one b
-    to the next, so each main search gallops (Bentley and Yao, IPL 5,
-    1976): from the end found for the previous b it doubles its step
-    towards the boundary, then closes the last step by binary search,
-    about 2 log2(d) + 2 comparisons for a boundary d places away.  The
-    monotonicity that makes a binary search correct makes any start
-    correct, and the verified ordering proves it for every pair, so no
-    scan or other fallback is needed.
+    binary one (``_past_ties``, for both paths) only past a tied boundary.
+    The ends barely move from one b to the next, and nearly always forward,
+    so each main search gallops forward (Bentley and Yao, IPL 5, 1976):
+    from the end found for the previous b it doubles its step, then closes
+    the last step by binary search, about 2 log2(d) + 2 comparisons for a
+    boundary d places on.  When that end lies outside the side, a binary
+    search runs from the path's first position up to it.  The monotonicity
+    that makes a binary search correct makes any start correct, and the
+    verified ordering proves it for every pair, so no scan is needed.
 
     Raises PreconditionError when q != p/2, and its subclass
     NotCircularError when no ordering passes verification or when a
@@ -460,19 +475,16 @@ def order_distance_circular(
                     )
                 continue
             # path a..b: the side of a is a prefix, the side of b a suffix;
-            # gallop from end_a, which lies in a..b-1
-            lo = hi = end_a
-            step = 1
+            # gallop from end_a, which lies in a..b-1, or search a..end_a
+            lo = end_a
             if row_a[lo] < row_b[lo]:
+                step = 1
                 while lo + step < b and row_a[lo + step] < row_b[lo + step]:
                     lo += step
                     step += step
                 hi = lo + step if lo + step < b else b
             else:
-                while hi - step > a and row_a[hi - step] >= row_b[hi - step]:
-                    hi -= step
-                    step += step
-                lo = hi - step if hi - step > a else a
+                lo, hi = a, lo
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if row_a[mid] < row_b[mid]:
@@ -480,29 +492,18 @@ def order_distance_circular(
                 else:
                     hi = mid
             end_a = lo
-            if row_a[hi] == row_b[hi]:
-                lo, hi = hi, b
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if row_a[mid] > row_b[mid]:
-                        hi = mid
-                    else:
-                        lo = mid
-            start_b = hi
+            start_b = hi if row_a[hi] != row_b[hi] else _past_ties(row_a, row_b, hi, b)
             # path b..a: the side of b is a prefix, the side of a a suffix;
-            # the same gallop from end_b, moved into b-n..a-1
-            lo = hi = end_b if end_b > b - n else b - n
-            step = 1
+            # the same search from end_b, moved into b-n..a-1
+            lo = end_b if end_b > b - n else b - n
             if row_a[lo] > row_b[lo]:
+                step = 1
                 while lo + step < a and row_a[lo + step] > row_b[lo + step]:
                     lo += step
                     step += step
                 hi = lo + step if lo + step < a else a
             else:
-                while hi - step > b - n and row_a[hi - step] <= row_b[hi - step]:
-                    hi -= step
-                    step += step
-                lo = hi - step if hi - step > b - n else b - n
+                lo, hi = b - n, lo
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if row_a[mid] > row_b[mid]:
@@ -510,15 +511,7 @@ def order_distance_circular(
                 else:
                     hi = mid
             end_b = lo
-            if row_a[hi] == row_b[hi]:
-                lo, hi = hi, a
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if row_a[mid] < row_b[mid]:
-                        hi = mid
-                    else:
-                        lo = mid
-            start_a = hi
+            start_a = hi if row_a[hi] != row_b[hi] else _past_ties(row_b, row_a, hi, a)
             # table keys are arcs avoiding position n-1: else the complement
             if start_a >= 0:
                 table[start_a][end_a] += weight

@@ -121,10 +121,7 @@ def _cmd_order(args: argparse.Namespace) -> CommandOutcome:
     matrix = _load_matrix(args.input)
     p = _parse_rational_flag(args.p, "-p")
     q = _parse_rational_flag(args.q, "-q")
-    try:
-        params = OrderParams(p, q)
-    except ValueError as exc:
-        return CommandOutcome(PRECONDITION, f"error: {exc}")
+    params = OrderParams(p, q)
     lines = [f"algo: {args.algo}", f"p: {format_rational(params.p)}",
              f"q: {format_rational(params.q)}"]
     order = _engines()[args.algo](matrix, params)
@@ -363,8 +360,6 @@ def run(argv: list[str] | None = None) -> CommandOutcome:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FormatError as exc:
-        return CommandOutcome(INPUT_ERROR, f"error: {exc}")
     except PreconditionError as exc:
         return CommandOutcome(PRECONDITION, f"error: {exc}")
     except ValueError as exc:

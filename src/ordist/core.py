@@ -512,7 +512,8 @@ class PreconditionError(ValueError):
 
 
 class OrderParams:
-    """Order distance parameters: p > 0 and q >= p/2, both rational."""
+    """Order distance parameters: p > 0 and q >= p/2, both rational;
+    PreconditionError otherwise."""
 
     __slots__ = ("p", "q")
 
@@ -520,9 +521,9 @@ class OrderParams:
         p = as_rational(p)
         q = as_rational(q)
         if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
+            raise PreconditionError(f"p must be positive, got {p}")
         if q < p / 2:
-            raise ValueError(f"q must be at least p/2, got p={p}, q={q}")
+            raise PreconditionError(f"q must be at least p/2, got p={p}, q={q}")
         self.p = p
         self.q = q
 

@@ -118,7 +118,8 @@ class _ExactSolver:
         m = len(self.pairs)
         side = transpose_bits([split.bits for split in self.splits], n)
         sep = [[a ^ b for b in side] for a in side]
-        slot = [[0] * n for _ in range(n)]
+        # slot[x][y] indexes pair {x, y}; the diagonal's m, a zero appended
+        self._slot = slot = [[m] * n for _ in range(n)]
         for p, (i, j) in enumerate(self.pairs):
             slot[i][j] = slot[j][i] = p
         self.pair_masks = [sep[i][j] for i, j in self.pairs]
@@ -434,16 +435,14 @@ class AllowablePair:
             raise ValueError("pi must be a permutation of all elements")
         if len(self.kappa) != n * (n - 1) // 2:
             raise ValueError("kappa must contain one swap per element pair")
-        cur = list(self.pi)
-        swapped: set[frozenset[int]] = set()
+        # ranks in pi: a pair has swapped once its ranks are out of order
+        cur = list(range(n))
         for k in self.kappa:
             if not 0 <= k <= n - 2:
                 raise ValueError(f"swap position {k} out of range")
-            pair = frozenset((cur[k], cur[k + 1]))
-            if pair in swapped:
-                u, v = sorted(pair)
+            if cur[k] > cur[k + 1]:
+                u, v = sorted((self.pi[cur[k]], self.pi[cur[k + 1]]))
                 raise ValueError(f"elements {u} and {v} swap twice")
-            swapped.add(pair)
             cur[k], cur[k + 1] = cur[k + 1], cur[k]
 
     def orderings(self) -> list[tuple[int, ...]]:
@@ -517,9 +516,9 @@ def orderly_test(
     ``order.two_split_order_values``, and a pair reads the closed form's
     value between its elements' corners (0 within one).  In phase 2 the
     split distance kernel over the pair masks gives the generated pair
-    values.  Gathers read each element's column off them, with the
-    diagonal zero appended as an extra slot, and ``order._comparison_sets``
-    turns each column into its strict comparison set T_x.  At (2, 1)
+    values.  Gathers by the solver's pair-slot table read each element's
+    column off them, with a zero appended for the diagonal, and
+    ``order._comparison_sets`` turns each column into its strict comparison set T_x.  At (2, 1)
     Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so
     no tie sets).  The solver's integer weights of the order values give
     the signs of the re-expression.  Only a counterexample gets Fractions:
@@ -560,12 +559,7 @@ def orderly_test(
         hit = verdict(weights, [table[4 * corner[i] + corner[j]] for i, j in pairs], 1, None)
         if hit is not None:
             return hit
-    slot = {pair: p for p, pair in enumerate(pairs)}
-    diagonal = len(pairs)  # the zero appended to the pair values
-    columns = [
-        gather([slot[min(u, x), max(u, x)] if u != x else diagonal for u in range(n)])
-        for x in range(n)
-    ]
+    columns = [gather(row) for row in solver._slot]
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         weights = [rng.randint(0, 20) for _ in split_list]

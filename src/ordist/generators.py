@@ -79,17 +79,11 @@ def random_allowable_pair(n: int, rng: random.Random) -> AllowablePair:
     ground = index_ground(n)
     pi = list(range(n))
     rng.shuffle(pi)
-    cur = list(pi)
-    swapped: set[frozenset[int]] = set()
+    # ranks in pi: a pair has swapped once its ranks are out of order
+    cur = list(range(n))
     kappa = []
     for _ in range(n * (n - 1) // 2):
-        admissible = [
-            k
-            for k in range(n - 1)
-            if frozenset((cur[k], cur[k + 1])) not in swapped
-        ]
-        k = rng.choice(admissible)
-        swapped.add(frozenset((cur[k], cur[k + 1])))
+        k = rng.choice([k for k in range(n - 1) if cur[k] < cur[k + 1]])
         cur[k], cur[k + 1] = cur[k + 1], cur[k]
         kappa.append(k)
     return AllowablePair(ground, tuple(pi), tuple(kappa))

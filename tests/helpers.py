@@ -291,6 +291,26 @@ def greedy_insertion_by_sort(matrix: DistanceMatrix) -> list[int]:
     return seq
 
 
+def allowable_pair_by_frozensets(n: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (pi, kappa) of ``generators.random_allowable_pair``, drawn the
+    same way but telling a swapped pair by a set of frozensets of the
+    elements swapped so far; the oracle for its rank test."""
+    pi = list(range(n))
+    rng.shuffle(pi)
+    cur = list(pi)
+    swapped = set()
+    kappa = []
+    for _ in range(n * (n - 1) // 2):
+        admissible = [
+            k for k in range(n - 1) if frozenset((cur[k], cur[k + 1])) not in swapped
+        ]
+        k = rng.choice(admissible)
+        swapped.add(frozenset((cur[k], cur[k + 1])))
+        cur[k], cur[k + 1] = cur[k + 1], cur[k]
+        kappa.append(k)
+    return tuple(pi), tuple(kappa)
+
+
 def maximum_flat_by_restriction(splits) -> bool:
     """Maximum flatness decided through restrictions: C(n,2) independent
     splits whose restriction to every 4 elements has all 6 splits of a

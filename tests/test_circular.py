@@ -470,7 +470,9 @@ def test_circular_engine_against_eq1_and_the_scan_oracle():
 def test_galloping_where_boundaries_jump():
     # the searches for pair (a, b) start from the boundaries of the last
     # pair (a, b') found; on the benchmark's inputs they move by 1 or 2,
-    # while zero weights and shifts make them jump both ways
+    # while zero weights and shifts make them jump both ways, so the binary
+    # search for an end that moved back and the search past ties run on
+    # both paths
     rng = random.Random(3)
     params = OrderParams(2, 1)
     tally = Counter()
@@ -493,21 +495,30 @@ def test_galloping_where_boundaries_jump():
         assert evaluate_circular_distance(theta, weights) == got
         seq = theta.sequence
         for a in range(n):
-            last = None
+            start, moved = (a, a - 1), False  # where the first searches start
             for b in range(a + 1, n):
                 if (seq[a], seq[b]) not in arcs:  # distance zero: no search
                     continue
-                end_a = arcs[seq[a], seq[b]][1]
-                end_b = arcs[seq[b], seq[a]][1]
+                start_a, end_a = arcs[seq[a], seq[b]]
+                start_b, end_b = arcs[seq[b], seq[a]]
                 # the engine indexes the path b..a as b-n..a
                 ends = (end_a, end_b - n if end_b >= b else end_b)
-                if last is not None:
-                    for new, old in zip(ends, last):
+                for path, new, old in zip(("a..b", "b..a"), ends, start):
+                    # a start past the side's end: binary search, no gallop
+                    tally[f"back {path}"] += old > new
+                    if moved:
                         tally["up"] += new - old >= 4
                         tally["down"] += old - new >= 4
-                last = ends
-    # this seed gives 149 jumps up, 79 down and 2 non-metric inputs
+                # a gap between the two sides: the search past the ties
+                tally["tied a..b"] += start_b > end_a + 1
+                tally["tied b..a"] += (start_a - end_b) % n > 1
+                start, moved = ends, True
+    # this seed gives 149 jumps up, 79 down and 2 non-metric inputs; of the
+    # searches, 73 on path a..b and 756 on b..a start past the side's end,
+    # and 195 and 502 boundaries are tied
     assert tally["up"] >= 75 and tally["down"] >= 40, tally
+    assert tally["back a..b"] >= 35 and tally["back b..a"] >= 350, tally
+    assert tally["tied a..b"] >= 100 and tally["tied b..a"] >= 250, tally
     assert tally["non-metric"] == 2, tally
 
 

@@ -136,6 +136,13 @@ def test_circular_refuses_skewed_twins(tmp_path):
 def test_order_rejects_bad_input(tmp_path, quartet_file):
     assert run(["order", "-i", quartet_file, "-p", "0", "-q", "1"]).exit_code == 3
     assert run(["order", "-i", quartet_file, "-p", "2", "-q", "1/2"]).exit_code == 3
+    # OrderParams raises PreconditionError; run alone maps it, text unchanged
+    assert run(["order", "-i", quartet_file, "-p", "0", "-q", "1"]).report == (
+        "error: p must be positive, got 0"
+    )
+    assert run(["order", "-i", quartet_file, "-p", "2", "-q", "1/2"]).report == (
+        "error: q must be at least p/2, got p=2, q=1/2"
+    )
     assert run(["order", "-i", quartet_file, "-p", "x", "-q", "1"]).exit_code == 2
     assert run(["order", "-i", str(tmp_path / "no.dist"), "-p", "2", "-q", "1"]).exit_code == 2
     garbled = write(tmp_path, "bad.dist", "2\na 0 1\nb 1\n")

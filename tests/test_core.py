@@ -9,6 +9,7 @@ from ordist import (
     DistanceMatrix,
     GroundSet,
     OrderParams,
+    PreconditionError,
     Split,
     WeightedSplitSystem,
     as_rational,
@@ -215,9 +216,12 @@ def test_weighted_system_items_hash_no_split(monkeypatch):
 
 def test_order_params_bounds():
     OrderParams(2, 1)
-    with pytest.raises(ValueError):
+    assert issubclass(PreconditionError, ValueError)
+    with pytest.raises(PreconditionError, match="p must be positive, got 0"):
         OrderParams(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="q must be at least p/2"):
+        OrderParams(2, "1/2")
+    with pytest.raises(PreconditionError):
         OrderParams(2, "3/4")
     assert OrderParams("2", "3").e_coeff == 2
 

@@ -356,6 +356,11 @@ def test_allowable_pair_swaps_every_pair_once():
         AllowablePair(g, (0, 1, 2), (0, 0, 1))
     with pytest.raises(ValueError):
         AllowablePair(g, (0, 1, 2), (0, 2, 0))
+    # the message names the repeated pair as elements, smaller first
+    with pytest.raises(ValueError, match="elements 0 and 2 swap twice"):
+        AllowablePair(g, (2, 0, 1), (0, 0, 1))
+    with pytest.raises(ValueError, match="elements 1 and 3 swap twice"):
+        AllowablePair(index_ground(4), (3, 2, 1, 0), (2, 1, 0, 2, 1, 1))
 
 
 @pytest.mark.parametrize("n,seed", [(5, 0), (6, 1), (7, 2)])

@@ -15,6 +15,7 @@ from ordist import (
     random_maximum_flat_system,
     random_two_valued_matrix,
 )
+from helpers import allowable_pair_by_frozensets
 
 
 def test_index_ground_labels():
@@ -50,6 +51,15 @@ def test_allowable_pairs_and_flat_systems():
     system = random_maximum_flat_system(5, random.Random(2))
     assert len(system) == 10
     assert is_maximum_flat(system)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_allowable_pair_draws_match_the_frozenset_walk(n):
+    # telling a swapped pair by rank leaves every admissible list, and so
+    # every draw, as the walk over sets of swapped pairs made them
+    for seed in range(10):
+        pair = random_allowable_pair(n, random.Random(seed))
+        assert (pair.pi, pair.kappa) == allowable_pair_by_frozensets(n, random.Random(seed))
 
 
 def test_random_matrices():

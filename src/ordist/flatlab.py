@@ -21,14 +21,17 @@ A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
 weights.  orderly_test searches for a violating weighting: first the
 two-split weightings supported on incompatible pairs, then seeded random
-weightings.  A two-split probe reads its order distance off the closed
-form ``order.two_split_order_values``: the two splits cut the ground set
-into four corners, and a pair's value is the one between its elements'
-corners.  A random probe is one int pipeline: the split distance kernel
-gives the generated pair values, per-element column gathers feed the
-strict comparison sets of ``order``, and the popcounts of Eq. (1) give the
-order distance.  Either way the values come in the solver's pair order and
-the solver signs their re-expression.  No DistanceMatrix is built, and no
+weightings.  A two-split probe reads its order distance off its split
+decomposition ``order._two_split_terms``: the two splits and the four
+corner splits C | rest they cut out, each with a positive coefficient.  So
+the probe passes outright when the system holds all four corners, and
+otherwise its signed weights are the sum of the six terms' own: a split of
+the system has a unit vector, a missing corner the solver's expression,
+solved once per corner for the whole test.  A random probe is one int
+pipeline: the split distance kernel gives the generated pair values,
+per-element column gathers feed the strict comparison sets of ``order``,
+and the popcounts of Eq. (1) give the order distance in the solver's pair
+order, which the solver re-expresses.  No DistanceMatrix is built, and no
 Fraction unless the probe finds a counterexample.
 """
 
@@ -54,7 +57,7 @@ from .core import (
     separation_sums,
     transpose_bits,
 )
-from .order import _comparison_sets, _two_split_values
+from .order import _comparison_sets, _two_split_terms
 
 __all__ = [
     "DependentBasisError",
@@ -510,19 +513,24 @@ def orderly_test(
     independence so that expressions are unique; a verdict of
     NoCounterexampleFound is evidence, not proof.
 
-    A probe is a list of int weights in split order and runs in ints in
-    the solver's pair order.  In phase 1 the stored sides a, b give the
-    corners a & b, b - a, a - b and the rest, blocks 1 to 4 of
-    ``order.two_split_order_values``, and a pair reads the closed form's
-    value between its elements' corners (0 within one).  In phase 2 the
+    A probe is a list of int weights in split order, and its verdict the
+    signs of the solver's integer weights of its order distance.  In phase 1
+    that distance is the positive combination ``order._two_split_terms`` of
+    the splits a, b and their four corner splits (the rest stored as a | b),
+    so a probe passes with no solve when the system holds every corner.
+    Otherwise, the solver being linear, the weights are summed term by term:
+    a split of the system adds its coefficient times 2 (times 2 |det| on the
+    core) to its own slot, a missing corner its coefficient times its
+    expression, solved once per corner mask.  A corner outside the span
+    sends the pair to one solve of the summed pair values.  In phase 2 the
     split distance kernel over the pair masks gives the generated pair
     values.  Gathers by the solver's pair-slot table read each element's
     column off them, with a zero appended for the diagonal, and
-    ``order._comparison_sets`` turns each column into its strict comparison set T_x.  At (2, 1)
-    Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so
-    no tie sets).  The solver's integer weights of the order values give
-    the signs of the re-expression.  Only a counterexample gets Fractions:
-    its weighting, and its expression from the same integer weights.
+    ``order._comparison_sets`` turns each column into its strict comparison
+    set T_x.  At (2, 1) Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per
+    pair (q = p/2, so no tie sets), and the solver expresses these values.
+    Only a counterexample gets Fractions: its weighting, and its expression
+    from the same integer weights.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -533,9 +541,8 @@ def orderly_test(
     n, pairs, pair_masks = ground.n, solver.pairs, solver.pair_masks
 
     def verdict(
-        weights: list[int], values: list[int], phase: int, trial: int | None
+        weights: list[int], signed: list[int] | None, phase: int, trial: int | None
     ) -> CounterexampleFound | None:
-        signed = solver._signed_weights(values)
         if signed is not None and min(signed, default=0) >= 0:
             return None
         weighting = {s: Fraction(w) for s, w in zip(split_list, weights)}
@@ -544,19 +551,39 @@ def orderly_test(
         negative = next(s for s, w in zip(split_list, signed) if w < 0)
         return CounterexampleFound(weighting, solver._fractions(signed, 1), negative, phase, trial)
 
+    slot_of = {s.bits: t for t, s in enumerate(split_list)}
+    has_split = slot_of.__contains__
+    unit = [2] * len(split_list)  # the signed weights of a split's own metric
+    for t in solver._core:
+        unit[t] = 2 * abs(solver.det)
+    missing: dict[int, list[int] | None] = {}
     pair_probes = 0
     for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
         a, b = s1.bits, s2.bits
         if not _crosses(a, b):
             continue
         pair_probes += 1
-        n1, n2, n3 = (a & b).bit_count(), (b & ~a).bit_count(), (a & ~b).bit_count()
-        o12, o13, o14, o23, o24, o34 = _two_split_values(n1, n2, n3, n - n1 - n2 - n3)
-        table = (0, o12, o13, o14, o12, 0, o23, o24, o13, o23, 0, o34, o14, o24, o34, 0)
-        corner = [3 - (a >> e & 1) - 2 * (b >> e & 1) for e in range(n)]
+        if all(map(has_split, (a & b, b & ~a, a & ~b, a | b))):
+            continue  # every term is a split of the system
+        terms = _two_split_terms(a, b, n)
+        signed: list[int] | None = [0] * len(split_list)
+        for mask, coeff in terms:
+            t = slot_of.get(mask)
+            if t is not None:
+                signed[t] += coeff * unit[t]
+                continue
+            if mask not in missing:
+                metric = [(mask >> i ^ mask >> j) & 1 for i, j in pairs]
+                missing[mask] = solver._signed_weights(metric)
+            vector = missing[mask]
+            if vector is None:
+                values = [sum(c for m, c in terms if (m >> i ^ m >> j) & 1) for i, j in pairs]
+                signed = solver._signed_weights(values)
+                break
+            signed = [w + coeff * v for w, v in zip(signed, vector)]
         weights = [0] * len(split_list)
         weights[t1] = weights[t2] = 2
-        hit = verdict(weights, [table[4 * corner[i] + corner[j]] for i, j in pairs], 1, None)
+        hit = verdict(weights, signed, 1, None)
         if hit is not None:
             return hit
     columns = [gather(row) for row in solver._slot]
@@ -566,7 +593,8 @@ def orderly_test(
         generated = separation_sums(weights)(pair_masks)
         generated.append(0)
         strict = [_comparison_sets(column(generated), False)[0] for column in columns]
-        hit = verdict(weights, [(strict[i] ^ strict[j]).bit_count() for i, j in pairs], 2, trial)
+        values = [(strict[i] ^ strict[j]).bit_count() for i, j in pairs]
+        hit = verdict(weights, solver._signed_weights(values), 2, trial)
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)

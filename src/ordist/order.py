@@ -10,6 +10,18 @@ built from these pieces over all pairs (Eq. (1)):
         plus  sum over unordered pairs {u, v} whose equidistant set is a
               proper non-empty part, of q - p/2 when it separates x, y.
 
+Over all x, y at once this is the split decomposition of O: with X(u, v) the
+closer-to-u side and E(u, v) the equidistant set,
+
+    O = p/2 * (sum over ordered (u, v) of delta_X(u,v))
+        + (q - p/2) * (sum over unordered {u, v} of delta_E(u,v)),
+
+delta the split metric and improper sides dropped.  So the counts of
+``midpath_split_system``, x-splits weighted p/2 and e-splits q - p/2, make
+a weighted split system whose ``generate_distance`` is O at every (p, q).
+At (2, 1), for the distance of two crossing splits, the sum comes to six
+splits, ``_two_split_terms``.
+
 Both kernels here rest on one bitset per element z and comparison kind:
 the comparison sets of z, n^2-bit ints whose bit (u, v) says
 D(u, z) < D(v, z) (strict) or D(u, z) = D(v, z) (tie).
@@ -269,16 +281,31 @@ def two_split_order_values(
     """
     if min(n1, n2, n3, n4) < 1:
         raise ValueError("all four blocks must be non-empty")
-    return tuple(map(Fraction, _two_split_values(n1, n2, n3, n4)))
-
-
-def _two_split_values(n1: int, n2: int, n3: int, n4: int) -> tuple[int, ...]:
-    """``two_split_order_values`` as ints, without the block check."""
     near = n1 * n4 + 2 * (n1 * n2 + n3 * n4) + n2 * n3
     cross = n1 * n4 + 2 * (n1 * n3 + n2 * n4) + n2 * n3
     far = 2 * (n1 * n4 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
     anti = 2 * (n2 * n3 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
-    return near, cross, far, anti, cross, near
+    return tuple(map(Fraction, (near, cross, far, anti, cross, near)))
+
+
+def _two_split_terms(a: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The split decomposition of ``two_split_order_values``: the order
+    distance at (2, 1) of 2 * delta_A + 2 * delta_B, for crossing sides A
+    and B given as masks over n elements, as six (side mask, coefficient)
+    terms.  With corners C1 = A & B, C2 = B - A, C3 = A - B and C4 the rest,
+    of sizes n1 .. n4 (blocks 1 to 4),
+
+        O = 2 (n1 n2 + n3 n4) delta_A + 2 (n1 n3 + n2 n4) delta_B
+            + n1 n4 (delta_C1 + delta_C4) + n2 n3 (delta_C2 + delta_C3).
+
+    The two splits come first, then the corners, C4 as its complement A | B,
+    so every side leaves out an element that A and B both leave out.
+    """
+    c1, c2, c3 = a & b, b & ~a, a & ~b
+    n1, n2, n3 = c1.bit_count(), c2.bit_count(), c3.bit_count()
+    n4 = n - n1 - n2 - n3
+    return ((a, 2 * (n1 * n2 + n3 * n4)), (b, 2 * (n1 * n3 + n2 * n4)),
+            (c1, n1 * n4), (a | b, n1 * n4), (c2, n2 * n3), (c3, n2 * n3))
 
 
 def two_split_instance(

@@ -31,8 +31,10 @@ from ordist import (
     maximum_circular_splits,
     order_distance_eq1,
     restrict_split_system,
+    two_split_order_values,
 )
 from ordist.core import canonical_mask, ground_and_splits
+from ordist.flatlab import _ExactSolver
 from ordist.formats import parse_value
 
 
@@ -142,6 +144,40 @@ def orderly_by_fractions(splits, trials: int = 200, seed: int = 0):
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)
+
+
+def orderly_phase_one_by_probes(splits):
+    """``orderly_test(splits, trials=0)`` with one back-substitution per
+    probe: each crossing pair's order values come from the closed form
+    ``two_split_order_values``, a pair of elements reading the value
+    between their corners (0 within one), and the solver expresses them
+    in pair order.  The oracle for phase 1's membership tests and cached
+    corner expressions."""
+    ground, split_list = ground_and_splits(splits)
+    solver = _ExactSolver(ground, split_list)
+    if not solver.is_independent:
+        raise DependentBasisError("orderly test requires linearly independent splits")
+    n = ground.n
+    pair_probes = 0
+    for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
+        if is_compatible_pair(s1, s2):
+            continue
+        pair_probes += 1
+        a, b = s1.bits, s2.bits
+        n1, n2, n3 = (a & b).bit_count(), (b & ~a).bit_count(), (a & ~b).bit_count()
+        values = two_split_order_values(n1, n2, n3, n - n1 - n2 - n3)
+        o12, o13, o14, o23, o24, o34 = map(int, values)
+        table = (0, o12, o13, o14, o12, 0, o23, o24, o13, o23, 0, o34, o14, o24, o34, 0)
+        corner = [3 - (a >> e & 1) - 2 * (b >> e & 1) for e in range(n)]
+        signed = solver._signed_weights([table[4 * corner[i] + corner[j]] for i, j in solver.pairs])
+        if signed is not None and min(signed, default=0) >= 0:
+            continue
+        weighting = {s: Fraction(2 if t in (t1, t2) else 0) for t, s in enumerate(split_list)}
+        if signed is None:
+            return CounterexampleFound(weighting, None, None, 1, None)
+        negative = next(s for s, w in zip(split_list, signed) if w < 0)
+        return CounterexampleFound(weighting, solver._fractions(signed, 1), negative, 1, None)
+    return NoCounterexampleFound(pair_probes, 0)
 
 
 def fraction_rank_and_solution(vectors, target):

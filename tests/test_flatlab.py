@@ -47,6 +47,7 @@ from helpers import (
     fraction_rank_and_solution,
     maximum_flat_by_restriction,
     orderly_by_fractions,
+    orderly_phase_one_by_probes,
     pairwise_separation_by_subsets,
     quartet_fixture,
     system_from_sides,
@@ -506,35 +507,10 @@ def test_orderly_probes_build_no_matrix(monkeypatch):
     check_counterexample(verdict, list(system.split_set()))
 
 
-def _phase_one_values(monkeypatch, splits, swap: bool = False) -> dict:
-    # the pair-order values of every phase-1 probe, keyed by the probe's
-    # two splits in canonical order; the recorder passes every probe, so
-    # no counterexample stops the walk, and swap hands each pair of
-    # (index, split) items to the probe second split first
-    seen = []
-
-    def record(self, values):
-        seen.append(list(values))
-        return []
-
-    def swapped(items, r):
-        for pair in combinations(items, r):
-            yield pair[::-1] if r == 2 and isinstance(pair[0], tuple) else pair
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_ExactSolver, "_signed_weights", record)
-        if swap:
-            patch.setattr(flatlab_module, "combinations", swapped)
-        verdict = orderly_test(splits, trials=0)
-    crossing = [(a, b) for a, b in combinations(splits, 2) if not is_compatible_pair(a, b)]
-    assert verdict.pair_probes == len(crossing) == len(seen)
-    return dict(zip(crossing, seen))
-
-
-def test_orderly_phase_one_values_match_eq1(monkeypatch):
-    # phase 1 reads the two-split closed form; eq1 of the generated
-    # distance of each crossing pair, in the solver's pair order, is the
-    # oracle, and the values do not depend on which split comes first
+def test_two_split_terms_match_eq1():
+    # phase 1 sums the six weighted splits of order._two_split_terms; eq1
+    # of the generated distance of each crossing pair is the oracle, with
+    # the pair handed over in either order
     rng = random.Random(23)
     systems = []
     for n in range(4, 13):
@@ -547,19 +523,112 @@ def test_orderly_phase_one_values_match_eq1(monkeypatch):
         systems.append(rng.sample(every, rng.randint(2, n * (n - 1) // 2)))
     probed = 0
     for system in systems:
-        splits = sorted(ground_and_splits(system)[1], key=lambda s: s.bits)
-        if not is_linearly_independent(splits):
-            continue
-        pairs = list(combinations(range(splits[0].ground.n), 2))
-        forward = _phase_one_values(monkeypatch, splits)
-        swapped = _phase_one_values(monkeypatch, splits, swap=True)
-        for (a, b), values in forward.items():
-            two = WeightedSplitSystem(a.ground, [(a, 2), (b, 2)])
+        ground, splits = ground_and_splits(system)
+        for a, b in combinations(splits, 2):
+            if is_compatible_pair(a, b):
+                continue
+            two = WeightedSplitSystem(ground, [(a, 2), (b, 2)])
             o = order_distance_eq1(generate_distance(two), OrderParams(2, 1))
-            assert values == [o[i, j] for i, j in pairs]
-            assert swapped[a, b] == values
-        probed += len(forward)
+            for first, second in ((a, b), (b, a)):
+                terms = order_module._two_split_terms(first.bits, second.bits, ground.n)
+                assert len({mask for mask, _ in terms}) == 6
+                assert all(0 < mask < 1 << ground.n and coeff > 0 for mask, coeff in terms)
+                six = WeightedSplitSystem(
+                    ground, [(Split.from_bits(ground, mask), c) for mask, c in terms]
+                )
+                assert generate_distance(six) == o
+            probed += 1
     assert probed > 4000
+
+
+def _phase_one_families(rng):
+    # maximum circular and maximum flat systems, 60% subsets of each, and
+    # random independent subsets of all splits whose solver keeps a core
+    for n in range(5, 11):
+        for _ in range(6):
+            for splits in (
+                list(random_maximum_circular_system(n, rng)[1].splits),
+                list(random_maximum_flat_system(n, rng).splits),
+            ):
+                yield splits
+                yield rng.sample(splits, round(0.6 * len(splits)))
+    for n in range(5, 9):
+        ground = index_ground(n)
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        found = 0
+        while found < 40:
+            splits = rng.sample(every, rng.randint(n, n * (n - 1) // 2))
+            solver = _ExactSolver(ground, splits)
+            if solver.is_independent and solver.core_size:
+                found += 1
+                yield splits
+
+
+def test_orderly_phase_one_matches_per_probe_oracle():
+    # the membership walk with cached corner expressions gives the verdict
+    # of one back-substitution per probe, counterexamples and all
+    rng = random.Random(26)
+    kinds = Counter()
+    for splits in _phase_one_families(rng):
+        verdict = orderly_test(splits, trials=0)
+        assert verdict == orderly_phase_one_by_probes(splits)
+        if verdict.is_counterexample:
+            kinds["out of span" if verdict.expression is None else "negative weight"] += 1
+        else:
+            kinds["passed"] += 1
+    assert sum(kinds.values()) == 144 + 160
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_orderly_phase_one_solves_each_missing_corner_once(monkeypatch):
+    # phase 1 calls the back-substitution only for a corner split missing
+    # from the system, once per corner mask: never on a maximum circular
+    # system, whose corners are arcs
+    solved = []
+    signed_weights = _ExactSolver._signed_weights
+
+    def counted(self, values):
+        solved.append(tuple(values))
+        return signed_weights(self, values)
+
+    monkeypatch.setattr(_ExactSolver, "_signed_weights", counted)
+    _, circular = random_maximum_circular_system(12, random.Random(12))
+    verdict = orderly_test(circular, trials=0)
+    assert isinstance(verdict, NoCounterexampleFound)
+    assert verdict.pair_probes > 0
+    assert solved == []
+    rng = random.Random(7)
+    repeats = 0
+    for n in range(5, 9):
+        ground = index_ground(n)
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        for _ in range(40):
+            splits = rng.sample(every, rng.randint(n, n * (n - 1) // 2))
+            if not is_linearly_independent(splits):
+                continue
+            solved.clear()
+            verdict = orderly_test(splits, trials=0)
+            # the missing corners of the probes walked, up to the verdict's
+            split_list = ground_and_splits(splits)[1]
+            stored = {s.bits for s in split_list}
+            hits, walked = [], 0
+            for a, b in combinations(split_list, 2):
+                if is_compatible_pair(a, b):
+                    continue
+                walked += 1
+                terms = order_module._two_split_terms(a.bits, b.bits, n)
+                hits += [mask for mask, _ in terms[2:] if mask not in stored]
+                if verdict.is_counterexample and verdict.weighting[a] == verdict.weighting[b] == 2:
+                    break
+            # a corner solve gets the corner's 0/1 metric; any other solve
+            # is a probe's summed values, after a corner left the span
+            pairs = list(combinations(range(n), 2))
+            metrics = {tuple((m >> i ^ m >> j) & 1 for i, j in pairs) for m in hits}
+            corner_solves = [values for values in solved if values in metrics]
+            assert len(set(corner_solves)) == len(corner_solves)
+            assert len(solved) - len(corner_solves) <= walked
+            repeats += len(hits) - len(set(hits))
+    assert repeats > 0
 
 
 def test_orderly_phase_one_runs_no_pipeline(monkeypatch):

@@ -7,7 +7,9 @@ written before arcs were read off prefix masks and popcounts, and
 before the equidistant sets were read off the strict sides and
 compatibility was decided by one nesting pass, and ``midpath --witness``
 of that matrix and of a 20-element input with no witness written before
-the witness was read off the comparison sets.
+the witness was read off the comparison sets, and ``orderly`` of the
+n = 32 circular file written before phase 1 moved onto the split
+decomposition of the order distance.
 
 Each report case runs one command over the inputs in ``tests/data/golden``
 and compares its exit code and report with ``<case>.report`` there, whose
@@ -48,6 +50,7 @@ CASES = {
     "orderly-S1_5": "orderly -s S1_5 --trials 20 --seed 0",
     "orderly-S2_5": "orderly -s S2_5 --trials 20 --seed 0",
     "orderly-circular8": "orderly -s {data}/circular8.splits --trials 10 --seed 3",
+    "orderly-circular32": "orderly -s {data}/circular32.splits --trials 2 --seed 0",
     "gen-circular-8": "gen circular -n 8 --seed 3",
     "gen-circular-40": "gen circular -n 40 --seed 11",
     "gen-circular-160": "gen circular -n 160 --seed 5",

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordist import (
@@ -10,6 +11,7 @@ from ordist import (
     GroundSet,
     OrderParams,
     Split,
+    WeightedSplitSystem,
     generate_distance,
     index_ground,
     midpath_split_system,
@@ -53,6 +55,40 @@ def test_eq1_matches_defining_sums(matrix, params):
     fast = order_distance_eq1(matrix, params)
     slow = naive_order_distance(matrix, params.p, params.q)
     assert fast == slow
+
+
+@st.composite
+def identity_cases(draw):
+    # rational p, q >= p/2 (q = p/2 about one draw in thirteen), and a
+    # matrix at n 3..12 with distinct, tie-rich or zero-heavy values
+    p = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+    q = p / 2 + draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)))
+    n = draw(st.integers(3, 12))
+    m = n * (n - 1) // 2
+    values = draw(st.one_of(
+        st.permutations(range(1, m + 1)),
+        st.lists(TIE_RICH, min_size=m, max_size=m),
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, 3]), min_size=m, max_size=m),
+    ))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for value, (i, j) in zip(values, ((i, j) for i in range(n) for j in range(i + 1, n))):
+        rows[i][j] = rows[j][i] = Fraction(value)
+    return DistanceMatrix(index_ground(n), rows), OrderParams(p, q)
+
+
+@settings(max_examples=150)
+@given(identity_cases())
+def test_midpath_counts_generate_the_order_distance(case):
+    # O(D) is its own split decomposition: x-split counts weighted p/2
+    # and e-split counts weighted q - p/2
+    matrix, params = case
+    midpath = midpath_split_system(matrix)
+    weights = {}
+    for counts, coeff in ((midpath.x_splits, params.half_p), (midpath.e_splits, params.e_coeff)):
+        for split, count in counts.items():
+            weights[split] = weights.get(split, Fraction(0)) + coeff * count
+    system = WeightedSplitSystem(matrix.ground, list(weights.items()))
+    assert generate_distance(system) == order_distance_eq1(matrix, params)
 
 
 @pytest.mark.parametrize("tie_rich,q", [(False, 1), (True, Fraction(3, 2))])
@@ -262,3 +298,21 @@ def test_two_split_closed_form_matches_engine(sizes):
         for x in block:
             for y in block:
                 assert o[x, y] == 0
+
+
+def test_two_split_terms_give_the_closed_form():
+    # the six weighted splits of order._two_split_terms generate the
+    # closed form's values, for every block size from 1 to 6
+    pair_order = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for sizes in product(range(1, 7), repeat=4):
+        _, blocks, system = two_split_instance(*sizes)
+        ground = system.ground
+        a, b = (split.bits for split in system.splits)
+        terms = order_module._two_split_terms(a, b, ground.n)
+        six = generate_distance(
+            WeightedSplitSystem(ground, [(Split.from_bits(ground, m), c) for m, c in terms])
+        )
+        for (bi, bj), expected in zip(pair_order, two_split_order_values(*sizes)):
+            assert six[blocks[bi][0], blocks[bj][0]] == expected
+        for block in blocks:
+            assert six[block[0], block[-1]] == 0

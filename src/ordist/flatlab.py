@@ -25,14 +25,13 @@ weightings.  A two-split probe reads its order distance off its split
 decomposition ``order._two_split_terms``: the two splits and the four
 corner splits C | rest they cut out, each with a positive coefficient.  So
 the probe passes outright when the system holds all four corners, and
-otherwise its signed weights are the sum of the six terms' own: a split of
-the system has a unit vector, a missing corner the solver's expression,
-solved once per corner for the whole test.  A random probe is one int
-pipeline: the split distance kernel gives the generated pair values,
-per-element column gathers feed the strict comparison sets of ``order``,
-and the popcounts of Eq. (1) give the order distance in the solver's pair
-order, which the solver re-expresses.  No DistanceMatrix is built, and no
-Fraction unless the probe finds a counterexample.
+otherwise the six weighted splits give its pair values for the solver.
+A random probe is one int pipeline: the split distance kernel gives the
+generated pair values, per-element column gathers feed the strict
+comparison sets of ``order``, and the popcounts of Eq. (1) give the order
+distance in the solver's pair order, which the solver re-expresses.  No
+DistanceMatrix is built, and no Fraction unless the probe finds a
+counterexample.
 """
 
 from __future__ import annotations
@@ -518,17 +517,15 @@ def orderly_test(
     that distance is the positive combination ``order._two_split_terms`` of
     the splits a, b and their four corner splits (the rest stored as a | b),
     so a probe passes with no solve when the system holds every corner.
-    Otherwise, the solver being linear, the weights are summed term by term:
-    a split of the system adds its coefficient times 2 (times 2 |det| on the
-    core) to its own slot, a missing corner its coefficient times its
-    expression, solved once per corner mask.  A corner outside the span
-    sends the pair to one solve of the summed pair values.  In phase 2 the
-    split distance kernel over the pair masks gives the generated pair
-    values.  Gathers by the solver's pair-slot table read each element's
-    column off them, with a zero appended for the diagonal, and
-    ``order._comparison_sets`` turns each column into its strict comparison
-    set T_x.  At (2, 1) Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per
-    pair (q = p/2, so no tie sets), and the solver expresses these values.
+    Otherwise a pair's value is the sum of the coefficients of the six
+    terms that separate it, and the solver expresses these values.  In
+    phase 2 the split distance kernel over the pair masks gives the
+    generated pair values.  Gathers by the solver's pair-slot table read
+    each element's column off them, with a zero appended for the diagonal,
+    and ``order._comparison_sets`` turns each column into its strict
+    comparison set T_x.  At (2, 1) Eq. (1) is O(x, y) = |T_x ^ T_y|, one
+    popcount per pair (q = p/2, so no tie sets), and the solver expresses
+    these values.
     Only a counterexample gets Fractions: its weighting, and its expression
     from the same integer weights.
     """
@@ -541,8 +538,9 @@ def orderly_test(
     n, pairs, pair_masks = ground.n, solver.pairs, solver.pair_masks
 
     def verdict(
-        weights: list[int], signed: list[int] | None, phase: int, trial: int | None
+        weights: list[int], values: list[int], phase: int, trial: int | None
     ) -> CounterexampleFound | None:
+        signed = solver._signed_weights(values)
         if signed is not None and min(signed, default=0) >= 0:
             return None
         weighting = {s: Fraction(w) for s, w in zip(split_list, weights)}
@@ -551,12 +549,7 @@ def orderly_test(
         negative = next(s for s, w in zip(split_list, signed) if w < 0)
         return CounterexampleFound(weighting, solver._fractions(signed, 1), negative, phase, trial)
 
-    slot_of = {s.bits: t for t, s in enumerate(split_list)}
-    has_split = slot_of.__contains__
-    unit = [2] * len(split_list)  # the signed weights of a split's own metric
-    for t in solver._core:
-        unit[t] = 2 * abs(solver.det)
-    missing: dict[int, list[int] | None] = {}
+    has_split = {s.bits for s in split_list}.__contains__
     pair_probes = 0
     for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
         a, b = s1.bits, s2.bits
@@ -566,24 +559,10 @@ def orderly_test(
         if all(map(has_split, (a & b, b & ~a, a & ~b, a | b))):
             continue  # every term is a split of the system
         terms = _two_split_terms(a, b, n)
-        signed: list[int] | None = [0] * len(split_list)
-        for mask, coeff in terms:
-            t = slot_of.get(mask)
-            if t is not None:
-                signed[t] += coeff * unit[t]
-                continue
-            if mask not in missing:
-                metric = [(mask >> i ^ mask >> j) & 1 for i, j in pairs]
-                missing[mask] = solver._signed_weights(metric)
-            vector = missing[mask]
-            if vector is None:
-                values = [sum(c for m, c in terms if (m >> i ^ m >> j) & 1) for i, j in pairs]
-                signed = solver._signed_weights(values)
-                break
-            signed = [w + coeff * v for w, v in zip(signed, vector)]
         weights = [0] * len(split_list)
         weights[t1] = weights[t2] = 2
-        hit = verdict(weights, signed, 1, None)
+        values = [sum(c for m, c in terms if (m >> i ^ m >> j) & 1) for i, j in pairs]
+        hit = verdict(weights, values, 1, None)
         if hit is not None:
             return hit
     columns = [gather(row) for row in solver._slot]
@@ -593,8 +572,7 @@ def orderly_test(
         generated = separation_sums(weights)(pair_masks)
         generated.append(0)
         strict = [_comparison_sets(column(generated), False)[0] for column in columns]
-        values = [(strict[i] ^ strict[j]).bit_count() for i, j in pairs]
-        hit = verdict(weights, solver._signed_weights(values), 2, trial)
+        hit = verdict(weights, [(strict[i] ^ strict[j]).bit_count() for i, j in pairs], 2, trial)
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)

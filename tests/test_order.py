@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -299,20 +298,3 @@ def test_two_split_closed_form_matches_engine(sizes):
             for y in block:
                 assert o[x, y] == 0
 
-
-def test_two_split_terms_give_the_closed_form():
-    # the six weighted splits of order._two_split_terms generate the
-    # closed form's values, for every block size from 1 to 6
-    pair_order = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    for sizes in product(range(1, 7), repeat=4):
-        _, blocks, system = two_split_instance(*sizes)
-        ground = system.ground
-        a, b = (split.bits for split in system.splits)
-        terms = order_module._two_split_terms(a, b, ground.n)
-        six = generate_distance(
-            WeightedSplitSystem(ground, [(Split.from_bits(ground, m), c) for m, c in terms])
-        )
-        for (bi, bj), expected in zip(pair_order, two_split_order_values(*sizes)):
-            assert six[blocks[bi][0], blocks[bj][0]] == expected
-        for block in blocks:
-            assert six[block[0], block[-1]] == 0

@@ -21,16 +21,14 @@ A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
 weights.  orderly_test searches for a violating weighting: first the
 two-split weightings supported on incompatible pairs, then seeded random
-weightings.  A two-split probe reads its order distance off its split
-decomposition ``order._two_split_terms``: the two splits and the four
-corner splits C | rest they cut out, each with a positive coefficient.  So
-the probe passes outright when the system holds all four corners, and
-otherwise the six weighted splits give its pair values for the solver.
-A random probe is one int pipeline: the split distance kernel gives the
-generated pair values, per-element column gathers feed the strict
-comparison sets of ``order``, and the popcounts of Eq. (1) give the order
-distance in the solver's pair order, which the solver re-expresses.  No
-DistanceMatrix is built, and no Fraction unless the probe finds a
+weightings.  Every probe goes through one int pipeline: the split distance
+kernel gives the generated pair values, per-element column gathers feed the
+strict comparison sets of ``order``, and the popcounts of Eq. (1) give the
+order distance in the solver's pair order, which the solver re-expresses.
+A two-split probe skips it when the system holds the four corner splits
+C | rest the two splits cut out: by the split decomposition in ``order``
+its order distance is then a positive combination of splits of the system.
+No DistanceMatrix is built, and no Fraction unless the probe finds a
 counterexample.
 """
 
@@ -56,7 +54,7 @@ from .core import (
     separation_sums,
     transpose_bits,
 )
-from .order import _comparison_sets, _two_split_terms
+from .order import _comparison_sets
 
 __all__ = [
     "DependentBasisError",
@@ -334,30 +332,26 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
     A system without incompatible pairs is closed by default.
     """
     ground, split_list = ground_and_splits(splits)
-    full = (1 << ground.n) - 1
-    have = {split.bits for split in split_list}
-
-    def _in(mask: int) -> bool:
-        return canonical_mask(mask, full) in have
-
+    n = ground.n
+    have = {split.bits for split in split_list}.__contains__
     for s1, s2 in combinations(split_list, 2):
-        a1, a2 = s1.bits, s2.bits
-        b1, b2 = full ^ a1, full ^ a2
-        m11, m21, m12, m22 = a1 & a2, b1 & a2, a1 & b2, b1 & b2
-        # m22 holds element 0, so the pair crosses when the others meet
-        if not (m11 and m21 and m12):
+        a, b = s1.bits, s2.bits
+        if not _crosses(a, b):
             continue
-        if _in(m11) and _in(m21) and _in(m12) and _in(m22):
+        # element 0 lies outside a and b, so these sides are stored ones:
+        # the corners, the fourth as its complement a | b, and the middle
+        m11, m21, m12, rest = a & b, b & ~a, a & ~b, a | b
+        if all(map(have, (m11, m21, m12, rest))):
             continue
-        diag = m11.bit_count() * m22.bit_count()
-        anti = m21.bit_count() * m12.bit_count()
-        if not _in(m11 | m22):
+        if not have(a ^ b):
             return (s1, s2)
+        diag = m11.bit_count() * (n - rest.bit_count())
+        anti = m21.bit_count() * m12.bit_count()
         if diag == anti:
             continue
-        if diag > anti and _in(m11) and _in(m22):
+        if diag > anti and have(m11) and have(rest):
             continue
-        if diag < anti and _in(m21) and _in(m12):
+        if diag < anti and have(m21) and have(m12):
             continue
         return (s1, s2)
     return None
@@ -513,19 +507,17 @@ def orderly_test(
     NoCounterexampleFound is evidence, not proof.
 
     A probe is a list of int weights in split order, and its verdict the
-    signs of the solver's integer weights of its order distance.  In phase 1
-    that distance is the positive combination ``order._two_split_terms`` of
-    the splits a, b and their four corner splits (the rest stored as a | b),
-    so a probe passes with no solve when the system holds every corner.
-    Otherwise a pair's value is the sum of the coefficients of the six
-    terms that separate it, and the solver expresses these values.  In
-    phase 2 the split distance kernel over the pair masks gives the
-    generated pair values.  Gathers by the solver's pair-slot table read
-    each element's column off them, with a zero appended for the diagonal,
-    and ``order._comparison_sets`` turns each column into its strict
-    comparison set T_x.  At (2, 1) Eq. (1) is O(x, y) = |T_x ^ T_y|, one
-    popcount per pair (q = p/2, so no tie sets), and the solver expresses
-    these values.
+    signs of the solver's integer weights of its order distance, which one
+    int pipeline builds for both phases: the split distance kernel over the
+    pair masks gives the generated pair values, gathers by the solver's
+    pair-slot table read each element's column off them, with a zero
+    appended for the diagonal, ``order._comparison_sets`` turns each column
+    into its strict comparison set T_x, and at (2, 1) Eq. (1) is
+    O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie sets).
+    A phase-1 probe on crossing splits a and b skips the pipeline when the
+    system holds its four corner splits (the rest stored as a | b): its
+    order distance is a positive combination of a, b and these corners,
+    by the split decomposition in the ``order`` module docstring.
     Only a counterexample gets Fractions: its weighting, and its expression
     from the same integer weights.
     """
@@ -535,12 +527,17 @@ def orderly_test(
     solver = _ExactSolver(ground, split_list)
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")
-    n, pairs, pair_masks = ground.n, solver.pairs, solver.pair_masks
+    pairs, pair_masks = solver.pairs, solver.pair_masks
+    columns = [gather(row) for row in solver._slot]
 
-    def verdict(
-        weights: list[int], values: list[int], phase: int, trial: int | None
-    ) -> CounterexampleFound | None:
-        signed = solver._signed_weights(values)
+    def order_values(weights: list[int]) -> list[int]:
+        generated = separation_sums(weights)(pair_masks)
+        generated.append(0)
+        strict = [_comparison_sets(column(generated), False)[0] for column in columns]
+        return [(strict[i] ^ strict[j]).bit_count() for i, j in pairs]
+
+    def verdict(weights: list[int], phase: int, trial: int | None) -> CounterexampleFound | None:
+        signed = solver._signed_weights(order_values(weights))
         if signed is not None and min(signed, default=0) >= 0:
             return None
         weighting = {s: Fraction(w) for s, w in zip(split_list, weights)}
@@ -558,21 +555,14 @@ def orderly_test(
         pair_probes += 1
         if all(map(has_split, (a & b, b & ~a, a & ~b, a | b))):
             continue  # every term is a split of the system
-        terms = _two_split_terms(a, b, n)
         weights = [0] * len(split_list)
         weights[t1] = weights[t2] = 2
-        values = [sum(c for m, c in terms if (m >> i ^ m >> j) & 1) for i, j in pairs]
-        hit = verdict(weights, values, 1, None)
+        hit = verdict(weights, 1, None)
         if hit is not None:
             return hit
-    columns = [gather(row) for row in solver._slot]
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        weights = [rng.randint(0, 20) for _ in split_list]
-        generated = separation_sums(weights)(pair_masks)
-        generated.append(0)
-        strict = [_comparison_sets(column(generated), False)[0] for column in columns]
-        hit = verdict(weights, [(strict[i] ^ strict[j]).bit_count() for i, j in pairs], 2, trial)
+        hit = verdict([rng.randint(0, 20) for _ in split_list], 2, trial)
         if hit is not None:
             return hit
     return NoCounterexampleFound(pair_probes, trials)

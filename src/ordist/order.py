@@ -19,8 +19,14 @@ closer-to-u side and E(u, v) the equidistant set,
 delta the split metric and improper sides dropped.  So the counts of
 ``midpath_split_system``, x-splits weighted p/2 and e-splits q - p/2, make
 a weighted split system whose ``generate_distance`` is O at every (p, q).
-At (2, 1), for the distance of two crossing splits, the sum comes to six
-splits, ``_two_split_terms``.
+At (2, 1), for 2 * delta_A + 2 * delta_B with crossing sides A and B, the
+sum comes to six splits.  With corners C1 = A & B, C2 = B - A, C3 = A - B
+and C4 the rest, of sizes n1 .. n4 (the blocks of ``two_split_order_values``),
+
+    O = 2 (n1 n2 + n3 n4) delta_A + 2 (n1 n3 + n2 n4) delta_B
+        + n1 n4 (delta_C1 + delta_C4) + n2 n3 (delta_C2 + delta_C3),
+
+every coefficient positive.
 
 Both kernels here rest on one bitset per element z and comparison kind:
 the comparison sets of z, n^2-bit ints whose bit (u, v) says
@@ -275,9 +281,9 @@ def two_split_order_values(
     Block sizes n1..n4 are the four pairwise intersections of the two
     splits' sides, all at least 1: with A a side of the first split and
     B a side of the second, block 1 lies in A and B, block 2 in B only,
-    block 3 in A only and block 4 in neither, as in ``two_split_instance``
-    and ``flatlab.orderly_test``.  Returns the six inter-block values
-    (O12, O13, O14, O23, O24, O34); intra-block values are all 0.
+    block 3 in A only and block 4 in neither, as in ``two_split_instance``.
+    Returns the six inter-block values (O12, O13, O14, O23, O24, O34);
+    intra-block values are all 0.
     """
     if min(n1, n2, n3, n4) < 1:
         raise ValueError("all four blocks must be non-empty")
@@ -286,26 +292,6 @@ def two_split_order_values(
     far = 2 * (n1 * n4 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
     anti = 2 * (n2 * n3 + n1 * n2 + n3 * n4 + n1 * n3 + n2 * n4)
     return tuple(map(Fraction, (near, cross, far, anti, cross, near)))
-
-
-def _two_split_terms(a: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The split decomposition of ``two_split_order_values``: the order
-    distance at (2, 1) of 2 * delta_A + 2 * delta_B, for crossing sides A
-    and B given as masks over n elements, as six (side mask, coefficient)
-    terms.  With corners C1 = A & B, C2 = B - A, C3 = A - B and C4 the rest,
-    of sizes n1 .. n4 (blocks 1 to 4),
-
-        O = 2 (n1 n2 + n3 n4) delta_A + 2 (n1 n3 + n2 n4) delta_B
-            + n1 n4 (delta_C1 + delta_C4) + n2 n3 (delta_C2 + delta_C3).
-
-    The two splits come first, then the corners, C4 as its complement A | B,
-    so every side leaves out an element that A and B both leave out.
-    """
-    c1, c2, c3 = a & b, b & ~a, a & ~b
-    n1, n2, n3 = c1.bit_count(), c2.bit_count(), c3.bit_count()
-    n4 = n - n1 - n2 - n3
-    return ((a, 2 * (n1 * n2 + n3 * n4)), (b, 2 * (n1 * n3 + n2 * n4)),
-            (c1, n1 * n4), (a | b, n1 * n4), (c2, n2 * n3), (c3, n2 * n3))
 
 
 def two_split_instance(

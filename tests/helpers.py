@@ -180,6 +180,53 @@ def orderly_phase_one_by_probes(splits):
     return NoCounterexampleFound(pair_probes, 0)
 
 
+def two_split_terms(a: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The split decomposition of ``two_split_order_values``: the order
+    distance at (2, 1) of 2 * delta_A + 2 * delta_B, for crossing sides A
+    and B given as masks over n elements, as six (side mask, coefficient)
+    terms.  With corners C1 = A & B, C2 = B - A, C3 = A - B and C4 the rest,
+    of sizes n1 .. n4 (blocks 1 to 4),
+
+        O = 2 (n1 n2 + n3 n4) delta_A + 2 (n1 n3 + n2 n4) delta_B
+            + n1 n4 (delta_C1 + delta_C4) + n2 n3 (delta_C2 + delta_C3).
+
+    The two splits come first, then the corners, C4 as its complement A | B,
+    so every side leaves out an element that A and B both leave out.  The
+    identity behind ``orderly_test``'s corner-membership skip."""
+    c1, c2, c3 = a & b, b & ~a, a & ~b
+    n1, n2, n3 = c1.bit_count(), c2.bit_count(), c3.bit_count()
+    n4 = n - n1 - n2 - n3
+    return ((a, 2 * (n1 * n2 + n3 * n4)), (b, 2 * (n1 * n3 + n2 * n4)),
+            (c1, n1 * n4), (a | b, n1 * n4), (c2, n2 * n3), (c3, n2 * n3))
+
+
+def is_closed_by_parts(splits):
+    """``is_closed`` on frozensets: the corners of each crossing pair are
+    the intersections of the sides of ``Split.parts()``, and a split is in
+    the system when one of its parts is a part of a stored split.  The
+    oracle for the stored-side masks of ``is_closed``."""
+    _, split_list = ground_and_splits(splits)
+    have = {part for split in split_list for part in split.parts()}
+    for s1, s2 in combinations(split_list, 2):
+        (a1, b1), (a2, b2) = s1.parts(), s2.parts()
+        c11, c21, c12, c22 = a1 & a2, b1 & a2, a1 & b2, b1 & b2
+        if not (c11 and c21 and c12 and c22):
+            continue
+        if all(corner in have for corner in (c11, c21, c12, c22)):
+            continue
+        if c11 | c22 not in have:
+            return (s1, s2)
+        diag, anti = len(c11) * len(c22), len(c21) * len(c12)
+        if diag == anti:
+            continue
+        if diag > anti and c11 in have and c22 in have:
+            continue
+        if diag < anti and c21 in have and c12 in have:
+            continue
+        return (s1, s2)
+    return None
+
+
 def fraction_rank_and_solution(vectors, target):
     """Gaussian elimination on Fractions of the augmented system whose
     columns are the given vectors followed by the target.

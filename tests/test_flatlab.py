@@ -45,12 +45,14 @@ from ordist.core import ground_and_splits
 from ordist.flatlab import _ExactSolver
 from helpers import (
     fraction_rank_and_solution,
+    is_closed_by_parts,
     maximum_flat_by_restriction,
     orderly_by_fractions,
     orderly_phase_one_by_probes,
     pairwise_separation_by_subsets,
     quartet_fixture,
     system_from_sides,
+    two_split_terms,
 )
 from strategies import split_systems
 
@@ -283,6 +285,35 @@ def test_closedness_of_standard_systems():
     assert is_closed(WeightedSplitSystem(g, {})) is None
 
 
+def test_is_closed_matches_corners_by_parts():
+    # the stored-side masks give the pair of the frozenset corners, on
+    # trees plus one crossing split, maximum circular and maximum flat
+    # systems, 60% subsets of each, and random subsets of all splits
+    rng = random.Random(27)
+    kinds = Counter()
+    for n in range(4, 10):
+        ground = index_ground(n)
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        for _ in range(5):
+            tree = list(random_binary_tree_system(n, rng).splits)
+            extra = [s for s in every if any(not is_compatible_pair(s, t) for t in tree)]
+            circular = list(random_maximum_circular_system(n, rng)[1].splits)
+            flat = list(random_maximum_flat_system(n, rng).splits)
+            for splits in (
+                tree + [rng.choice(extra)],
+                circular,
+                flat,
+                rng.sample(circular, round(0.6 * len(circular))),
+                rng.sample(flat, round(0.6 * len(flat))),
+                rng.sample(every, rng.randint(2, len(every))),
+            ):
+                found = is_closed(splits)
+                assert found == is_closed_by_parts(splits)
+                kinds["closed" if found is None else "violating"] += 1
+    assert sum(kinds.values()) == 6 * 5 * 6
+    assert kinds["closed"] and kinds["violating"], kinds
+
+
 @given(split_systems(min_n=3, max_n=6, max_splits=7))
 def test_separation_shortcut_matches_exhaustive(system):
     assert pairwise_separation_check(system) == pairwise_separation_by_subsets(system)
@@ -508,8 +539,8 @@ def test_orderly_probes_build_no_matrix(monkeypatch):
 
 
 def test_two_split_terms_match_eq1():
-    # phase 1 reads the pair values off the six weighted splits of
-    # order._two_split_terms; eq1 of the generated distance of each
+    # phase 1 skips a probe whose six weighted splits of two_split_terms
+    # all lie in the system; eq1 of the generated distance of each
     # crossing pair is the oracle, with the pair handed over in either
     # order, on seeded systems and on every block size from 1 to 6
     rng = random.Random(23)
@@ -531,7 +562,7 @@ def test_two_split_terms_match_eq1():
             two = WeightedSplitSystem(ground, [(a, 2), (b, 2)])
             o = order_distance_eq1(generate_distance(two), OrderParams(2, 1))
             for first, second in ((a, b), (b, a)):
-                terms = order_module._two_split_terms(first.bits, second.bits, ground.n)
+                terms = two_split_terms(first.bits, second.bits, ground.n)
                 assert len({mask for mask, _ in terms}) == 6
                 assert all(0 < mask < 1 << ground.n and coeff > 0 for mask, coeff in terms)
                 six = WeightedSplitSystem(
@@ -616,7 +647,7 @@ def test_orderly_phase_one_solves_only_probes_missing_a_corner(monkeypatch):
             for a, b in combinations(split_list, 2):
                 if is_compatible_pair(a, b):
                     continue
-                terms = order_module._two_split_terms(a.bits, b.bits, n)
+                terms = two_split_terms(a.bits, b.bits, n)
                 corner_missing = any(mask not in stored for mask, _ in terms[2:])
                 missing += corner_missing
                 walked["missing" if corner_missing else "held"] += 1
@@ -648,6 +679,64 @@ def test_orderly_phase_one_runs_no_pipeline(monkeypatch):
         assert isinstance(verdict, NoCounterexampleFound)
         assert verdict.pair_probes > 0
         assert calls == Counter(separation_sums=trials, _comparison_sets=trials * 8)
+
+
+def _order_value_families(rng):
+    # 60% subsets of maximum circular and maximum flat systems, which end
+    # in phase 1, whole maximum circular systems, which run every trial,
+    # and random independent subsets of all splits, some of which solve
+    # several probes
+    for n in range(5, 11):
+        yield list(random_maximum_circular_system(n, rng)[1].splits)
+        for _ in range(4):
+            for system in (random_maximum_circular_system(n, rng)[1],
+                           random_maximum_flat_system(n, rng)):
+                every = list(system.splits)
+                yield rng.sample(every, round(0.6 * len(every)))
+    for n in range(5, 9):
+        every = [Split.from_bits(index_ground(n), m << 1) for m in range(1, 1 << (n - 1))]
+        for _ in range(20):
+            splits = rng.sample(every, rng.randint(n, n * (n - 1) // 2))
+            if is_linearly_independent(splits):
+                yield splits
+
+
+def test_orderly_builds_order_values_once_per_solved_probe(monkeypatch):
+    # both phases share one pipeline of n comparison sets: phase 1 runs it
+    # for each probe walked that misses a corner split, phase 2 per trial
+    calls = Counter()
+    comparison_sets = flatlab_module._comparison_sets
+
+    def counted(*args):
+        calls["sets"] += 1
+        return comparison_sets(*args)
+
+    monkeypatch.setattr(flatlab_module, "_comparison_sets", counted)
+    kinds = Counter()
+    for splits in _order_value_families(random.Random(27)):
+        ground, split_list = ground_and_splits(splits)
+        n = ground.n
+        calls.clear()
+        verdict = orderly_test(splits, trials=3, seed=n)
+        stored = {s.bits for s in split_list}
+        missing = 0
+        for a, b in combinations(split_list, 2):
+            if is_compatible_pair(a, b):
+                continue
+            terms = two_split_terms(a.bits, b.bits, n)
+            missing += any(mask not in stored for mask, _ in terms[2:])
+            if verdict.is_counterexample and verdict.phase == 1:
+                if verdict.weighting[a] == verdict.weighting[b] == 2:
+                    break
+        if not verdict.is_counterexample:
+            trials = 3
+        else:
+            trials = 0 if verdict.phase == 1 else verdict.trial + 1
+        assert calls["sets"] == n * (missing + trials)
+        kinds["phase 1" if trials == 0 else "phase 2"] += 1
+        kinds["several solves"] += missing > 1
+    assert set(kinds) == {"phase 1", "phase 2", "several solves"}
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_orderly_needs_independence():

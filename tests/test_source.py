@@ -9,16 +9,26 @@ ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "ordist").glob("*.py"))
 
 
-def test_no_assert_statements_in_the_package():
-    """Invariants raise explicitly, so they survive python -O."""
-    assert len(SOURCES) >= 10
-    found = [
+def _assert_statements(paths):
+    return [
         f"{path.name}:{node.lineno}"
-        for path in SOURCES
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert found == []
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants raise explicitly, so they survive python -O."""
+    assert len(SOURCES) >= 10
+    assert _assert_statements(SOURCES) == []
+
+
+def test_no_assert_statements_in_the_test_helpers():
+    """pytest rewrites asserts only in test modules and conftest, so under
+    python -O an assert in a helper oracle would vanish silently."""
+    helpers = [ROOT / "tests" / name for name in ("helpers.py", "strategies.py")]
+    assert _assert_statements(helpers) == []
 
 
 def test_the_package_imports_only_itself_and_the_standard_library():

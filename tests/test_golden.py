@@ -9,7 +9,19 @@ compatibility was decided by one nesting pass, and ``midpath --witness``
 of that matrix and of a 20-element input with no witness written before
 the witness was read off the comparison sets, and ``orderly`` of the
 n = 32 circular file written before phase 1 moved onto the split
-decomposition of the order distance.
+decomposition of the order distance, and ``check independent`` and
+``decompose`` reports written before the solver peeled with 3-point
+functionals alone.
+
+The solver cases read these inputs: ``circular32.dist``, ``flat7.dist``
+and ``tree16.dist``, the distances generated by the split files of the
+same stem; ``random7.dist`` and ``random10.dist``,
+``random_distance_matrix(n, Random(7))`` at n = 7 and n = 10;
+``midpath10.splits``, the x-splits of ``random10.dist`` weighted by their
+counts, an independent system that keeps a core of splits no 3- or
+4-point functional peels, and ``midpath10.dist``, the distance it
+generates; ``midpath10-dependent.splits``, the x-splits of
+``random_distance_matrix(10, Random(6))``, 37 splits of rank 36.
 
 Each report case runs one command over the inputs in ``tests/data/golden``
 and compares its exit code and report with ``<case>.report`` there, whose
@@ -51,6 +63,19 @@ CASES = {
     "orderly-S2_5": "orderly -s S2_5 --trials 20 --seed 0",
     "orderly-circular8": "orderly -s {data}/circular8.splits --trials 10 --seed 3",
     "orderly-circular32": "orderly -s {data}/circular32.splits --trials 2 --seed 0",
+    "independent-circular32": "check independent -s {data}/circular32.splits",
+    "independent-flat7": "check independent -s {data}/flat7.splits",
+    "independent-tree16": "check independent -s {data}/tree16.splits",
+    "independent-midpath10": "check independent -s {data}/midpath10.splits",
+    "independent-midpath10-dependent":
+        "check independent -s {data}/midpath10-dependent.splits --strict",
+    "decompose-circular32": "decompose -i {data}/circular32.dist -s {data}/circular32.splits",
+    "decompose-flat7": "decompose -i {data}/flat7.dist -s {data}/flat7.splits",
+    "decompose-tree16": "decompose -i {data}/tree16.dist -s {data}/tree16.splits",
+    "decompose-midpath10": "decompose -i {data}/midpath10.dist -s {data}/midpath10.splits",
+    "decompose-negative-flat7": "decompose -i {data}/random7.dist -s {data}/flat7.splits",
+    "decompose-not-in-span-midpath10":
+        "decompose -i {data}/random10.dist -s {data}/midpath10.splits",
     "gen-circular-8": "gen circular -n 8 --seed 3",
     "gen-circular-40": "gen circular -n 40 --seed 11",
     "gen-circular-160": "gen circular -n 160 --seed 5",

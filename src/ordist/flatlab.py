@@ -3,19 +3,18 @@
 Each split A|B has an incidence vector over unordered element pairs (1 when
 the split separates the pair), which is also the vector of its split metric.
 The linear algebra runs on integers and has two parts.  Most splits are
-peeled: a 3-point or 4-point functional of the distance isolates one split
-not yet solved, so its weight follows by back-substitution (the one-step
-circular case is Chepoi & Fichet 1998, the weakly compatible case the
-isolation index of Bandelt & Dress 1992).  The splits that do not peel, the
-core, go through a fraction-free Gauss-Jordan elimination (Bareiss 1968),
-which divides each row update exactly by the previous pivot and leaves
-every pivot equal to one integer det.  Each element pair keeps the mask of
-the splits separating it; the core rows and, through the kernel
-``core.separation_sums``, every weighted sum of split metrics come from
-these masks.  A distance enters as its integer rows over its scale, so the
-weights express_in_basis returns are the only Fractions, each over
-2 * scale, or det * 2 * scale on the core.  Span questions have no
-tolerance knobs, which the orderliness probe below depends on.
+peeled: a 3-point functional 1/2 (D(x,a) + D(x,b) - D(a,b)) of the distance
+isolates one split not yet solved, so its weight follows by
+back-substitution.  The splits that do not peel, the core, go through a
+fraction-free Gauss-Jordan elimination (Bareiss 1968), which divides each
+row update exactly by the previous pivot and leaves every pivot equal to
+one integer det.  Each element pair keeps the mask of the splits separating
+it; the core rows and, through the kernel ``core.separation_sums``, every
+weighted sum of split metrics come from these masks.  A distance enters as
+its integer rows over its scale, so the weights express_in_basis returns
+are the only Fractions, each over 2 * scale, or det * 2 * scale on the
+core.  Span questions have no tolerance knobs, which the orderliness probe
+below depends on.
 
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
@@ -87,16 +86,10 @@ class _ExactSolver:
     Bit t of side[e] is set when element e lies on the `bits` side of split
     t (``transpose_bits`` of the split bits), so the pair mask
     side[x] ^ side[y] holds the splits separating x and y; pair_masks lists
-    them in the order of pairs.  Two kinds of functional read a weighted
-    sum of splits off D:
-      3-point (x; a, b): 1/2 (D(x,a) + D(x,b) - D(a,b)) is the total weight
-        of the splits putting x on one side and a, b on the other;
-      4-point Qa - Qb on i < j < k < l, where Q1, Q2, Q3 hold the splits
-        inducing il|jk, ik|jl and ij|kl: Q1 - Q2 is
-        1/2 (D(i,k) + D(j,l) - D(i,l) - D(j,k)), Q1 - Q3 is
-        1/2 (D(i,j) + D(k,l) - D(i,l) - D(j,k)) and Q2 - Q3 is
-        1/2 (D(i,j) + D(k,l) - D(i,k) - D(j,l)).
-    The set-up runs waves over these functionals; one whose support meets
+    them in the order of pairs.  The 3-point functional (x; a, b),
+    1/2 (D(x,a) + D(x,b) - D(a,b)), reads off D the total weight of its
+    support, the splits putting x on one side and a, b on the other.  The
+    set-up runs waves over these functionals; one whose support meets
     the unsolved splits in exactly one split t solves t, and the waves stop
     when one solves nothing.  Each peeled functional vanishes on every
     split still unsolved when it was used, so the peeled part is triangular
@@ -160,61 +153,41 @@ class _ExactSolver:
     ) -> tuple[list[tuple[int, tuple[int, ...], tuple[int, ...]]], int]:
         """Run the waves over the masks sep[x][y] of the splits separating
         x and y; return the steps and the mask of the splits left unsolved.
+        A wave walks the functionals (x; a, b) element x by element x and,
+        for each a, keeps the unsolved splits separating x from a, so that
+        each b costs one AND; a split solved early in a wave already counts
+        as solved for the functionals after it.
 
         Each solved split t gets a step (slot, plus, minus), in schedule
         order: with the target's pair values in slots 0..m-1 and the solved
         weights, times 2 * scale, in slot m + s for split s, weight t times
         2 * scale is the sum over the plus slots minus that over the minus.
+        For the 3-point functional (x; a, b) that solves t, the plus slots
+        are the pairs {x, a} and {x, b}, the minus slots the pair {a, b}
+        and the other splits of its support, all solved before t.
         """
         n, m = self.ground.n, len(self.pairs)
         unsolved = (1 << len(self.splits)) - 1
         steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         split_slot = list(range(m, m + len(self.splits))).__getitem__  # shared ints m + t
-
-        def solve(plus_mask: int, minus_mask: int, plus_pairs: tuple, minus_pairs: tuple) -> None:
-            nonlocal unsolved
-            hit = (plus_mask | minus_mask) & unsolved
-            unsolved ^= hit
-            if minus_mask & hit:
-                plus_mask, minus_mask = minus_mask, plus_mask
-                plus_pairs, minus_pairs = minus_pairs, plus_pairs
-            plus = [slot[i][j] for i, j in plus_pairs]
-            plus += map(split_slot, bit_indices(minus_mask))
-            minus = [slot[i][j] for i, j in minus_pairs]
-            minus += map(split_slot, bit_indices(plus_mask ^ hit))
-            steps.append((split_slot(hit.bit_length() - 1), tuple(plus), tuple(minus)))
-
         solved_before = -1
         while unsolved and len(steps) > solved_before:
             solved_before = len(steps)
-            for i, j, k in combinations(range(n), 3):
-                si, sj, sk = sep[i], sep[j], sep[k]
-                # the splits putting i, j or k alone against the other two
-                alone = (si[j] & si[k], sj[i] & sj[k], sk[i] & sk[j])
-                for mask, (x, a, b) in zip(alone, ((i, j, k), (j, i, k), (k, i, j))):
-                    if _single(mask & unsolved):
-                        solve(mask, 0, ((x, a), (x, b)), ((a, b),))
-                a1, a2, a3 = alone[0] & unsolved, alone[1] & unsolved, alone[2] & unsolved
-                if not (a1 or a2 or a3):
-                    continue
-                for l in range(k + 1, n):
-                    sl = sep[l]
-                    q1, q2, q3 = a1 & sl[j] & sl[k], a2 & sl[i] & sl[k], a3 & sl[i] & sl[j]
-                    if not (_single(q1 | q2) or _single(q1 | q3) or _single(q2 | q3)):
+            for x in range(n):
+                sx = sep[x]  # sx[x] is 0, so a and b skip x by themselves
+                for a in range(n - 1):
+                    # the unsolved splits separating x from a, and then from b
+                    xa = sx[a] & unsolved
+                    if not xa:
                         continue
-                    full = (alone[0] & sl[j] & sl[k], alone[1] & sl[i] & sl[k],
-                            alone[2] & sl[i] & sl[j])
-                    while True:
-                        if _single(q1 | q2):
-                            solve(full[0], full[1], ((i, k), (j, l)), ((i, l), (j, k)))
-                        elif _single(q1 | q3):
-                            solve(full[0], full[2], ((i, j), (k, l)), ((i, l), (j, k)))
-                        elif _single(q2 | q3):
-                            solve(full[1], full[2], ((i, j), (k, l)), ((i, k), (j, l)))
-                        else:
-                            break
-                        q1, q2, q3 = full[0] & unsolved, full[1] & unsolved, full[2] & unsolved
-                        a1, a2, a3 = alone[0] & unsolved, alone[1] & unsolved, alone[2] & unsolved
+                    for b in range(a + 1, n):
+                        hit = xa & sx[b]
+                        if hit and hit & (hit - 1) == 0:  # exactly one unsolved split
+                            unsolved ^= hit
+                            xa ^= hit
+                            earlier = map(split_slot, bit_indices(sx[a] & sx[b] ^ hit))
+                            plus, minus = (slot[x][a], slot[x][b]), (slot[a][b], *earlier)
+                            steps.append((split_slot(hit.bit_length() - 1), plus, minus))
         return steps, unsolved
 
     @property
@@ -258,9 +231,9 @@ class _ExactSolver:
         is matched exactly, so the weights regenerate D.
 
         When all m = C(n, 2) splits peel, the residual is zero and skipped:
-        peeled functional t is +-2 on split t and 0 on every split solved
+        peeled functional t is 2 on split t and 0 on every split solved
         after it, so the m functionals against the m split metrics form a
-        square triangular matrix with diagonal +-2.  It is invertible, so
+        square triangular matrix with diagonal 2.  It is invertible, so
         the split metrics span all distances and back-substitution returns
         the weights regenerating D."""
         m = len(self.pairs)
@@ -284,11 +257,6 @@ class _ExactSolver:
         for t, c in zip(self._core, total[m:]):
             weights[t] = sign * c
         return weights
-
-
-def _single(mask: int) -> bool:
-    """Whether mask has exactly one bit set."""
-    return mask != 0 and mask & (mask - 1) == 0
 
 
 def split_rank(splits: WeightedSplitSystem | Iterable[Split]) -> int:

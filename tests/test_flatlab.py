@@ -197,17 +197,29 @@ def test_solver_matches_fraction_elimination():
 
 
 def test_maximum_systems_peel_with_an_empty_core():
-    # maximum circular and maximum flat systems need no elimination: every
-    # split is peeled and the weights come back exactly, zeros included
+    # maximum circular and maximum flat systems, trees and 60% subsets of
+    # the maximum systems need no elimination: every split is peeled by a
+    # 3-point functional (x; a, b), whose step adds the pair slots {x, a},
+    # {x, b} and subtracts {a, b} and earlier splits, and the weights come
+    # back exactly, zeros included
     rng = random.Random(1998)
     systems = [random_maximum_circular_system(n, rng)[1] for n in range(5, 21)]
     systems += [random_maximum_flat_system(n, rng) for n in range(5, 13)]
+    systems += [random_binary_tree_system(n, rng) for n in range(4, 21)]
+    for n in range(5, 13):
+        for system in (random_maximum_circular_system(n, rng)[1],
+                       random_maximum_flat_system(n, rng)):
+            subset = rng.sample(system.splits, round(0.6 * len(system)))
+            systems.append(WeightedSplitSystem.unit(system.ground, subset))
     for system in systems:
         system = system.reweighted(
             {s: Fraction(rng.randint(0, 20), rng.choice([1, 2, 3])) for s in system.splits}
         )
         solver = _ExactSolver(*ground_and_splits(system))
         assert (solver.peeled, solver.core_size, solver.rank) == (len(system), 0, len(system))
+        m = len(solver.pairs)
+        for _, plus, minus in solver._steps:
+            assert len(plus) == 2 and max(plus) < m and minus[0] < m
         assert express_in_basis(generate_distance(system), system) == dict(system.items())
 
 

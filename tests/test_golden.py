@@ -18,9 +18,8 @@ and ``tree16.dist``, the distances generated by the split files of the
 same stem; ``random7.dist`` and ``random10.dist``,
 ``random_distance_matrix(n, Random(7))`` at n = 7 and n = 10;
 ``midpath10.splits``, the x-splits of ``random10.dist`` weighted by their
-counts, an independent system that keeps a core of splits no 3- or
-4-point functional peels, and ``midpath10.dist``, the distance it
-generates; ``midpath10-dependent.splits``, the x-splits of
+counts, an independent system whose core of splits that do not peel
+is not empty, and ``midpath10.dist``, the distance it generates; ``midpath10-dependent.splits``, the x-splits of
 ``random_distance_matrix(10, Random(6))``, 37 splits of rank 36.
 
 Each report case runs one command over the inputs in ``tests/data/golden``

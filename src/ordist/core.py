@@ -362,13 +362,19 @@ class DistanceMatrix:
         common = gcd(scale, *(gcd(*row) for row in rows))  # TypeError unless ints
         if scale < 1:
             raise ValueError(f"scale must be positive, got {scale}")
-        for i in range(n):
-            if rows[i][i] != 0:
+        # row i passes when row[i:] starts with 0, equals column[i:] and has
+        # no negative entry; the rows before it passed vouch for row[:i], so
+        # only a failing row walks j > i to name its first fault
+        for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+            right = row[i:]
+            if right[0] == 0 and tuple(right) == column[i:] and min(right) >= 0:
+                continue
+            if row[i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 0")
             for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
+                if row[j] != rows[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-                if rows[i][j] < 0:
+                if row[j] < 0:
                     raise ValueError(f"negative entry at ({i},{j})")
         if common > 1:
             rows = [[v // common for v in row] for row in rows]

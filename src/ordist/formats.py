@@ -156,18 +156,25 @@ def format_distance_matrix(matrix: DistanceMatrix) -> str:
 
 def _side_mask(part: str, bit: dict[str, int], line: str) -> tuple[int, int]:
     """One side of a split line: the bitmask of its labels, from the
-    label -> bit map, and the number of labels listed."""
-    labels = part.split(",")
+    label -> bit map, and the number of labels listed.  Distinct bits sum
+    to their OR, and only then does the sum have one set bit per label (a
+    repeated label carries), so the side is one ``sum`` and a popcount."""
+    labels = part.strip().split(",")
     try:
-        return reduce(or_, map(bit.__getitem__, map(str.strip, labels))), len(labels)
+        # a label holds no whitespace, so one found as written is stripped
+        mask = sum(map(bit.__getitem__, labels))
     except KeyError:
-        pass
-    # an empty label anywhere on the side is named before an unknown one
-    labels = [tok.strip() for tok in labels]
-    if not all(labels):
-        raise FormatError(f"empty label in split line {line!r}")
-    unknown = next(tok for tok in labels if tok not in bit)
-    raise FormatError(f"unknown label {unknown!r} in split line {line!r}")
+        labels = [tok.strip() for tok in labels]
+        # an empty label anywhere on the side is named before an unknown one
+        if not all(labels):
+            raise FormatError(f"empty label in split line {line!r}") from None
+        for tok in labels:
+            if tok not in bit:
+                raise FormatError(f"unknown label {tok!r} in split line {line!r}") from None
+        mask = sum(map(bit.__getitem__, labels))
+    if mask.bit_count() != len(labels):
+        mask = reduce(or_, map(bit.__getitem__, labels))
+    return mask, len(labels)
 
 
 def parse_split_system(text: str) -> WeightedSplitSystem:

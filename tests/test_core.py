@@ -127,6 +127,33 @@ def test_distance_matrix_validation():
         DistanceMatrix.from_scaled(g, [[0, 1.5], [1.5, 0]])
 
 
+def test_distance_matrix_names_its_first_fault():
+    # several faults in different rows: the first in row order is named,
+    # and within a row the diagonal, then j > i, asymmetry before sign
+    def faulty(*entries):
+        rows = [[0 if i == j else 1 + i + j for j in range(5)] for i in range(5)]
+        for i, j, value in entries:
+            rows[i][j] = value
+        return rows
+
+    cases = {
+        "diagonal entry (1,1) must be 0": faulty((3, 3, 2), (1, 1, 1), (1, 2, 9)),
+        "negative entry at (0,3)": faulty((3, 3, 2), (1, 2, 9), (0, 3, -1), (3, 0, -1)),
+        # a negative entry below the diagonal shows first as an asymmetry
+        "matrix not symmetric at (0,2)": faulty((4, 4, 7), (2, 0, -3), (1, 3, 9)),
+        "matrix not symmetric at (2,3)": faulty((2, 3, -1), (2, 4, -2), (4, 2, -2)),
+        "negative entry at (1,2)": faulty((1, 2, -1), (2, 1, -1), (1, 4, 0), (3, 3, 5)),
+        "matrix not symmetric at (3,4)": faulty((4, 3, -6), (4, 4, 1)),
+        "diagonal entry (4,4) must be 0": faulty((4, 4, -1)),
+    }
+    g = GroundSet("abcde")
+    for message, rows in cases.items():
+        for build in (DistanceMatrix, DistanceMatrix.from_scaled):
+            with pytest.raises(ValueError) as caught:
+                build(g, rows)
+            assert str(caught.value) == message, rows
+
+
 def test_equal_values_give_equal_matrices_whatever_the_scale():
     g = GroundSet("abc")
     sixths = DistanceMatrix.from_scaled(g, [[0, 3, 8], [3, 0, 12], [8, 12, 0]], 6)

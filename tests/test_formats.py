@@ -268,6 +268,8 @@ def test_split_parse_error_order():
         "a,a | b,c": "sides do not cover all elements: 'a,a | b,c'",
         "a | b": "sides do not cover all elements: 'a | b'",
         "a,a | c": "repeated label in split line 'a,a | c'",
+        # the repeated a carries onto b's bit, and still no sides overlap
+        "a,a | b": "repeated label in split line 'a,a | b'",
         "a | c,c": "repeated label in split line 'a | c,c'",
         "b | a,c,c": "sides do not cover all elements: 'b | a,c,c'",
     }
@@ -282,8 +284,9 @@ SPLIT_FAULTS = ("empty", "unknown", "repeat", "overlap", "cover", "duplicate",
 
 
 def random_split_text(rng, kinds, limit):
-    """A split system file whose weights take mixed spellings; about half
-    carry one fault on a random line."""
+    """A split system file whose weights take mixed spellings and whose
+    lines pad their separators about a third of the time; about half carry
+    one fault on a random line."""
     n = rng.randint(2, 7)
     labels = [f"x{i}" for i in range(n)]
     lines = []
@@ -328,10 +331,15 @@ def random_split_text(rng, kinds, limit):
         line[1] = " : 1" + "0" * limit
     elif fault == "pipes":
         line[0] = parts + [rng.choice([[], ["x0"]])]
-    body = "\n".join(
-        " | ".join(",".join(part) for part in parts) + weight for parts, weight in lines
-    )
-    return f"# seeded\n{n}\n{' '.join(labels)}\n{body}\n"
+    body = []
+    for parts, weight in lines:
+        comma, pipe = ",", " | "
+        if rng.random() < 0.3:
+            kinds["padded"] += 1
+            comma = rng.choice([", ", " , ", "\t,", ",\t"])
+            pipe = rng.choice(["|", " |\t", "\t| "])
+        body.append(pipe.join(comma.join(part) for part in parts) + weight)
+    return f"# seeded\n{n}\n{' '.join(labels)}\n" + "\n".join(body) + "\n"
 
 
 def split_outcome(parse, text):
@@ -347,13 +355,17 @@ def test_split_parse_matches_label_oracle(digit_limit):
     kinds = Counter()
     results = Counter()
     for _ in range(400):
+        padded = kinds["padded"]
         text = random_split_text(rng, kinds, digit_limit)
         expected = split_outcome(parse_split_system_by_labels, text)
         assert split_outcome(parse_split_system, text) == expected, text
         results[expected[0]] += 1
+        if kinds["padded"] > padded:
+            results["padded " + expected[0]] += 1
     assert all(kinds["fault " + k] >= 10 for k in SPLIT_FAULTS), kinds
     assert all(kinds[k] >= 20 for k in ("int", "ratio", "decimal", "plus")), kinds
     assert results["system"] >= 150 and results["error"] >= 120, results
+    assert results["padded system"] >= 50, results
 
 
 def test_written_files_end_with_newline():

@@ -13,10 +13,13 @@ orderings are canonicalized (element 0 first, smaller second element) and
 recovery can fix element 0 in place.
 
 For circular input and q = p/2 the order distance can be computed without
-touching all pairs-of-pairs: every strict-comparison side is an arc, whose
-end is found by a forward gallop from the previous pair's end, or by a
-binary search when the end moved back, and one shared search past a tie;
-the weighted arc system is evaluated by an O(n^2) recurrence.  The arcs
+touching all pairs-of-pairs.  Every strict-comparison side is an arc.  Its
+end is found from the previous pair's end: a check in place, at most two
+single probes past it, and a forward gallop only when the end moved on by
+two or more.  The probes need no bounds test, because each path between
+the pair ends in a sentinel where the comparison fails.  An end that moved
+back takes a binary search, and a tie one shared search past it.  The
+weighted arc system is evaluated by an O(n^2) recurrence.  The arcs
 come from a monotonicity lemma: for positions
 a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
 f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
@@ -408,6 +411,30 @@ def evaluate_circular_distance(
     return _table_distance(theta, table, scale)
 
 
+def _last_below(near: list[int], far: list[int], lo: int, hi: int) -> int:
+    """The last index before hi where near < far, by binary search from lo,
+    where near < far, to hi, where not, on a path along which near - far
+    never decreases."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if near[mid] < far[mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _gallop(near: list[int], far: list[int], lo: int, stop: int) -> int:
+    """The last index before stop where near < far, from lo, where near <
+    far, on a path along which near - far never decreases and that fails
+    at stop: doubling steps from lo, then a binary search over the last."""
+    step = 1
+    while lo + step < stop and near[lo + step] < far[lo + step]:
+        lo += step
+        step += step
+    return _last_below(near, far, lo, lo + step if lo + step < stop else stop)
+
+
 def _past_ties(near: list[int], far: list[int], lo: int, stop: int) -> int:
     """The first index past the tied boundary lo, up to stop, where near >
     far, on a path along which near - far never decreases."""
@@ -432,12 +459,18 @@ def order_distance_circular(
     along each path between them (module docstring), so {f < 0} and
     {f > 0} are arcs whose ends take one search on each path, and a second,
     binary one (``_past_ties``, for both paths) only past a tied boundary.
-    The ends barely move from one b to the next, and nearly always forward,
-    so each main search gallops forward (Bentley and Yao, IPL 5, 1976):
-    from the end found for the previous b it doubles its step, then closes
-    the last step by binary search, about 2 log2(d) + 2 comparisons for a
-    boundary d places on.  When that end lies outside the side, a binary
-    search runs from the path's first position up to it.  The monotonicity
+    The ends barely move from one b to the next, nearly always forward by
+    0 or 1, so each main search checks the end found for the previous b in
+    place, probes the next position and, only if that passed, the one
+    after.  No probe needs a bounds test, since each path ends in a
+    sentinel that fails its comparison: b on the path a..b, where
+    D(a,b) > 0 = D(b,b), and a on the path b..a, where D(a,a) = 0 < D(b,a).
+    An end that moved on by 2 or more takes ``_gallop`` (Bentley and Yao,
+    IPL 5, 1976), shared by both paths with the rows swapped on b..a: it
+    doubles its step within bounds, then closes the last step by binary
+    search, O(log d) comparisons for a boundary d places on.  When the
+    previous end lies outside the side, a binary search runs from the
+    path's first position up to it.  The monotonicity
     that makes a binary search correct makes any start correct, and the
     verified ordering proves it for every pair, so no scan is needed.
 
@@ -475,42 +508,36 @@ def order_distance_circular(
                     )
                 continue
             # path a..b: the side of a is a prefix, the side of b a suffix;
-            # gallop from end_a, which lies in a..b-1, or search a..end_a
-            lo = end_a
-            if row_a[lo] < row_b[lo]:
-                step = 1
-                while lo + step < b and row_a[lo + step] < row_b[lo + step]:
-                    lo += step
-                    step += step
-                hi = lo + step if lo + step < b else b
+            # b fails (row_a[b] = D(a,b) > 0 = row_b[b]), so the probes at
+            # end_a + 1 and, once that passed, end_a + 2 stay in a..b
+            if row_a[end_a] < row_b[end_a]:
+                hi = end_a + 1
+                if row_a[hi] < row_b[hi]:
+                    end_a = hi
+                    hi += 1
+                    if row_a[hi] < row_b[hi]:
+                        end_a = _gallop(row_a, row_b, hi, b)
+                        hi = end_a + 1
             else:
-                lo, hi = a, lo
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if row_a[mid] < row_b[mid]:
-                    lo = mid
-                else:
-                    hi = mid
-            end_a = lo
+                end_a = _last_below(row_a, row_b, a, end_a)
+                hi = end_a + 1
             start_b = hi if row_a[hi] != row_b[hi] else _past_ties(row_a, row_b, hi, b)
             # path b..a: the side of b is a prefix, the side of a a suffix;
-            # the same search from end_b, moved into b-n..a-1
-            lo = end_b if end_b > b - n else b - n
-            if row_a[lo] > row_b[lo]:
-                step = 1
-                while lo + step < a and row_a[lo + step] > row_b[lo + step]:
-                    lo += step
-                    step += step
-                hi = lo + step if lo + step < a else a
+            # the same search with the rows swapped, from end_b moved into
+            # b-n..a-1, and a fails (row_a[a] = 0 < D(a,b) = row_b[a])
+            if end_b <= b - n:
+                end_b = b - n
+            if row_a[end_b] > row_b[end_b]:
+                hi = end_b + 1
+                if row_a[hi] > row_b[hi]:
+                    end_b = hi
+                    hi += 1
+                    if row_a[hi] > row_b[hi]:
+                        end_b = _gallop(row_b, row_a, hi, a)
+                        hi = end_b + 1
             else:
-                lo, hi = b - n, lo
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if row_a[mid] > row_b[mid]:
-                    lo = mid
-                else:
-                    hi = mid
-            end_b = lo
+                end_b = _last_below(row_b, row_a, b - n, end_b)
+                hi = end_b + 1
             start_a = hi if row_a[hi] != row_b[hi] else _past_ties(row_b, row_a, hi, a)
             # table keys are arcs avoiding position n-1: else the complement
             if start_a >= 0:

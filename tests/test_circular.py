@@ -469,7 +469,7 @@ def test_circular_engine_against_eq1_and_the_scan_oracle():
 
 def test_galloping_where_boundaries_jump():
     # the searches for pair (a, b) start from the boundaries of the last
-    # pair (a, b') found; on the benchmark's inputs they move by 1 or 2,
+    # pair (a, b') found; on the benchmark's inputs they move by 0 or 1,
     # while zero weights and shifts make them jump both ways, so the binary
     # search for an end that moved back and the search past ties run on
     # both paths
@@ -503,9 +503,17 @@ def test_galloping_where_boundaries_jump():
                 start_b, end_b = arcs[seq[b], seq[a]]
                 # the engine indexes the path b..a as b-n..a
                 ends = (end_a, end_b - n if end_b >= b else end_b)
-                for path, new, old in zip(("a..b", "b..a"), ends, start):
+                # the engine moves a start before the path, b-n, onto it
+                firsts = (a, b - n)
+                for path, new, old, first in zip(("a..b", "b..a"), ends, start, firsts):
                     # a start past the side's end: binary search, no gallop
                     tally[f"back {path}"] += old > new
+                    # an end that moved on by 0 or 1 takes only the probes,
+                    # by 2 or 3 the smallest gallops
+                    step = new - max(old, first)
+                    tally[f"0 {path}"] += step == 0
+                    tally[f"1 {path}"] += step == 1
+                    tally[f"2-3 {path}"] += 2 <= step <= 3
                     if moved:
                         tally["up"] += new - old >= 4
                         tally["down"] += old - new >= 4
@@ -515,11 +523,14 @@ def test_galloping_where_boundaries_jump():
                 start, moved = ends, True
     # this seed gives 149 jumps up, 79 down and 2 non-metric inputs; of the
     # searches, 73 on path a..b and 756 on b..a start past the side's end,
-    # and 195 and 502 boundaries are tied
+    # and 195 and 502 boundaries are tied; the ends move on by 0 in 3951
+    # and 3261 searches, by 1 in 3244 and 2705, and by 2 or 3 in 94 and 507
     assert tally["up"] >= 75 and tally["down"] >= 40, tally
     assert tally["back a..b"] >= 35 and tally["back b..a"] >= 350, tally
     assert tally["tied a..b"] >= 100 and tally["tied b..a"] >= 250, tally
     assert tally["non-metric"] == 2, tally
+    for path in ("a..b", "b..a"):
+        assert all(tally[f"{by} {path}"] for by in ("0", "1", "2-3")), tally
 
 
 def test_greedy_insertion_keeps_its_choice():

@@ -13,10 +13,10 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -421,7 +421,10 @@ class WeightedSplitSystem:
 
     Iteration order over `.splits` is deterministic (sorted by the canonical
     bitmask), which keeps every downstream report and random weighting
-    reproducible.
+    reproducible.  Equal int or str weights share one `Fraction`, and a
+    `Fraction` weight is kept as given.  Construction builds no (split,
+    weight) pair per split, and the system keeps its splits and weights as
+    two columns.
     """
 
     __slots__ = ("ground", "_weights", "_sorted", "_sorted_weights")
@@ -433,10 +436,19 @@ class WeightedSplitSystem:
     ):
         items = weights.items() if isinstance(weights, Mapping) else weights
         table: dict[Split, Fraction] = {}
+        # one Fraction per distinct raw weight, keyed on its type as well,
+        # since 1.0 == 1 and the float must still be refused; a Fraction
+        # passes as it is, as its hash is Python-level
+        rational: dict[tuple[type, object], Fraction] = {}
         for split, w in items:
             if split.ground is not ground:
                 _check_same_ground(ground, split.ground)
-            w = as_rational(w)
+            kind = type(w)
+            if kind is not Fraction:
+                try:
+                    w = rational[kind, w]
+                except (KeyError, TypeError):  # a new or an unhashable weight
+                    w = rational.setdefault((kind, w), as_rational(w))
             if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {split}")
             size = len(table)
@@ -445,15 +457,18 @@ class WeightedSplitSystem:
                 raise ValueError(f"duplicate split {split}")
         self.ground = ground
         self._weights = table
-        # splits and their weights in bitmask order, kept as two columns so
-        # that items() hashes no split and holds no pair per split
-        pairs = sorted(table.items(), key=lambda pair: pair[0].bits)
-        self._sorted = tuple([split for split, _ in pairs])
-        self._sorted_weights = tuple([weight for _, weight in pairs])
+        # both columns in bitmask order, without hashing a split again:
+        # sorted() computes each key once, in list order, so the weights
+        # sort on the bits of their own splits, read in the same order
+        bits = attrgetter("bits")
+        self._sorted = tuple(sorted(table, key=bits))
+        self._sorted_weights = tuple(
+            sorted(table.values(), key=partial(next, map(bits, table)))
+        )
 
     @classmethod
     def unit(cls, ground: GroundSet, splits: Iterable[Split]) -> "WeightedSplitSystem":
-        return cls(ground, [(s, 1) for s in splits])
+        return cls(ground, zip(splits, repeat(1)))
 
     @property
     def splits(self) -> tuple[Split, ...]:
@@ -470,8 +485,9 @@ class WeightedSplitSystem:
 
     def reweighted(self, weights: Mapping[Split, object]) -> "WeightedSplitSystem":
         """Same splits, new weights (missing splits get weight 0)."""
+        splits = self._sorted
         return WeightedSplitSystem(
-            self.ground, [(s, weights.get(s, 0)) for s in self._sorted]
+            self.ground, zip(splits, map(weights.get, splits, repeat(0)))
         )
 
     def __len__(self) -> int:

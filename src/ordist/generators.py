@@ -65,8 +65,10 @@ def random_maximum_circular_system(
     rng.shuffle(perm)
     theta = CircularOrdering(ground, perm)
     low = 1 if positive else 0
-    weighted = [(s, rng.randint(low, 20)) for s in maximum_circular_splits(theta)]
-    return theta, WeightedSplitSystem(ground, weighted)
+    splits = maximum_circular_splits(theta)
+    # drawn in split order, as the system consumes them: no pair per split
+    weights = (rng.randint(low, 20) for _ in splits)
+    return theta, WeightedSplitSystem(ground, zip(splits, weights))
 
 
 def random_allowable_pair(n: int, rng: random.Random) -> AllowablePair:

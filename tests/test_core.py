@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from ordist import (
     as_rational,
     generate_distance,
     index_ground,
+    random_maximum_circular_system,
     restrict_split_system,
     split_metric,
 )
@@ -239,6 +241,46 @@ def test_weighted_system_items_hash_no_split(monkeypatch):
     # the counter does see lookups by split
     assert system.weight(expected[0][0]) == expected[0][1]
     assert len(calls) == 1
+
+
+def test_weighted_system_refuses_a_float_equal_to_an_earlier_int():
+    g = GroundSet("abcd")
+    s1, s2 = Split(g, "ab"), Split(g, "a")
+    with pytest.raises(ValueError, match=r"^refusing float 1\.0;"):
+        WeightedSplitSystem(g, [(s1, 1), (s2, 1.0)])
+    with pytest.raises(ValueError, match=r"^cannot interpret \[1\] as an exact rational$"):
+        WeightedSplitSystem(g, [(s1, 1), (s2, [1])])
+
+
+def test_generated_weights_share_one_fraction_per_value(monkeypatch):
+    calls = []
+    split_hash = Split.__hash__
+
+    def counting_hash(split):
+        calls.append(split)
+        return split_hash(split)
+
+    monkeypatch.setattr(Split, "__hash__", counting_hash)
+    _, system = random_maximum_circular_system(40, Random(1), positive=False)
+    # weights 0..20, and construction hashes each split once
+    assert len({id(w) for _, w in system.items()}) <= 21
+    assert len(calls) == len(system) == 40 * 39 // 2
+
+
+def test_generating_a_circular_system_peaks_near_its_live_size():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    random_maximum_circular_system(100, Random(1))  # first-call caches
+    tracemalloc.start()
+    try:
+        kept = random_maximum_circular_system(100, Random(1))  # held while measured
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept[1]) == 100 * 99 // 2
+    # construction makes no pair and no Fraction per split, so its peak
+    # stays near what the system keeps
+    assert peak <= 1.3 * live, (peak, live)
 
 
 def test_order_params_bounds():

@@ -13,7 +13,18 @@ Values may be integers, rationals like ``3/2`` or finite decimals like
 ``1.5``; all are read exactly.  A plain integer token is read straight into
 an int; any other token becomes a (numerator, denominator) pair, and the
 matrix stores every value as an int over one common denominator (see
-``DistanceMatrix.from_scaled``).  Split system format::
+``DistanceMatrix.from_scaled``).
+
+A matrix is symmetric, so each unordered pair is read and written once.
+The reader keeps, for every column, the tokens the rows above wrote in it;
+a row whose lower part repeats them as text takes the values already read,
+one object per pair, and converts only its upper part.  The comparison is
+made on text, not values, so that any other row is read whole, token by
+token: the first bad token in row-major order is still the one named, and
+an asymmetric pair still reaches the symmetry check.  The writer renders
+entries (i, j), j >= i, and repeats their texts in row j.
+
+Split system format::
 
     5
     a b c d e
@@ -27,10 +38,11 @@ either format reproduces the object exactly.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import itemgetter, or_
 
 from .core import (
     DistanceMatrix,
@@ -97,6 +109,21 @@ def parse_value(token: str, context: str) -> Fraction:
     return value
 
 
+def _row_values(tokens: list[str], context: str, digits: int, denominators: list[int]) -> list:
+    """The tokens' values, in order: a plain decimal integer of at most
+    ``digits`` digits by int(), any other token by ``parse_value``, whose
+    denominator is appended to ``denominators``."""
+    row = []
+    for token in tokens:
+        if token.isdecimal() and len(token) <= digits:
+            row.append(int(token))
+        else:
+            value = parse_value(token, context)
+            row.append(value)
+            denominators.append(value.denominator)
+    return row
+
+
 def parse_distance_matrix(text: str) -> DistanceMatrix:
     lines = _content_lines(text)
     if not lines:
@@ -116,20 +143,24 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
     labels = []
     rows = []
     denominators = []  # of the values parse_value read
-    for line in lines[1:]:
+    # columns[i] holds the tokens (j, i), j < i, of the rows read so far:
+    # row i's lower part as the rows above spelled it
+    columns = [[] for _ in range(n)]
+    for i, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != n + 1:
             raise FormatError(f"expected label plus {n} values: {line!r}")
         labels.append(tokens[0])
         context = f"row {tokens[0]!r}"
-        row = []
-        for token in tokens[1:]:
-            if token.isdecimal() and len(token) <= digits:
-                row.append(int(token))
-            else:
-                value = parse_value(token, context)
-                row.append(value)
-                denominators.append(value.denominator)
+        if tokens[1 : i + 1] == columns[i]:
+            # the mirrors were read without fault: share their values
+            row = list(map(itemgetter(i), rows))
+            row += _row_values(tokens[i + 1 :], context, digits, denominators)
+        else:
+            row = _row_values(tokens[1:], context, digits, denominators)
+        columns[i] = None
+        # each upper token (i, j), j > i, joins buffer j
+        deque(map(list.append, columns[i + 1 :], tokens[i + 2 :]), 0)
         rows.append(row)
     # all values as ints over their least common denominator; when every
     # token was a plain integer they already are, over 1
@@ -145,13 +176,22 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
 def format_distance_matrix(matrix: DistanceMatrix) -> str:
     lines = [str(matrix.n)]
     scale = matrix.scale
-    for label, row in zip(matrix.ground.labels, matrix.comparison_rows()):
+    # columns[i] holds the texts of entries (j, i), j < i, of the rows
+    # written so far, which by symmetry are row i's lower part
+    columns = [[] for _ in range(matrix.n)]
+    for i, (label, row) in enumerate(zip(matrix.ground.labels, matrix.comparison_rows())):
         if scale == 1:  # digits, as _ratio_text(v, 1) writes, for bools too
-            values = " ".join(map(int.__repr__, row))
+            upper = list(map(int.__repr__, row[i:]))
         else:
-            values = " ".join(_ratio_text(v, scale) for v in row)
-        lines.append(label + " " + values)
-    return "\n".join(lines) + "\n"
+            upper = [_ratio_text(v, scale) for v in row[i:]]
+        texts = columns[i]
+        columns[i] = None
+        texts += upper
+        lines.append(label + " " + " ".join(texts))
+        # each upper text (i, j), j > i, joins buffer j
+        deque(map(list.append, columns[i + 1 :], upper[1:]), 0)
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def _side_mask(part: str, bit: dict[str, int], line: str) -> tuple[int, int]:
@@ -233,4 +273,5 @@ def format_split_system(system: WeightedSplitSystem) -> str:
     lines = [str(system.ground.n), " ".join(system.ground.labels)]
     for split, weight in system.items():
         lines.append(f"{split} : {format_rational(weight)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # as in format_distance_matrix
+    return "\n".join(lines)

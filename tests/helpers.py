@@ -35,7 +35,7 @@ from ordist import (
 )
 from ordist.core import canonical_mask, ground_and_splits
 from ordist.flatlab import _ExactSolver
-from ordist.formats import parse_value
+from ordist.formats import format_rational, parse_value
 
 
 def naive_order_distance(matrix: DistanceMatrix, p, q) -> DistanceMatrix:
@@ -284,6 +284,18 @@ def fraction_parse_distance_matrix(text: str) -> DistanceMatrix:
         return DistanceMatrix(GroundSet(labels), rows)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def format_distance_matrix_by_values(matrix: DistanceMatrix) -> str:
+    """The matrix writer entry by entry, the oracle for
+    ``format_distance_matrix``: every entry of every row, both halves,
+    through ``format_rational``."""
+    n = matrix.n
+    lines = [str(n)]
+    for i, label in enumerate(matrix.ground.labels):
+        values = [format_rational(matrix[i, j]) for j in range(n)]
+        lines.append(" ".join([label, *values]))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_side_by_labels(part: str, bit: dict, context: str) -> tuple[int, int]:

@@ -14,11 +14,16 @@ from ordist import (
     format_distance_matrix,
     format_rational,
     format_split_system,
+    index_ground,
     parse_distance_matrix,
     parse_split_system,
 )
 from ordist.cli import run
-from helpers import fraction_parse_distance_matrix, parse_split_system_by_labels
+from helpers import (
+    format_distance_matrix_by_values,
+    fraction_parse_distance_matrix,
+    parse_split_system_by_labels,
+)
 from strategies import distance_matrices, rationals, split_systems
 
 
@@ -58,6 +63,59 @@ def test_parse_matrix_with_comments_and_decimals():
 @given(distance_matrices(values=rationals()))
 def test_matrix_round_trip(matrix):
     assert parse_distance_matrix(format_distance_matrix(matrix)) == matrix
+
+
+def random_matrix(rng, n, kind):
+    """A random n x n matrix: bool entries at scale 1 ("bool"), ints over 2
+    ("halves"), Fractions over mixed denominators ("mixed") or ints up to
+    10**9 ("wide")."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "bool":
+                v = rng.random() < 0.5
+            elif kind == "halves":
+                v = rng.randint(0, 40)
+            elif kind == "mixed":
+                v = Fraction(rng.randint(0, 60), rng.choice([1, 2, 3, 4, 5, 7, 8, 10, 125]))
+            else:
+                v = rng.randint(0, 10**9)
+            rows[i][j] = rows[j][i] = v
+    if kind == "mixed":
+        return DistanceMatrix(index_ground(n), rows)
+    return DistanceMatrix.from_scaled(index_ground(n), rows, 2 if kind == "halves" else 1)
+
+
+def test_format_matches_value_oracle():
+    rng = random.Random(8080)
+    seen = Counter()
+    kinds = ("bool", "halves", "mixed", "wide")
+    cases = [(kind, 160) for kind in kinds]
+    cases += [(rng.choice(kinds), rng.choice([1, 2, 3, rng.randint(4, 9)])) for _ in range(300)]
+    for kind, n in cases:
+        m = random_matrix(rng, n, kind)
+        assert format_distance_matrix(m) == format_distance_matrix_by_values(m), (kind, n)
+        seen[f"n={n}"] += 1
+        if any(v is True for row in m.comparison_rows() for v in row):
+            seen["bool entries"] += 1
+        seen[f"scale {min(m.scale, 3)}"] += 1  # 3: any larger scale
+    assert all(seen[k] >= 1 for k in ("n=160", "n=1")), seen
+    assert all(seen[k] >= 30 for k in ("n=2", "n=3", "bool entries", "scale 2", "scale 3")), seen
+
+
+def test_read_matrix_shares_one_value_per_pair():
+    """Ints above 256 are not cached by Python, so a pair read as two
+    tokens would be two objects."""
+    rng = random.Random(9)
+    n = 12
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(257, 10**9)
+    text = format_distance_matrix(DistanceMatrix.from_scaled(index_ground(n), rows))
+    read = parse_distance_matrix(text).comparison_rows()
+    assert read == rows
+    assert all(read[i][j] is read[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 @given(split_systems(weights=rationals()))
@@ -126,6 +184,26 @@ def test_values_too_long_to_print_are_refused(digit_limit, tmp_path, src_env):
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {info.value}\n")
 
 
+def test_unlimited_digits_read_long_values_exactly(digit_limit):
+    wide = "7" * 5000
+    texts = [f"2\na 0 {token}\nb {token} 0" for token in (wide, "1e5000")]
+    splits = [f"2\na b\na | b : {token}\n" for token in (wide, "1e5000")]
+    for text in texts:
+        with pytest.raises(FormatError, match="bad value"):
+            parse_distance_matrix(text)
+    for text in splits:
+        with pytest.raises(FormatError, match="bad value"):
+            parse_split_system(text)
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        expected = [int(wide), 10**5000]
+        assert [parse_distance_matrix(text)[0, 1] for text in texts] == expected
+        weights = [w for text in splits for _, w in parse_split_system(text).items()]
+        assert weights == expected
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
 # other decimal digits: Arabic-Indic, Devanagari, fullwidth
 UNICODE_ZEROS = (0x660, 0x966, 0xFF10)
 BAD_TOKENS = ("x", "1.2.3", "1/0", "--1", "1e", "3/", "1__0", "0x10")
@@ -169,8 +247,11 @@ def spell(value, rng, kinds):
     return f"{num * k}/{den * k}"
 
 
-def random_matrix_text(rng, kinds, limit):
-    """A matrix file over mixed spellings; about half carry one fault."""
+def random_matrix_text(rng, kinds, limit, mirrored):
+    """A matrix file over mixed spellings; about half carry one fault.
+    When ``mirrored``, each token (i, j), i > j, is spelled as (j, i), as
+    format_distance_matrix writes it; the draws from ``rng`` are the same
+    either way."""
     n = rng.randint(1, 6)
     values = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -181,6 +262,9 @@ def random_matrix_text(rng, kinds, limit):
                 v = Fraction(rng.randint(0, 60), rng.choice([2, 3, 4, 5, 7, 8, 10, 125]))
             values[i][j] = values[j][i] = v
     tokens = [[spell(v, rng, kinds) for v in row] for row in values]
+    if mirrored:
+        for i in range(n):
+            tokens[i][:i] = [tokens[j][i] for j in range(i)]
     labels = [f"x{i}" for i in range(n)]
     fault = rng.choice(["none"] * 6 + ["asymmetric", "negative", "diagonal", "bad",
                                        "count", "label", "long"])
@@ -207,6 +291,23 @@ def random_matrix_text(rng, kinds, limit):
     return f"# seeded\n{n}\n{body}\n"
 
 
+def rows_by_lower_spelling(text):
+    """Rows i >= 1 of a matrix text, up to the first of the wrong length,
+    counted as "mirrored" when their tokens (i, j), j < i, repeat the
+    tokens (j, i) as written, as "spelled apart" otherwise."""
+    lines = [line.split() for line in text.splitlines() if line and not line.startswith("#")]
+    n = int(lines[0][0])
+    rows = [tokens[1:] for tokens in lines[1:]]
+    counts = Counter()
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            break
+        if i:
+            mirrored = row[:i] == [above[i] for above in rows[:i]]
+            counts["mirrored" if mirrored else "spelled apart"] += 1
+    return counts
+
+
 def parse_outcome(parse, text):
     try:
         m = parse(text)
@@ -219,17 +320,20 @@ def test_parse_matches_fraction_oracle(digit_limit):
     rng = random.Random(6060)
     kinds = Counter()
     results = Counter()
-    for _ in range(400):
-        text = random_matrix_text(rng, kinds, digit_limit)
+    rows = Counter()
+    for trial in range(400):
+        text = random_matrix_text(rng, kinds, digit_limit, mirrored=trial % 2 == 1)
         expected = parse_outcome(fraction_parse_distance_matrix, text)
         assert parse_outcome(parse_distance_matrix, text) == expected, text
         results[expected[0]] += 1
+        rows += rows_by_lower_spelling(text)
     spellings = ("int", "zeros", "unicode", "ratio", "decimal", "exponent", "plus",
                  "underscore", "negzero")
     assert all(kinds[k] >= 20 for k in spellings), kinds
     faults = ("asymmetric", "negative", "diagonal", "bad", "count", "label", "long")
     assert all(kinds["fault " + k] >= 10 for k in faults), kinds
     assert results["matrix"] >= 150 and results["error"] >= 100, results
+    assert rows["mirrored"] >= 300 and rows["spelled apart"] >= 300, rows
 
 
 def test_split_parse_weight_defaults_to_one():

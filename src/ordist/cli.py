@@ -13,17 +13,11 @@ import functools
 import os
 import random
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .circular import (
-    evaluate_circular_distance,
-    interval_weight_map,
-    is_circular_split_system,
-    order_distance_circular,
-)
+from .circular import is_circular_split_system, order_distance_circular
 from .compat import incompatible_pair, six_point_witness
 from .core import (
     DistanceMatrix,
@@ -81,8 +75,11 @@ def _write_output(path: str | None, text: str, lines: list[str]) -> None:
     if path is None:
         lines.append(text.rstrip("\n"))
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
     lines.append(f"written: {path}")
 
 
@@ -259,30 +256,6 @@ def _cmd_gen(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(OK, "\n".join(lines))
 
 
-def _cmd_bench(args: argparse.Namespace) -> CommandOutcome:
-    rng = random.Random(args.seed)
-    theta, system = random_maximum_circular_system(args.n, rng)
-    matrix = evaluate_circular_distance(theta, interval_weight_map(theta, system))
-    params = OrderParams(2, 1)
-    timings: dict[str, float] = {}
-    results = []
-    for name, engine in _engines().items():
-        start = time.perf_counter()
-        results.append(engine(matrix, params))
-        timings[name] = time.perf_counter() - start
-    agree = all(result == results[0] for result in results)
-    lines = [
-        f"n: {args.n}",
-        f"seed: {args.seed}",
-        f"eq1-seconds: {timings['eq1']:.4f}",
-        f"kendall-seconds: {timings['kendall']:.4f}",
-        f"circular-seconds: {timings['circular']:.4f}",
-        f"engines-agree: {_verdict(agree)}",
-        f"circular-beats-eq1: {_verdict(timings['circular'] < timings['eq1'])}",
-    ]
-    return CommandOutcome(OK, "\n".join(lines))
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on first use and kept for the
@@ -337,10 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("-o", "--output", help="write the system here instead of stdout")
 
-    p_bench = sub.add_parser("bench", help="time the three engines on circular input")
-    p_bench.add_argument("-n", type=int, required=True)
-    p_bench.add_argument("--seed", type=int, required=True)
-
     return parser
 
 
@@ -351,7 +320,6 @@ _HANDLERS = {
     "decompose": _cmd_decompose,
     "orderly": _cmd_orderly,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -28,6 +28,7 @@ from ordist import (
     maximum_circular_splits,
     order_distance_circular,
     order_distance_eq1,
+    order_distance_kendall,
     parse_distance_matrix,
     parse_split_system,
     random_binary_tree_system,
@@ -326,14 +327,20 @@ def test_tiny_orderings_through_table_and_engine(n):
 @pytest.mark.parametrize("positive", [True, False])
 @pytest.mark.parametrize("n", [2, 3, 8, 40])
 def test_generated_systems_through_the_arc_map(n, positive):
-    # the route ``ordist bench`` builds its input by: generator, arc map,
-    # table recurrence; it must give the split system's own distance
+    # the route perfbench's ``circular`` set-up builds its input by:
+    # generator, arc map, table recurrence; it must give the split
+    # system's own distance, on which all three engines agree
     theta, system = random_maximum_circular_system(
         n, random.Random(n), positive=positive
     )
     keyed = interval_weight_map(theta, system)
     assert len(keyed) == n * (n - 1) // 2
-    assert evaluate_circular_distance(theta, keyed) == generate_distance(system)
+    d = evaluate_circular_distance(theta, keyed)
+    assert d == generate_distance(system)
+    params = OrderParams(2, 1)
+    expected = order_distance_eq1(d, params)
+    assert order_distance_kendall(d, params) == expected
+    assert order_distance_circular(d, params) == expected
 
 
 def test_fractional_weights_through_the_arc_map():

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from ordist import (
     split_metric,
 )
 import ordist.flatlab as flatlab_module
+from ordist import cli
 from ordist.cli import main, run
 from helpers import (
     quartet_fixture,
@@ -147,6 +149,16 @@ def test_order_rejects_bad_input(tmp_path, quartet_file):
     assert run(["order", "-i", str(tmp_path / "no.dist"), "-p", "2", "-q", "1"]).exit_code == 2
     garbled = write(tmp_path, "bad.dist", "2\na 0 1\nb 1\n")
     assert run(["order", "-i", garbled, "-p", "2", "-q", "1"]).exit_code == 2
+    # an output path that cannot be opened is an input error, not a traceback
+    outcome = run(["order", "-i", quartet_file, "-p", "2", "-q", "1", "-o", str(tmp_path)])
+    assert (outcome.exit_code, outcome.report) == (
+        2, f"error: cannot write {tmp_path}: Is a directory"
+    )
+    missing = tmp_path / "nodir" / "out.splits"
+    outcome = run(["gen", "tree", "-n", "5", "--seed", "1", "-o", str(missing)])
+    assert (outcome.exit_code, outcome.report) == (
+        2, f"error: cannot write {missing}: No such file or directory"
+    )
 
 
 def test_order_non_circular_input_fails_precondition(tmp_path):
@@ -494,13 +506,34 @@ def test_gen_round_trips(tmp_path):
         assert a.read() == b.read()
 
 
-def test_bench_reports_agreement():
-    outcome = run(["bench", "-n", "16", "--seed", "5"])
-    assert outcome.exit_code == 0
-    report = outcome.report.splitlines()
-    assert "engines-agree: true" in report
-    for key in ("eq1-seconds:", "kendall-seconds:", "circular-seconds:"):
-        assert any(line.startswith(key) for line in report)
+def test_bench_is_not_a_command(capsys):
+    # timings belong to perfbench: every command's output depends only on
+    # its inputs
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "-n", "16", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_readme_lists_the_parser_commands():
+    # the fenced block under README's "## Command line" names each
+    # subcommand once, with the parser's choices for check and gen kinds
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split() for line in block.splitlines()]
+    assert all(words[0] == "ordist" for words in lines)
+    subparsers = next(
+        action.choices for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(words[1] for words in lines) == sorted(subparsers)
+    for _, command, *rest in lines:
+        kinds = [tuple(w.strip("{}").split(",")) for w in rest if w.startswith("{")]
+        positional = [
+            tuple(a.choices) for a in subparsers[command]._actions
+            if a.choices and not a.option_strings
+        ]
+        assert kinds == positional, command
 
 
 def test_one_process_answers_like_fresh_processes(tmp_path, quartet_file, src_env, capsys):

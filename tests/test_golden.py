@@ -11,7 +11,10 @@ the witness was read off the comparison sets, and ``orderly`` of the
 n = 32 circular file written before phase 1 moved onto the split
 decomposition of the order distance, and ``check independent`` and
 ``decompose`` reports written before the solver peeled with 3-point
-functionals alone.
+functionals alone, and ``check flat``, ``check closed``, ``check pairsep``,
+``gen tree`` and ``gen flat`` reports written before the timing command
+``bench`` left the command line, so that every subcommand and every
+``check`` and ``gen`` kind has one.
 
 The solver cases read these inputs: ``circular32.dist``, ``flat7.dist``
 and ``tree16.dist``, the distances generated by the split files of the
@@ -75,6 +78,14 @@ CASES = {
     "decompose-negative-flat7": "decompose -i {data}/random7.dist -s {data}/flat7.splits",
     "decompose-not-in-span-midpath10":
         "decompose -i {data}/random10.dist -s {data}/midpath10.splits",
+    "flat-flat7": "check flat -s {data}/flat7.splits",
+    "flat-tree16": "check flat -s {data}/tree16.splits",
+    "closed-flat7": "check closed -s {data}/flat7.splits",
+    "closed-circular32": "check closed -s {data}/circular32.splits",
+    "pairsep-flat7": "check pairsep -s {data}/flat7.splits",
+    "pairsep-tree16": "check pairsep -s {data}/tree16.splits",
+    "gen-tree-8": "gen tree -n 8 --seed 3",
+    "gen-flat-6": "gen flat -n 6 --seed 3",
     "gen-circular-8": "gen circular -n 8 --seed 3",
     "gen-circular-40": "gen circular -n 40 --seed 11",
     "gen-circular-160": "gen circular -n 160 --seed 5",

@@ -18,9 +18,9 @@ end is found from the previous pair's end: a check in place, at most two
 single probes past it, and a forward gallop only when the end moved on by
 two or more.  The probes need no bounds test, because each path between
 the pair ends in a sentinel where the comparison fails.  An end that moved
-back takes a binary search, and a tie one shared search past it.  The
-weighted arc system is evaluated by an O(n^2) recurrence.  The arcs
-come from a monotonicity lemma: for positions
+back takes a binary search, and a tie one search past it, by the same
+bisection (``_first_where``).  The weighted arc system is evaluated by an
+O(n^2) recurrence.  The arcs come from a monotonicity lemma: for positions
 a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
 f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
 never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
@@ -288,9 +288,10 @@ def _consecutive_order(sets: Iterable[int], universe: int) -> list[int] | None:
     while pending:
         found = [pending.pop()]
         for s in found:
-            crossing = [t for t in pending if _crosses(s, t)]
-            pending = [t for t in pending if not _crosses(s, t)]
-            found += crossing
+            rest = []
+            for t in pending:
+                (found if _crosses(s, t) else rest).append(t)
+            pending = rest
         covered = found[0]
         classes = [covered]
         for s in found[1:]:
@@ -411,16 +412,16 @@ def evaluate_circular_distance(
     return _table_distance(theta, table, scale)
 
 
-def _last_below(near: list[int], far: list[int], lo: int, hi: int) -> int:
-    """The last index before hi where near < far, by binary search from lo,
-    where near < far, to hi, where not, on a path along which near - far
-    never decreases."""
-    while hi - lo > 1:
+def _first_where(near: list[int], far: list[int], lo: int, hi: int, gap: int) -> int:
+    """The first i in lo..hi-1 with near[i] - far[i] >= gap, else hi, by
+    bisection on a path where near - far never decreases.  The rows are
+    ints: gap 0 finds where near < far ends, gap 1 where near > far begins."""
+    while lo < hi:
         mid = (lo + hi) // 2
-        if near[mid] < far[mid]:
-            lo = mid
-        else:
+        if near[mid] - far[mid] >= gap:
             hi = mid
+        else:
+            lo = mid + 1
     return lo
 
 
@@ -432,20 +433,7 @@ def _gallop(near: list[int], far: list[int], lo: int, stop: int) -> int:
     while lo + step < stop and near[lo + step] < far[lo + step]:
         lo += step
         step += step
-    return _last_below(near, far, lo, lo + step if lo + step < stop else stop)
-
-
-def _past_ties(near: list[int], far: list[int], lo: int, stop: int) -> int:
-    """The first index past the tied boundary lo, up to stop, where near >
-    far, on a path along which near - far never decreases."""
-    hi = stop
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if near[mid] > far[mid]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_where(near, far, lo + 1, lo + step if lo + step < stop else stop, 0) - 1
 
 
 def order_distance_circular(
@@ -458,7 +446,7 @@ def order_distance_circular(
     positions a < b with D(a,b) > 0, f(z) = D(a,z) - D(b,z) is monotone
     along each path between them (module docstring), so {f < 0} and
     {f > 0} are arcs whose ends take one search on each path, and a second,
-    binary one (``_past_ties``, for both paths) only past a tied boundary.
+    binary one (``_first_where``, gap 1) only past a tied boundary.
     The ends barely move from one b to the next, nearly always forward by
     0 or 1, so each main search checks the end found for the previous b in
     place, probes the next position and, only if that passed, the one
@@ -519,9 +507,9 @@ def order_distance_circular(
                         end_a = _gallop(row_a, row_b, hi, b)
                         hi = end_a + 1
             else:
-                end_a = _last_below(row_a, row_b, a, end_a)
+                end_a = _first_where(row_a, row_b, a + 1, end_a, 0) - 1
                 hi = end_a + 1
-            start_b = hi if row_a[hi] != row_b[hi] else _past_ties(row_a, row_b, hi, b)
+            start_b = hi if row_a[hi] != row_b[hi] else _first_where(row_a, row_b, hi + 1, b, 1)
             # path b..a: the side of b is a prefix, the side of a a suffix;
             # the same search with the rows swapped, from end_b moved into
             # b-n..a-1, and a fails (row_a[a] = 0 < D(a,b) = row_b[a])
@@ -536,9 +524,9 @@ def order_distance_circular(
                         end_b = _gallop(row_b, row_a, hi, a)
                         hi = end_b + 1
             else:
-                end_b = _last_below(row_b, row_a, b - n, end_b)
+                end_b = _first_where(row_b, row_a, b - n + 1, end_b, 0) - 1
                 hi = end_b + 1
-            start_a = hi if row_a[hi] != row_b[hi] else _past_ties(row_b, row_a, hi, a)
+            start_a = hi if row_a[hi] != row_b[hi] else _first_where(row_b, row_a, hi + 1, a, 1)
             # table keys are arcs avoiding position n-1: else the complement
             if start_a >= 0:
                 table[start_a][end_a] += weight

@@ -24,9 +24,9 @@ weightings.  Every probe goes through one int pipeline: the split distance
 kernel gives the generated pair values, per-element column gathers feed the
 strict comparison sets of ``order``, and the popcounts of Eq. (1) give the
 order distance in the solver's pair order, which the solver re-expresses.
-A two-split probe skips it when the system holds the four corner splits
-C | rest the two splits cut out: by the split decomposition in ``order``
-its order distance is then a positive combination of splits of the system.
+Phase 1 walks only the crossing pairs that fail closedness, the pairs
+``is_closed`` reports: by the split decompositions in ``order`` a closed
+pair's order distance is a positive combination of splits of the system.
 No DistanceMatrix is built, and no Fraction unless the probe finds a
 counterexample.
 """
@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .compat import _crosses
 from .core import (
@@ -297,32 +297,33 @@ def is_closed(splits: WeightedSplitSystem | Iterable[Split]) -> tuple[Split, Spl
           splits belong to it;
       (d) n1*n4 < n2*n3 and the middle split plus both anti-diagonal
           corner splits belong to it.
-    A system without incompatible pairs is closed by default.
+    A system without incompatible pairs is closed by default.  Phase 1 of
+    ``orderly_test`` probes the failing pairs of the same walk.
     """
     ground, split_list = ground_and_splits(splits)
-    n = ground.n
-    have = {split.bits for split in split_list}.__contains__
-    for s1, s2 in combinations(split_list, 2):
-        a, b = s1.bits, s2.bits
+    walk = _crossing_pairs(ground.n, [split.bits for split in split_list])
+    return next(((split_list[t1], split_list[t2]) for t1, t2, fails in walk if fails), None)
+
+
+def _crossing_pairs(n: int, sides: list[int]) -> Iterator[tuple[int, int, bool]]:
+    """Each crossing pair of splits among the stored sides of an n-element
+    ground set, in order, as (t1, t2, fails): its indices t1 < t2 and
+    whether it fails closedness, none of (a)-(d) of ``is_closed`` holding."""
+    have = set(sides).__contains__
+    for (t1, a), (t2, b) in combinations(enumerate(sides), 2):
         if not _crosses(a, b):
             continue
         # element 0 lies outside a and b, so these sides are stored ones:
         # the corners, the fourth as its complement a | b, and the middle
         m11, m21, m12, rest = a & b, b & ~a, a & ~b, a | b
         if all(map(have, (m11, m21, m12, rest))):
+            yield t1, t2, False  # (a)
             continue
-        if not have(a ^ b):
-            return (s1, s2)
         diag = m11.bit_count() * (n - rest.bit_count())
         anti = m21.bit_count() * m12.bit_count()
-        if diag == anti:
-            continue
-        if diag > anti and have(m11) and have(rest):
-            continue
-        if diag < anti and have(m21) and have(m12):
-            continue
-        return (s1, s2)
-    return None
+        # (b) to (d): the middle, and the corners of the larger product
+        larger = () if diag == anti else (m11, rest) if diag > anti else (m21, m12)
+        yield t1, t2, not all(map(have, (a ^ b, *larger)))
 
 
 def pairwise_separation_check(
@@ -468,11 +469,11 @@ def orderly_test(
 ) -> OrderlyVerdict:
     """Search for a weighting violating orderliness at p = 2, q = 1.
 
-    Phase 1 tries weight 2 on each incompatible pair of splits (zero
-    elsewhere); a closedness violation always shows up here.  Phase 2
-    tries `trials` seeded random integer weightings.  Requires linear
-    independence so that expressions are unique; a verdict of
-    NoCounterexampleFound is evidence, not proof.
+    Phase 1 tries weight 2 (zero elsewhere) on each incompatible pair of
+    splits that fails closedness, as ``is_closed`` walks them; pair_probes
+    counts every incompatible pair.  Phase 2 tries `trials` seeded random
+    integer weightings.  Requires linear independence so that expressions
+    are unique; a verdict of NoCounterexampleFound is evidence, not proof.
 
     A probe is a list of int weights in split order, and its verdict the
     signs of the solver's integer weights of its order distance, which one
@@ -482,10 +483,6 @@ def orderly_test(
     appended for the diagonal, ``order._comparison_sets`` turns each column
     into its strict comparison set T_x, and at (2, 1) Eq. (1) is
     O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie sets).
-    A phase-1 probe on crossing splits a and b skips the pipeline when the
-    system holds its four corner splits (the rest stored as a | b): its
-    order distance is a positive combination of a, b and these corners,
-    by the split decomposition in the ``order`` module docstring.
     Only a counterexample gets Fractions: its weighting, and its expression
     from the same integer weights.
     """
@@ -514,15 +511,11 @@ def orderly_test(
         negative = next(s for s, w in zip(split_list, signed) if w < 0)
         return CounterexampleFound(weighting, solver._fractions(signed, 1), negative, phase, trial)
 
-    has_split = {s.bits for s in split_list}.__contains__
     pair_probes = 0
-    for (t1, s1), (t2, s2) in combinations(enumerate(split_list), 2):
-        a, b = s1.bits, s2.bits
-        if not _crosses(a, b):
-            continue
+    for t1, t2, fails in _crossing_pairs(ground.n, [s.bits for s in split_list]):
         pair_probes += 1
-        if all(map(has_split, (a & b, b & ~a, a & ~b, a | b))):
-            continue  # every term is a split of the system
+        if not fails:
+            continue  # its order distance is a positive combination of the system's splits
         weights = [0] * len(split_list)
         weights[t1] = weights[t2] = 2
         hit = verdict(weights, 1, None)

@@ -26,7 +26,16 @@ and C4 the rest, of sizes n1 .. n4 (the blocks of ``two_split_order_values``),
     O = 2 (n1 n2 + n3 n4) delta_A + 2 (n1 n3 + n2 n4) delta_B
         + n1 n4 (delta_C1 + delta_C4) + n2 n3 (delta_C2 + delta_C3),
 
-every coefficient positive.
+every coefficient positive.  With the middle split M = C1 + C4 | C2 + C3,
+delta_A + delta_B + delta_M is the sum of the four corner splits (a pair in
+two corners is separated by two of each), so with k = min(n1 n4, n2 n3)
+
+    O = (2 (n1 n2 + n3 n4) + k) delta_A + (2 (n1 n3 + n2 n4) + k) delta_B
+        + k delta_M + (n1 n4 - k) (delta_C1 + delta_C4)
+        + (n2 n3 - k) (delta_C2 + delta_C3),
+
+whose terms of non-zero weight are the splits that conditions (b) to (d)
+of closedness (``flatlab.is_closed``) put in the system.
 
 Both kernels here rest on one bitset per element z and comparison kind:
 the comparison sets of z, n^2-bit ints whose bit (u, v) says

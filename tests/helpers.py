@@ -192,7 +192,8 @@ def two_split_terms(a: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
 
     The two splits come first, then the corners, C4 as its complement A | B,
     so every side leaves out an element that A and B both leave out.  The
-    identity behind ``orderly_test``'s corner-membership skip."""
+    identity behind condition (a) of ``is_closed``, under which phase 1
+    of ``orderly_test`` skips a pair."""
     c1, c2, c3 = a & b, b & ~a, a & ~b
     n1, n2, n3 = c1.bit_count(), c2.bit_count(), c3.bit_count()
     n4 = n - n1 - n2 - n3
@@ -200,11 +201,12 @@ def two_split_terms(a: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
             (c1, n1 * n4), (a | b, n1 * n4), (c2, n2 * n3), (c3, n2 * n3))
 
 
-def is_closed_by_parts(splits):
-    """``is_closed`` on frozensets: the corners of each crossing pair are
-    the intersections of the sides of ``Split.parts()``, and a split is in
-    the system when one of its parts is a part of a stored split.  The
-    oracle for the stored-side masks of ``is_closed``."""
+def open_pairs_by_parts(splits):
+    """The crossing pairs of splits, in order, that fail closedness, on
+    frozensets: the corners of each crossing pair are the intersections
+    of the sides of ``Split.parts()``, and a split is in the system when
+    one of its parts is a part of a stored split.  The oracle for the
+    failing pairs of ``flatlab._crossing_pairs``."""
     _, split_list = ground_and_splits(splits)
     have = {part for split in split_list for part in split.parts()}
     for s1, s2 in combinations(split_list, 2):
@@ -214,17 +216,21 @@ def is_closed_by_parts(splits):
             continue
         if all(corner in have for corner in (c11, c21, c12, c22)):
             continue
-        if c11 | c22 not in have:
-            return (s1, s2)
-        diag, anti = len(c11) * len(c22), len(c21) * len(c12)
-        if diag == anti:
-            continue
-        if diag > anti and c11 in have and c22 in have:
-            continue
-        if diag < anti and c21 in have and c12 in have:
-            continue
-        return (s1, s2)
-    return None
+        if c11 | c22 in have:
+            diag, anti = len(c11) * len(c22), len(c21) * len(c12)
+            if diag == anti:
+                continue
+            if diag > anti and c11 in have and c22 in have:
+                continue
+            if diag < anti and c21 in have and c12 in have:
+                continue
+        yield s1, s2
+
+
+def is_closed_by_parts(splits):
+    """``is_closed`` on frozensets: the first pair of
+    ``open_pairs_by_parts``, or None."""
+    return next(open_pairs_by_parts(splits), None)
 
 
 def fraction_rank_and_solution(vectors, target):

@@ -36,7 +36,7 @@ from ordist import (
     recover_circular_ordering,
     flat_fixture,
 )
-from ordist.circular import _consecutive_order, _greedy_insertion
+from ordist.circular import _consecutive_order, _first_where, _greedy_insertion
 from helpers import (
     arc_by_walk,
     circular_orderings_brute,
@@ -472,6 +472,32 @@ def test_circular_engine_against_eq1_and_the_scan_oracle():
     assert tally["non-metric agreed"] >= 10, tally
     assert tally["zero pairs"] >= 15, tally
     assert tally["raised"] >= 25, tally
+
+
+def test_first_where_matches_a_linear_scan():
+    # random non-decreasing paths of near - far over the indices
+    # start..start+size-1, negative ones wrapping as on the engine's path
+    # b..a, against a scan, at every gap from below the path to above it
+    rng = random.Random(34)
+    seen = Counter()
+    for _ in range(2000):
+        size = rng.randint(1, 12)
+        start = rng.randint(-size, 0)
+        diffs = sorted(rng.randint(-3, 3) for _ in range(size))
+        far = [rng.randint(0, 9) for _ in range(size)]
+        near = far[:]
+        for k, d in enumerate(diffs):
+            near[start + k] += d
+        lo = rng.randint(start, start + size)
+        hi = rng.randint(lo, start + size)
+        gap = rng.randint(-4, 4)
+        scan = next((i for i in range(lo, hi) if near[i] - far[i] >= gap), hi)
+        assert _first_where(near, far, lo, hi, gap) == scan
+        seen["empty"] += lo == hi
+        seen["never reached"] += lo < hi == scan
+        seen["found"] += scan < hi
+        seen["negative lo"] += lo < 0 < hi
+    assert min(seen.values()) > 50, seen
 
 
 def test_galloping_where_boundaries_jump():

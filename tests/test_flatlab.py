@@ -46,6 +46,7 @@ from ordist.flatlab import _ExactSolver
 from helpers import (
     fraction_rank_and_solution,
     is_closed_by_parts,
+    open_pairs_by_parts,
     maximum_flat_by_restriction,
     orderly_by_fractions,
     orderly_phase_one_by_probes,
@@ -624,10 +625,33 @@ def test_orderly_phase_one_matches_per_probe_oracle():
     assert min(kinds.values()) > 0, kinds
 
 
+def _walked_pairs(splits, verdict):
+    """The kind of each crossing pair phase 1 walks, up to the verdict's
+    pair: "open" when it fails closedness (``open_pairs_by_parts``), else
+    "held" when the system holds its four corner splits and "closed,
+    missing a corner" when not."""
+    ground, split_list = ground_and_splits(splits)
+    stored = {s.bits for s in split_list}
+    open_pairs = set(open_pairs_by_parts(split_list))
+    found = verdict.is_counterexample and verdict.phase == 1
+    for a, b in combinations(split_list, 2):
+        if is_compatible_pair(a, b):
+            continue
+        if (a, b) in open_pairs:
+            yield "open"
+        else:
+            terms = two_split_terms(a.bits, b.bits, ground.n)
+            held = all(mask in stored for mask, _ in terms[2:])
+            yield "held" if held else "closed, missing a corner"
+        if found and verdict.weighting[a] == verdict.weighting[b] == 2:
+            return
+
+
 def test_orderly_phase_one_solves_only_probes_missing_a_corner(monkeypatch):
-    # phase 1 calls the back-substitution once for each probe walked that
-    # misses a corner split, and so never on a maximum circular system,
-    # whose corners are arcs
+    # phase 1 calls the back-substitution once for each pair walked that
+    # fails closedness, and so never on a pair that misses a corner split
+    # yet passes closedness, nor on a maximum circular system, whose
+    # corners are arcs
     calls = Counter()
     signed_weights = _ExactSolver._signed_weights
 
@@ -652,22 +676,10 @@ def test_orderly_phase_one_solves_only_probes_missing_a_corner(monkeypatch):
                 continue
             calls.clear()
             verdict = orderly_test(splits, trials=0)
-            # the probes walked, up to the verdict's, that miss a corner
-            split_list = ground_and_splits(splits)[1]
-            stored = {s.bits for s in split_list}
-            missing = 0
-            for a, b in combinations(split_list, 2):
-                if is_compatible_pair(a, b):
-                    continue
-                terms = two_split_terms(a.bits, b.bits, n)
-                corner_missing = any(mask not in stored for mask, _ in terms[2:])
-                missing += corner_missing
-                walked["missing" if corner_missing else "held"] += 1
-                if verdict.is_counterexample and verdict.weighting[a] == verdict.weighting[b] == 2:
-                    break
-            assert calls["solves"] == missing
-            walked["several solves"] += missing > 1
-    assert min(walked.values()) > 0, walked
+            kinds = Counter(_walked_pairs(splits, verdict))
+            assert calls["solves"] == kinds["open"]
+            walked.update(kinds)
+    assert set(walked) == {"open", "held", "closed, missing a corner"}, walked
 
 
 def test_orderly_phase_one_runs_no_pipeline(monkeypatch):
@@ -715,7 +727,7 @@ def _order_value_families(rng):
 
 def test_orderly_builds_order_values_once_per_solved_probe(monkeypatch):
     # both phases share one pipeline of n comparison sets: phase 1 runs it
-    # for each probe walked that misses a corner split, phase 2 per trial
+    # for each pair walked that fails closedness, phase 2 per trial
     calls = Counter()
     comparison_sets = flatlab_module._comparison_sets
 
@@ -726,29 +738,58 @@ def test_orderly_builds_order_values_once_per_solved_probe(monkeypatch):
     monkeypatch.setattr(flatlab_module, "_comparison_sets", counted)
     kinds = Counter()
     for splits in _order_value_families(random.Random(27)):
-        ground, split_list = ground_and_splits(splits)
-        n = ground.n
+        n = ground_and_splits(splits)[0].n
         calls.clear()
         verdict = orderly_test(splits, trials=3, seed=n)
-        stored = {s.bits for s in split_list}
-        missing = 0
-        for a, b in combinations(split_list, 2):
-            if is_compatible_pair(a, b):
-                continue
-            terms = two_split_terms(a.bits, b.bits, n)
-            missing += any(mask not in stored for mask, _ in terms[2:])
-            if verdict.is_counterexample and verdict.phase == 1:
-                if verdict.weighting[a] == verdict.weighting[b] == 2:
-                    break
+        walked = Counter(_walked_pairs(splits, verdict))
         if not verdict.is_counterexample:
             trials = 3
         else:
             trials = 0 if verdict.phase == 1 else verdict.trial + 1
-        assert calls["sets"] == n * (missing + trials)
+        assert calls["sets"] == n * (walked["open"] + trials)
         kinds["phase 1" if trials == 0 else "phase 2"] += 1
-        kinds["several solves"] += missing > 1
-    assert set(kinds) == {"phase 1", "phase 2", "several solves"}
+        kinds["closed, missing a corner"] += walked["closed, missing a corner"] > 0
+    assert set(kinds) == {"phase 1", "phase 2", "closed, missing a corner"}
     assert min(kinds.values()) > 0, kinds
+
+
+def test_orderly_phase_one_finds_the_pair_is_closed_reports():
+    # phase 1 ends in a counterexample exactly when is_closed reports a
+    # pair, with weight 2 on that pair: evidence for the census of
+    # ROADMAP item 7, not a proof
+    families = list(_phase_one_families(random.Random(26)))
+    families += [flat_fixture(name) for name in FLAT_FIXTURE_NAMES]
+    found = 0
+    for splits in families:
+        verdict = orderly_test(splits, trials=0)
+        pair = is_closed(splits)
+        assert verdict.is_counterexample == (pair is not None)
+        if pair is not None:
+            assert [s for s, w in verdict.weighting.items() if w] == list(pair)
+            assert set(verdict.weighting.values()) == {0, 2}
+            found += 1
+    assert len(families) == 306
+    assert 0 < found < len(families)
+
+
+def test_closed_pairs_decompose_over_the_middle_split():
+    # the identity of the order module docstring behind conditions (b)
+    # to (d) of is_closed, with k = min(n1 n4, n2 n3), against eq1 of
+    # 2 delta_A + 2 delta_B on every block size from 1 to 4
+    for sizes in product(range(1, 5), repeat=4):
+        d, blocks, system = two_split_instance(*sizes)
+        ground = system.ground
+        a, b = system.splits
+        n1, n2, n3, n4 = sizes
+        c1, c2, c3, c4 = (Split(ground, block) for block in blocks)
+        middle = Split(ground, [*blocks[0], *blocks[3]])
+        k = min(n1 * n4, n2 * n3)
+        terms = [
+            (a, 2 * (n1 * n2 + n3 * n4) + k), (b, 2 * (n1 * n3 + n2 * n4) + k), (middle, k),
+            (c1, n1 * n4 - k), (c4, n1 * n4 - k), (c2, n2 * n3 - k), (c3, n2 * n3 - k),
+        ]
+        combined = WeightedSplitSystem(ground, [(s, w) for s, w in terms if w])
+        assert generate_distance(combined) == order_distance_eq1(d, OrderParams(2, 1))
 
 
 def test_orderly_needs_independence():

@@ -14,7 +14,10 @@ decomposition of the order distance, and ``check independent`` and
 functionals alone, and ``check flat``, ``check closed``, ``check pairsep``,
 ``gen tree`` and ``gen flat`` reports written before the timing command
 ``bench`` left the command line, so that every subcommand and every
-``check`` and ``gen`` kind has one.
+``check`` and ``gen`` kind has one, and ``orderly`` of ``flat7.splits``
+(a phase-1 NEGATIVE-WEIGHT), ``midpath10.splits`` (a phase-1
+NOT-IN-SPAN) and ``k4.splits`` with ``check closed`` of the latter,
+written before phase 1 walked the pairs that fail closedness.
 
 The solver cases read these inputs: ``circular32.dist``, ``flat7.dist``
 and ``tree16.dist``, the distances generated by the split files of the
@@ -23,7 +26,9 @@ same stem; ``random7.dist`` and ``random10.dist``,
 ``midpath10.splits``, the x-splits of ``random10.dist`` weighted by their
 counts, an independent system whose core of splits that do not peel
 is not empty, and ``midpath10.dist``, the distance it generates; ``midpath10-dependent.splits``, the x-splits of
-``random_distance_matrix(10, Random(6))``, 37 splits of rank 36.
+``random_distance_matrix(10, Random(6))``, 37 splits of rank 36;
+``k4.splits``, the three 2|2 splits of four elements, closed by
+condition (b) with every corner split missing.
 
 Each report case runs one command over the inputs in ``tests/data/golden``
 and compares its exit code and report with ``<case>.report`` there, whose
@@ -65,6 +70,9 @@ CASES = {
     "orderly-S2_5": "orderly -s S2_5 --trials 20 --seed 0",
     "orderly-circular8": "orderly -s {data}/circular8.splits --trials 10 --seed 3",
     "orderly-circular32": "orderly -s {data}/circular32.splits --trials 2 --seed 0",
+    "orderly-flat7": "orderly -s {data}/flat7.splits --trials 20 --seed 0",
+    "orderly-midpath10": "orderly -s {data}/midpath10.splits --trials 20 --seed 0",
+    "orderly-k4": "orderly -s {data}/k4.splits --trials 20 --seed 0",
     "independent-circular32": "check independent -s {data}/circular32.splits",
     "independent-flat7": "check independent -s {data}/flat7.splits",
     "independent-tree16": "check independent -s {data}/tree16.splits",
@@ -82,6 +90,7 @@ CASES = {
     "flat-tree16": "check flat -s {data}/tree16.splits",
     "closed-flat7": "check closed -s {data}/flat7.splits",
     "closed-circular32": "check closed -s {data}/circular32.splits",
+    "closed-k4": "check closed -s {data}/k4.splits",
     "pairsep-flat7": "check pairsep -s {data}/flat7.splits",
     "pairsep-tree16": "check pairsep -s {data}/tree16.splits",
     "gen-tree-8": "gen tree -n 8 --seed 3",

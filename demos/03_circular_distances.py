@@ -10,7 +10,6 @@ search instead of comparing whole rankings.
 """
 
 import random
-import time
 
 from ordist import (
     CircularOrdering,
@@ -52,16 +51,11 @@ print(f"engines agree, O(a,b) = {o_fast.by_label('a', 'b')}")
 # the order distance of a circular distance is circular again
 assert recover_circular_ordering(o_fast) is not None
 
-# both engines on larger inputs; the popcount kernel behind eq1 keeps pace
-# with the arc engine up to a few hundred elements
+# both engines agree on larger inputs too; perfbench/ times them
 for n in (16, 32, 64):
     _, big = random_maximum_circular_system(n, rng)
     big_d = generate_distance(big)
-    t0 = time.perf_counter()
     fast = order_distance_circular(big_d, OrderParams(2, 1))
-    t_fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
     direct = order_distance_eq1(big_d, OrderParams(2, 1))
-    t_direct = time.perf_counter() - t0
     assert fast == direct
-    print(f"n={n:3d}: arc engine {t_fast*1000:6.1f} ms, direct {t_direct*1000:6.1f} ms")
+    print(f"n={n:3d}: arc engine and direct computation agree")

@@ -8,11 +8,13 @@ The same files drive the ordist command line tool, so this script ends
 by invoking it on what it wrote.
 """
 
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import ordist
 from ordist import (
     format_distance_matrix,
     format_split_system,
@@ -50,21 +52,23 @@ assert parse_distance_matrix(format_distance_matrix(generated)) == generated
 assert parse_split_system(format_split_system(system)) == system
 print("format/parse round trips preserve every value")
 
-# the CLI consumes the same formats
+# the CLI consumes the same formats; it runs in the temporary directory,
+# so it is pointed at the ordist package this script imported
+env = dict(os.environ, PYTHONPATH=str(Path(ordist.__file__).resolve().parents[1]))
 with tempfile.TemporaryDirectory() as tmp:
-    matrix_path = Path(tmp) / "example.dist"
-    matrix_path.write_text(MATRIX_TEXT)
-    splits_path = Path(tmp) / "example.splits"
-    splits_path.write_text(SPLITS_TEXT)
+    Path(tmp, "example.dist").write_text(MATRIX_TEXT, encoding="utf-8")
+    Path(tmp, "example.splits").write_text(SPLITS_TEXT, encoding="utf-8")
     for args in (
-        ["order", "-i", str(matrix_path), "-p", "2", "-q", "1"],
-        ["midpath", "-i", str(matrix_path)],
-        ["check", "circular", "-s", str(splits_path)],
+        ["order", "-i", "example.dist", "-p", "2", "-q", "1"],
+        ["midpath", "-i", "example.dist"],
+        ["check", "circular", "-s", "example.splits"],
     ):
         out = subprocess.run(
             [sys.executable, "-m", "ordist.cli", *args],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
+            cwd=tmp,
+            env=env,
         )
         print(f"\n$ ordist {' '.join(args)}   (exit {out.returncode})")
         # failed checks report on stderr and exit 1

@@ -4,17 +4,17 @@ Each split A|B has an incidence vector over unordered element pairs (1 when
 the split separates the pair), which is also the vector of its split metric.
 The linear algebra runs on integers and has two parts.  Most splits are
 peeled: a 3-point functional 1/2 (D(x,a) + D(x,b) - D(a,b)) of the distance
-isolates one split not yet solved, so its weight follows by
-back-substitution.  The splits that do not peel, the core, go through a
-fraction-free Gauss-Jordan elimination (Bareiss 1968), which divides each
-row update exactly by the previous pivot and leaves every pivot equal to
-one integer det.  Each element pair keeps the mask of the splits separating
-it; the core rows and, through the kernel ``core.separation_sums``, every
-weighted sum of split metrics come from these masks.  A distance enters as
-its integer rows over its scale, so the weights express_in_basis returns
-are the only Fractions, each over 2 * scale, or det * 2 * scale on the
-core.  Span questions have no tolerance knobs, which the orderliness probe
-below depends on.
+isolates one split not yet solved, so its weight follows by back-substitution.
+The splits that do not peel, the core, go through a fraction-free Gauss-Jordan
+elimination (Bareiss 1968), which divides each row update exactly by the
+previous pivot and leaves every pivot equal to one integer det.  Each element
+pair keeps one mask, of the splits separating it, which each element reads
+through one gather; the waves, the core rows and, through the kernel
+``core.separation_sums``, every weighted sum of split metrics come from these
+masks.  A distance enters as its integer rows over its scale, so the weights
+express_in_basis returns are the only Fractions, each over 2 * scale, or
+det * 2 * scale on the core.  Span questions have no tolerance knobs, which
+the orderliness probe below depends on.
 
 A split system is orderly (at p = 2, q = 1) if the order distance of every
 distance it generates is again generated by the system with non-negative
@@ -83,24 +83,24 @@ class _ExactSolver:
     """Exact weights of a fixed split sequence, set up once so that many
     targets can be expressed against the same splits.
 
-    Bit t of side[e] is set when element e lies on the `bits` side of split
-    t (``transpose_bits`` of the split bits), so the pair mask
-    side[x] ^ side[y] holds the splits separating x and y; pair_masks lists
-    them in the order of pairs.  The 3-point functional (x; a, b),
+    Bit t of side[e] is set when element e lies on the `bits` side of split t
+    (``transpose_bits`` of the split bits), so the pair mask side[x] ^ side[y]
+    holds the splits separating x and y.  pair_masks keeps one per unordered
+    pair, in pair order, and _columns[x] reads x's n entries off a list in pair
+    order with a zero appended for y = x.  The 3-point functional (x; a, b),
     1/2 (D(x,a) + D(x,b) - D(a,b)), reads off D the total weight of its
     support, the splits putting x on one side and a, b on the other.  The
-    set-up runs waves over these functionals; one whose support meets
-    the unsolved splits in exactly one split t solves t, and the waves stop
-    when one solves nothing.  Each peeled functional vanishes on every
-    split still unsolved when it was used, so the peeled part is triangular
-    and annihilates the splits left over, the core: the rank is the number
-    peeled plus the core's rank, and the splits are independent exactly
-    when the core is.  Only the core is eliminated, fraction-free
-    Gauss-Jordan on its incidence rows (bit t of each pair mask for core
-    split t), each followed by the unit vector that records the row
-    operations; every entry stays an integer minor of these extended rows.
-    An empty core is the common case; peeled and core_size count the
-    splits in each part.
+    set-up runs waves over these functionals; one whose support meets the
+    unsolved splits in exactly one split t solves t, and the waves stop when
+    one solves nothing.  Each peeled functional vanishes on every split still
+    unsolved when it was used, so the peeled part is triangular and annihilates
+    the splits left over, the core: the rank is the number peeled plus the
+    core's rank, and the splits are independent exactly when the core is.  Only
+    the core is eliminated, fraction-free Gauss-Jordan on its incidence rows
+    (bit t of each pair mask for core split t), each followed by the unit
+    vector that records the row operations; every entry stays an integer minor
+    of these extended rows.  An empty core is the common case; peeled and
+    core_size count the splits in each part.
     """
 
     def __init__(self, ground: GroundSet, splits: list[Split]):
@@ -110,13 +110,13 @@ class _ExactSolver:
         self.pairs = list(combinations(range(n), 2))
         m = len(self.pairs)
         side = transpose_bits([split.bits for split in self.splits], n)
-        sep = [[a ^ b for b in side] for a in side]
+        self.pair_masks = [side[i] ^ side[j] for i, j in self.pairs]
         # slot[x][y] indexes pair {x, y}; the diagonal's m, a zero appended
-        self._slot = slot = [[m] * n for _ in range(n)]
+        slot = [[m] * n for _ in range(n)]
         for p, (i, j) in enumerate(self.pairs):
             slot[i][j] = slot[j][i] = p
-        self.pair_masks = [sep[i][j] for i, j in self.pairs]
-        self._steps, unsolved = self._peel(sep, slot)
+        self._columns = [gather(row) for row in slot]
+        self._steps, unsolved = self._peel(slot)
         self._core = core = [t for t in range(len(self.splits)) if unsolved >> t & 1]
         self.peeled = len(self._steps)
         self.core_size = k = len(core)
@@ -149,14 +149,14 @@ class _ExactSolver:
         self._rows = rows
 
     def _peel(
-        self, sep: list[list[int]], slot: list[list[int]]
+        self, slot: list[list[int]]
     ) -> tuple[list[tuple[int, tuple[int, ...], tuple[int, ...]]], int]:
-        """Run the waves over the masks sep[x][y] of the splits separating
-        x and y; return the steps and the mask of the splits left unsolved.
-        A wave walks the functionals (x; a, b) element x by element x and,
-        for each a, keeps the unsolved splits separating x from a, so that
-        each b costs one AND; a split solved early in a wave already counts
-        as solved for the functionals after it.
+        """Run the waves over the pair masks, reading element x's through
+        _columns[x]; return the steps and the mask of the splits left
+        unsolved.  A wave walks the functionals (x; a, b) element x by
+        element x and, for each a, keeps the unsolved splits separating x
+        from a, so that each b costs one AND; a split solved early in a wave
+        already counts as solved for the functionals after it.
 
         Each solved split t gets a step (slot, plus, minus), in schedule
         order: with the target's pair values in slots 0..m-1 and the solved
@@ -170,11 +170,12 @@ class _ExactSolver:
         unsolved = (1 << len(self.splits)) - 1
         steps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         split_slot = list(range(m, m + len(self.splits))).__getitem__  # shared ints m + t
+        masks = [*self.pair_masks, 0]
         solved_before = -1
         while unsolved and len(steps) > solved_before:
             solved_before = len(steps)
-            for x in range(n):
-                sx = sep[x]  # sx[x] is 0, so a and b skip x by themselves
+            for x, column in enumerate(self._columns):
+                sx = column(masks)  # sx[x] is 0, so a and b skip x by themselves
                 for a in range(n - 1):
                     # the unsolved splits separating x from a, and then from b
                     xa = sx[a] & unsolved
@@ -478,13 +479,12 @@ def orderly_test(
     A probe is a list of int weights in split order, and its verdict the
     signs of the solver's integer weights of its order distance, which one
     int pipeline builds for both phases: the split distance kernel over the
-    pair masks gives the generated pair values, gathers by the solver's
-    pair-slot table read each element's column off them, with a zero
-    appended for the diagonal, ``order._comparison_sets`` turns each column
-    into its strict comparison set T_x, and at (2, 1) Eq. (1) is
-    O(x, y) = |T_x ^ T_y|, one popcount per pair (q = p/2, so no tie sets).
-    Only a counterexample gets Fractions: its weighting, and its expression
-    from the same integer weights.
+    pair masks gives the generated pair values, the solver's gathers read
+    each element's column off them and a zero appended for the diagonal,
+    ``order._comparison_sets`` turns each column into its strict comparison
+    set T_x, and at (2, 1) Eq. (1) is O(x, y) = |T_x ^ T_y|, one popcount per
+    pair (q = p/2, so no tie sets).  Only a counterexample gets Fractions:
+    its weighting, and its expression from the same integer weights.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -492,8 +492,7 @@ def orderly_test(
     solver = _ExactSolver(ground, split_list)
     if not solver.is_independent:
         raise DependentBasisError("orderly test requires linearly independent splits")
-    pairs, pair_masks = solver.pairs, solver.pair_masks
-    columns = [gather(row) for row in solver._slot]
+    pairs, pair_masks, columns = solver.pairs, solver.pair_masks, solver._columns
 
     def order_values(weights: list[int]) -> list[int]:
         generated = separation_sums(weights)(pair_masks)

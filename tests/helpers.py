@@ -33,7 +33,7 @@ from ordist import (
     restrict_split_system,
     two_split_order_values,
 )
-from ordist.core import canonical_mask, ground_and_splits
+from ordist.core import bit_indices, canonical_mask, ground_and_splits, transpose_bits
 from ordist.flatlab import _ExactSolver
 from ordist.formats import format_rational, parse_value
 
@@ -231,6 +231,43 @@ def is_closed_by_parts(splits):
     """``is_closed`` on frozensets: the first pair of
     ``open_pairs_by_parts``, or None."""
     return next(open_pairs_by_parts(splits), None)
+
+
+def peel_schedule_by_table(ground, splits):
+    """The waves of ``_ExactSolver`` over an n x n table of pair masks:
+    sep[x][y] holds the splits separating x and y, its diagonal 0, and
+    slot[x][y] the index of pair {x, y} in pair order.  Returns the steps
+    (slot, plus, minus) in schedule order and the mask of the splits left
+    unsolved.  The oracle for the solver's ``_steps`` and ``_core``."""
+    n = ground.n
+    split_list = list(splits)
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+    side = transpose_bits([split.bits for split in split_list], n)
+    sep = [[a ^ b for b in side] for a in side]
+    slot = [[m] * n for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        slot[i][j] = slot[j][i] = p
+    unsolved = (1 << len(split_list)) - 1
+    steps = []
+    solved_before = -1
+    while unsolved and len(steps) > solved_before:
+        solved_before = len(steps)
+        for x in range(n):
+            sx = sep[x]
+            for a in range(n - 1):
+                xa = sx[a] & unsolved
+                if not xa:
+                    continue
+                for b in range(a + 1, n):
+                    hit = xa & sx[b]
+                    if hit and hit & (hit - 1) == 0:
+                        unsolved ^= hit
+                        xa ^= hit
+                        earlier = [m + t for t in bit_indices(sx[a] & sx[b] ^ hit)]
+                        plus, minus = (slot[x][a], slot[x][b]), (slot[a][b], *earlier)
+                        steps.append((m + hit.bit_length() - 1, plus, minus))
+    return steps, unsolved
 
 
 def fraction_rank_and_solution(vectors, target):

@@ -2,12 +2,10 @@
 
 Each test prints one PASS/FAIL line (visible with -s) and covers one
 numbered claim about the library as a whole.  Everything runs on fixed
-seeds; nothing here depends on timing except the report-only benchmark
-note in check 7.
+seeds, and nothing here is timed; ``perfbench/`` does the timing.
 """
 
 import random
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -196,20 +194,11 @@ def test_acceptance_07_engine_agreement():
             p = Fraction(rng.randint(1, 4))
             params = OrderParams(p, p / 2)
             assert order_distance_circular(d, params) == order_distance_eq1(d, params)
-
-    # report-only timing note at n = 64; agreement above is the gate
-    theta, system = random_maximum_circular_system(64, random.Random(20271))
-    d = generate_distance(system)
-    start = time.perf_counter()
-    order_distance_eq1(d, OrderParams(2, 1))
-    eq1_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    order_distance_circular(d, OrderParams(2, 1))
-    circular_seconds = time.perf_counter() - start
-    print(
-        f"note 7: n=64 eq1 {eq1_seconds:.2f}s vs circular engine "
-        f"{circular_seconds:.2f}s ({'faster' if circular_seconds < eq1_seconds else 'NOT faster'})"
-    )
+        # and once at n = 64
+        theta, system = random_maximum_circular_system(64, random.Random(20271))
+        d = generate_distance(system)
+        params = OrderParams(2, 1)
+        assert order_distance_circular(d, params) == order_distance_eq1(d, params)
 
 
 def test_acceptance_08_two_split_closed_forms():

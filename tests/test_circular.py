@@ -668,7 +668,7 @@ def test_recovery_search_depth_is_not_bounded_by_the_call_stack(src_env):
     result = subprocess.run(
         [sys.executable, "-c", _DEEP_RECOVERY],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
         timeout=120,
     )
@@ -773,7 +773,7 @@ def test_check_circular_on_two_splits_is_fast(tmp_path, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "ordist", "check", "circular", "-s", str(path)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
         timeout=10,
     )
@@ -797,7 +797,7 @@ def test_order_circular_on_three_nested_splits_is_fast(tmp_path, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "ordist", *argv, "-o", str(out)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
         timeout=10,
     )

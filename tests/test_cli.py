@@ -186,7 +186,7 @@ def test_midpath_witness_on_the_witnessless_blowup_is_fast(tmp_path, src_env):
     result = subprocess.run(
         [sys.executable, "-m", "ordist", "midpath", "-i", path, "--witness"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
         timeout=10,
     )
@@ -506,6 +506,14 @@ def test_gen_round_trips(tmp_path):
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize("kind", ["tree", "circular", "flat"])
+def test_gen_of_one_element_is_an_input_error(kind):
+    # an invalid parameter of gen, like orderly --trials -1, exits 2
+    outcome = run(["gen", kind, "-n", "1", "--seed", "0"])
+    assert outcome.exit_code == 2
+    assert outcome.report.startswith("error: ")
+
+
 def test_bench_is_not_a_command(capsys):
     # timings belong to perfbench: every command's output depends only on
     # its inputs
@@ -536,6 +544,16 @@ def test_readme_lists_the_parser_commands():
         assert kinds == positional, command
 
 
+def test_readme_library_example_prints_what_it_says(capsys):
+    # the fenced block under README's "## Library in one minute" runs as
+    # written
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library in one minute\n", 1)[1].split("```", 2)[1]
+    assert block.startswith("python\n")
+    exec(compile(block.removeprefix("python\n"), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "9\nFalse\na,b,c,d\n"
+
+
 def test_one_process_answers_like_fresh_processes(tmp_path, quartet_file, src_env, capsys):
     # the parser is built once per process and reused by every command,
     # an argparse error included
@@ -552,7 +570,7 @@ def test_one_process_answers_like_fresh_processes(tmp_path, quartet_file, src_en
         fresh = subprocess.run(
             [sys.executable, "-m", "ordist", *argv],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env=src_env,
         )
         try:
@@ -570,7 +588,7 @@ def test_console_entry_point(tmp_path, quartet_file, src_env):
         [sys.executable, "-m", "ordist.cli", "check", "compat", "-s", "S1_5",
          "--strict"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
     )
     assert result.returncode == 1
@@ -579,7 +597,7 @@ def test_console_entry_point(tmp_path, quartet_file, src_env):
         [sys.executable, "-m", "ordist.cli", "order", "-i", quartet_file,
          "-p", "2", "-q", "1"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
     )
     assert ok.returncode == 0
@@ -588,7 +606,7 @@ def test_console_entry_point(tmp_path, quartet_file, src_env):
         [sys.executable, "-m", "ordist", "order", "-i", quartet_file,
          "-p", "2", "-q", "1"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
     )
     assert package.returncode == 0

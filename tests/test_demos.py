@@ -13,12 +13,17 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, src_env):
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True,
-        text=True,
-        env=src_env,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stderr
+    # each demo prints the same text on every run: no clock, no temp paths
+    outputs = []
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, str(demo)],
+            capture_output=True,
+            encoding="utf-8",
+            env=src_env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,7 @@ from ordist import (
     order_distance_eq1,
     orderly_test,
     pairwise_separation_check,
+    parse_split_system,
     random_allowable_pair,
     random_binary_tree_system,
     random_maximum_circular_system,
@@ -51,6 +53,7 @@ from helpers import (
     orderly_by_fractions,
     orderly_phase_one_by_probes,
     pairwise_separation_by_subsets,
+    peel_schedule_by_table,
     quartet_fixture,
     system_from_sides,
     two_split_terms,
@@ -222,6 +225,35 @@ def test_maximum_systems_peel_with_an_empty_core():
         for _, plus, minus in solver._steps:
             assert len(plus) == 2 and max(plus) < m and minus[0] < m
         assert express_in_basis(generate_distance(system), system) == dict(system.items())
+
+
+def test_peel_schedule_matches_the_table_oracle():
+    # the waves read each element's masks through its gather of the pair
+    # slots; the schedule and the core must be the ones the n x n table of
+    # masks gives: every step, in order, and the same unsolved splits
+    rng = random.Random(35)
+    systems = []
+    for n in range(4, 13):
+        systems.append(random_binary_tree_system(n, rng))
+        systems.append(random_maximum_circular_system(n, rng, positive=False)[1])
+        systems.append(random_maximum_flat_system(n, rng))
+    for n in range(4, 9):
+        ground = index_ground(n)
+        every = [Split.from_bits(ground, m << 1) for m in range(1, 1 << (n - 1))]
+        for _ in range(8):
+            subset = rng.sample(every, rng.randint(1, min(len(every), n * (n - 1) // 2 + 2)))
+            systems.append(WeightedSplitSystem.unit(ground, subset))
+    golden = Path(__file__).parent / "data" / "golden" / "midpath10.splits"
+    systems.append(parse_split_system(golden.read_text(encoding="utf-8")))
+    with_core = 0
+    for system in systems:
+        ground, splits = ground_and_splits(system)
+        solver = _ExactSolver(ground, splits)
+        steps, unsolved = peel_schedule_by_table(ground, splits)
+        assert solver._steps == steps
+        assert solver._core == [t for t in range(len(splits)) if unsolved >> t & 1]
+        with_core += solver.core_size > 0
+    assert with_core >= 5, with_core
 
 
 def test_full_rank_systems_express_arbitrary_matrices():

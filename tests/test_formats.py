@@ -179,7 +179,7 @@ def test_values_too_long_to_print_are_refused(digit_limit, tmp_path, src_env):
         sys.set_int_max_str_digits(limit)
     done = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=640", "-m", "ordist", *argv],
-        capture_output=True, text=True, env=src_env,
+        capture_output=True, encoding="utf-8", env=src_env,
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {info.value}\n")
 

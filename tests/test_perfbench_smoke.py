@@ -14,7 +14,7 @@ def test_benchmark_smoke_passes(src_env):
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "smoke.py")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=src_env,
         cwd=ROOT,
         timeout=300,

@@ -13,7 +13,7 @@ def _assert_statements(paths):
     return [
         f"{path.name}:{node.lineno}"
         for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
 
@@ -36,7 +36,7 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     names ordist (relative imports included) or a standard-library module."""
     found = []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -56,7 +56,7 @@ def test_the_package_reads_no_environment_variables():
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         for field in ("attr", "id", "name")
         if getattr(node, field, None) in ("environ", "environb", "getenv", "getenvb")
     ]
@@ -93,4 +93,4 @@ def test_sources_parse_as_python_3_10():
     ]
     assert len(paths) >= 25
     for path in paths:
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -13,15 +13,12 @@ orderings are canonicalized (element 0 first, smaller second element) and
 recovery can fix element 0 in place.
 
 For circular input and q = p/2 the order distance can be computed without
-touching all pairs-of-pairs.  Every strict-comparison side is an arc.  Its
-end is found from the previous pair's end: a check in place, at most two
-single probes past it, and a forward gallop only when the end moved on by
-two or more.  The probes need no bounds test, because each path between
-the pair ends in a sentinel where the comparison fails.  An end that moved
-back takes a binary search, and a tie one search past it, by the same
-bisection (``_first_where``).  The weighted arc system is evaluated by an
-O(n^2) recurrence.  The arcs come from a monotonicity lemma: for positions
-a < z < z' < b the condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
+touching all pairs-of-pairs.  Every strict-comparison side is an arc, and
+its end is found from the previous pair's end by a check in place, two
+probes and one bisection (``order_distance_circular`` gives the search in
+full).  The weighted arc system is evaluated by an O(n^2) recurrence.  The
+arcs come from a monotonicity lemma: for positions a < z < z' < b the
+condition gives D(a,z) + D(z',b) <= D(a,z') + D(z,b), so
 f(z) = D(a,z) - D(b,z) never decreases from a to b, and by the same step
 never increases from b round to a.  With f(a) = -D(a,b) < 0 < f(b), the side
 {f < 0} of a is a prefix of the path a..b and a suffix of the path b..a, the
@@ -425,17 +422,6 @@ def _first_where(near: list[int], far: list[int], lo: int, hi: int, gap: int) ->
     return lo
 
 
-def _gallop(near: list[int], far: list[int], lo: int, stop: int) -> int:
-    """The last index before stop where near < far, from lo, where near <
-    far, on a path along which near - far never decreases and that fails
-    at stop: doubling steps from lo, then a binary search over the last."""
-    step = 1
-    while lo + step < stop and near[lo + step] < far[lo + step]:
-        lo += step
-        step += step
-    return _first_where(near, far, lo + 1, lo + step if lo + step < stop else stop, 0) - 1
-
-
 def order_distance_circular(
     matrix: DistanceMatrix, params: OrderParams
 ) -> DistanceMatrix:
@@ -453,14 +439,12 @@ def order_distance_circular(
     after.  No probe needs a bounds test, since each path ends in a
     sentinel that fails its comparison: b on the path a..b, where
     D(a,b) > 0 = D(b,b), and a on the path b..a, where D(a,a) = 0 < D(b,a).
-    An end that moved on by 2 or more takes ``_gallop`` (Bentley and Yao,
-    IPL 5, 1976), shared by both paths with the rows swapped on b..a: it
-    doubles its step within bounds, then closes the last step by binary
-    search, O(log d) comparisons for a boundary d places on.  When the
-    previous end lies outside the side, a binary search runs from the
-    path's first position up to it.  The monotonicity
-    that makes a binary search correct makes any start correct, and the
-    verified ordering proves it for every pair, so no scan is needed.
+    Any other end takes one bisection, ``_first_where`` with gap 0 and the
+    rows swapped on b..a: from the path's first position up to the previous
+    end when that lies outside the side, and from three past it up to the
+    sentinel when the end moved on by 2 or more.  The monotonicity that
+    makes a bisection correct makes any start correct, and the verified
+    ordering proves it for every pair, so no scan is needed.
 
     Raises PreconditionError when q != p/2, and its subclass
     NotCircularError when no ordering passes verification or when a
@@ -504,7 +488,7 @@ def order_distance_circular(
                     end_a = hi
                     hi += 1
                     if row_a[hi] < row_b[hi]:
-                        end_a = _gallop(row_a, row_b, hi, b)
+                        end_a = _first_where(row_a, row_b, hi + 1, b, 0) - 1
                         hi = end_a + 1
             else:
                 end_a = _first_where(row_a, row_b, a + 1, end_a, 0) - 1
@@ -521,7 +505,7 @@ def order_distance_circular(
                     end_b = hi
                     hi += 1
                     if row_a[hi] > row_b[hi]:
-                        end_b = _gallop(row_b, row_a, hi, a)
+                        end_b = _first_where(row_b, row_a, hi + 1, a, 0) - 1
                         hi = end_b + 1
             else:
                 end_b = _first_where(row_b, row_a, b - n + 1, end_b, 0) - 1

@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 
-def index_ground(n: int, prefix: str = "x") -> GroundSet:
-    """Ground set with generated labels prefix0 .. prefix{n-1}."""
-    return GroundSet(f"{prefix}{i}" for i in range(n))
+def index_ground(n: int) -> GroundSet:
+    """Ground set with generated labels x0 .. x{n-1}."""
+    return GroundSet(f"x{i}" for i in range(n))
 
 
 def random_binary_tree_system(n: int, rng: random.Random) -> WeightedSplitSystem:

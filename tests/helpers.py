@@ -466,28 +466,33 @@ def maximum_flat_by_restriction(splits) -> bool:
     )
 
 
-def pairwise_separation_by_subsets(splits) -> tuple[int, int] | None:
-    """First pair x < y with no separating frame, or None, trying every
-    subset A of the other elements with B the rest: the frame needs
-    A+x+y|B, A+x|B+y, A+y|B+x and A|B+x+y in the system, except the two
-    with an empty side.  The oracle for ``pairwise_separation_check``."""
+def frame_by_subsets(splits, x: int, y: int) -> list[tuple[int, Split]] | None:
+    """The first frame (A, B) of the pair x, y lying in the system, trying
+    every subset A of the other elements with B the rest, or None.  The
+    frame is returned as its splits with their signs in the identity of
+    ``is_maximum_flat``: -1 for A+x+y|B and A|B+x+y, +1 for A+x|B+y and
+    A+y|B+x, leaving out the splits with an empty side."""
     ground, split_list = ground_and_splits(splits)
     have = set(split_list)
     n = ground.n
-
-    def frame_in_system(x, y, a) -> bool:
-        sides = [[*a, x, y], [*a, x], [*a, y], list(a)]
-        return all(Split(ground, side) in have for side in sides if 0 < len(side) < n)
-
-    for x, y in combinations(range(n), 2):
-        others = [e for e in range(n) if e not in (x, y)]
-        if not any(
-            frame_in_system(x, y, a)
-            for k in range(len(others) + 1)
-            for a in combinations(others, k)
-        ):
-            return (x, y)
+    others = [e for e in range(n) if e not in (x, y)]
+    for k in range(len(others) + 1):
+        for a in combinations(others, k):
+            signed = [(-1, [*a, x, y]), (1, [*a, x]), (1, [*a, y]), (-1, list(a))]
+            frame = [(sign, Split(ground, side)) for sign, side in signed if 0 < len(side) < n]
+            if all(split in have for _, split in frame):
+                return frame
     return None
+
+
+def pairwise_separation_by_subsets(splits) -> tuple[int, int] | None:
+    """First pair x < y with no separating frame (``frame_by_subsets``),
+    or None.  The oracle for ``pairwise_separation_check``."""
+    n = ground_and_splits(splits)[0].n
+    return next(
+        ((x, y) for x, y in combinations(range(n), 2) if frame_by_subsets(splits, x, y) is None),
+        None,
+    )
 
 
 def compatible_pair_brute(s1: Split, s2: Split) -> bool:
@@ -672,6 +677,17 @@ def zero_heavy_circular_distance(n: int, rng, zero_share=0.7) -> DistanceMatrix:
                 for s in maximum_circular_splits(theta)
             ],
         )
+    )
+
+
+def star_distance(weights) -> DistanceMatrix:
+    """The star metric D(x, y) = w_x + w_y of leaf weights w: a tree, so
+    circular, on which f = D(a, .) - D(b, .) is the constant w_a - w_b off
+    a and b, and every strict-comparison side is {a} or all but b."""
+    n = len(weights)
+    return DistanceMatrix(
+        index_ground(n),
+        [[weights[i] + weights[j] if i != j else 0 for j in range(n)] for i in range(n)],
     )
 
 

@@ -47,6 +47,7 @@ from ordist.core import ground_and_splits
 from ordist.flatlab import _ExactSolver
 from helpers import (
     fraction_rank_and_solution,
+    frame_by_subsets,
     is_closed_by_parts,
     open_pairs_by_parts,
     maximum_flat_by_restriction,
@@ -389,6 +390,41 @@ def test_maximum_flat_verdicts():
     dependent = system_from_sides("abcde", ["a", "b", "c", "de", "ab", "ac", "bc", "e", "ae", "be"])
     assert len(dependent) == 10 and not is_linearly_independent(dependent)
     assert not is_maximum_flat(dependent)
+
+
+def test_maximum_flat_is_independence_and_separation_on_every_system():
+    # every set of C(n,2) distinct splits for n <= 5 against the definition
+    # with the independence test, which is_maximum_flat leaves to the frames
+    verdicts = Counter()
+    for n in range(2, 6):
+        g = index_ground(n)
+        every = [Split.from_bits(g, bits << 1) for bits in range(1, 1 << (n - 1))]
+        for splits in combinations(every, n * (n - 1) // 2):
+            flat = is_maximum_flat(splits)
+            assert flat == (
+                is_linearly_independent(splits) and pairwise_separation_check(splits) is None
+            )
+            verdicts[n, flat] += 1
+    assert verdicts[5, True] + verdicts[5, False] == 3003
+    assert verdicts[5, True] == 132, verdicts
+
+
+def test_frames_isolate_their_pair():
+    # the identity behind is_maximum_flat: in a maximum flat or maximum
+    # circular system every pair has a frame, whose four split metrics,
+    # signed + + - -, are 2 on the pair and 0 on every other pair
+    rng = random.Random(3636)
+    systems = [random_maximum_flat_system(n, rng) for n in range(4, 9) for _ in range(2)]
+    systems += [random_maximum_circular_system(n, rng)[1] for n in range(4, 9)]
+    for system in systems:
+        n = system.ground.n
+        for x, y in combinations(range(n), 2):
+            frame = frame_by_subsets(system, x, y)
+            assert frame is not None
+            metrics = [(sign, split_metric(split)) for sign, split in frame]
+            for i, j in combinations(range(n), 2):
+                total = sum(sign * metric[i, j] for sign, metric in metrics)
+                assert total == (2 if (i, j) == (x, y) else 0)
 
 
 def test_maximum_flat_matches_restriction_route():

@@ -21,7 +21,8 @@ from helpers import allowable_pair_by_frozensets
 def test_index_ground_labels():
     g = index_ground(3)
     assert g.labels == ("x0", "x1", "x2")
-    assert index_ground(2, prefix="leaf").labels == ("leaf0", "leaf1")
+    with pytest.raises(TypeError):
+        index_ground(2, prefix="leaf")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

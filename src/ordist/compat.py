@@ -20,7 +20,7 @@ crossing sides all come from pairs at distance 0 has none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .core import (
@@ -75,13 +75,7 @@ def incompatible_pair(
     if is_compatible(splits):
         return None
     items = ground_and_splits(splits)[1]
-    sides = [split.bits for split in items]
-    return next(
-        (items[i], items[j])
-        for i, a in enumerate(sides)
-        for j in range(i + 1, len(sides))
-        if _crosses(a, sides[j])
-    )
+    return next((s, t) for s, t in combinations(items, 2) if _crosses(s.bits, t.bits))
 
 
 def is_compatible(splits: WeightedSplitSystem | Iterable[Split]) -> bool:
@@ -237,34 +231,22 @@ def four_point_check(
     """First quadruple (lexicographic) where the two largest of the three
     pairing sums differ, or None when every quadruple is fine."""
     rows = matrix.comparison_rows()
-    n = matrix.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = rows[i][j]
-            for k in range(j + 1, n):
-                d_ik, d_jk = rows[i][k], rows[j][k]
-                for l in range(k + 1, n):
-                    s1 = d_ij + rows[k][l]
-                    s2 = d_ik + rows[j][l]
-                    s3 = rows[i][l] + d_jk
-                    hi = max(s1, s2, s3)
-                    if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
-                        return (i, j, k, l)
+    for i, j, k, l in combinations(range(matrix.n), 4):
+        s1, s2, s3 = rows[i][j] + rows[k][l], rows[i][k] + rows[j][l], rows[i][l] + rows[j][k]
+        hi = max(s1, s2, s3)
+        if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
+            return (i, j, k, l)
     return None
 
 
 def is_ultrametric(matrix: DistanceMatrix) -> bool:
     """True when, in every triple, the two largest distances are equal."""
     rows = matrix.comparison_rows()
-    n = matrix.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = rows[i][j]
-            for k in range(j + 1, n):
-                s1, s2, s3 = d_ij, rows[i][k], rows[j][k]
-                hi = max(s1, s2, s3)
-                if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
-                    return False
+    for i, j, k in combinations(range(matrix.n), 3):
+        s1, s2, s3 = rows[i][j], rows[i][k], rows[j][k]
+        hi = max(s1, s2, s3)
+        if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
+            return False
     return True
 
 

@@ -334,9 +334,10 @@ def pairwise_separation_check(
 
     A pair x, y is separated when some disjoint pair (A, B) covering the
     remaining elements puts all four of A+x+y|B, A+x|B+y, A+y|B+x and
-    A|B+x+y into the system, skipping the two with an empty side.  Only
-    candidates read off the system itself need checking: a working (A, B)
-    makes A+x|B+y a split of the system, which pins (A, B) down.
+    A|B+x+y into the system, skipping the two with an empty side.  A
+    working (A, B) makes A+x|B+y a split of the system, so only the stored
+    sides s holding one of x, y need trying; the rest of the frame is then
+    s with x and y toggled, with x toggled and with y toggled.
     """
     ground, split_list = ground_and_splits(splits)
     return _unseparated_pair(ground.n, [split.bits for split in split_list])
@@ -347,26 +348,21 @@ def _unseparated_pair(n: int, sides: list[int]) -> tuple[int, int] | None:
     an n-element ground set, which an empty system needs in hand."""
     full = (1 << n) - 1
     have = set(sides)
-    for x in range(n):
-        bx = 1 << x
-        for y in range(x + 1, n):
-            by = 1 << y
-            for side in sides:
-                x_side = side if side & bx else full ^ side
-                if x_side & by:
-                    continue
-                # the split is A+x|B+y; the frame adds A+y|B+x, A+x+y|B
-                # unless B is empty and A|B+x+y unless A is
-                a = x_side ^ bx
-                frame = [a | by]
-                if x_side | by != full:
-                    frame.append(x_side | by)
-                if a:
-                    frame.append(a)
-                if all(canonical_mask(mask, full) in have for mask in frame):
+    for x, y in combinations(range(n), 2):
+        bx, by = 1 << x, 1 << y
+        pair = bx | by
+        for side in sides:
+            if (side & pair) in (0, pair):
+                continue  # x and y on one side
+            for flip in (pair, bx, by):
+                # the rest of the frame; a mask of 0 is a split with an empty side
+                mask = canonical_mask(side ^ flip, full)
+                if mask and mask not in have:
                     break
             else:
-                return (x, y)
+                break  # the whole frame is in the system
+        else:
+            return (x, y)
     return None
 
 
@@ -428,11 +424,8 @@ class AllowablePair:
         return out
 
     def splits(self) -> frozenset[Split]:
-        cur = list(self.pi)
-        out = set()
-        for k in self.kappa:
-            out.add(Split(self.ground, cur[: k + 1]))
-            cur[k], cur[k + 1] = cur[k + 1], cur[k]
+        before = zip(self.orderings(), self.kappa)  # the ordering before each swap
+        out = {Split(self.ground, order[: k + 1]) for order, k in before}
         if len(out) != len(self.kappa):
             raise AssertionError("swap splits must be distinct")
         return frozenset(out)

@@ -10,10 +10,11 @@ Distance matrix format::
     d 1 3 1 0
 
 Values may be integers, rationals like ``3/2`` or finite decimals like
-``1.5``; all are read exactly.  A plain integer token is read straight into
-an int; any other token becomes a (numerator, denominator) pair, and the
-matrix stores every value as an int over one common denominator (see
-``DistanceMatrix.from_scaled``).
+``1.5``; all are read exactly.  Digits may be grouped by single underscores,
+as in ``1_000``, on every supported Python.  A plain integer token is read
+straight into an int; any other token becomes a (numerator, denominator)
+pair, and the matrix stores every value as an int over one common
+denominator (see ``DistanceMatrix.from_scaled``).
 
 A matrix is symmetric, so each unordered pair is read and written once.
 The reader keeps, for every column, the tokens the rows above wrote in it;
@@ -37,6 +38,7 @@ either format reproduces the object exactly.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import deque
 from fractions import Fraction
@@ -60,6 +62,9 @@ __all__ = [
     "parse_split_system",
     "format_split_system",
 ]
+
+
+_DIGIT_GROUPING = re.compile(r"(?<=\d)_(?=\d)")  # which Fraction reads from 3.11 on
 
 
 class FormatError(ValueError):
@@ -101,7 +106,7 @@ def parse_value(token: str, context: str) -> Fraction:
             # refuse huge exponents before Fraction expands them
             if exponent and abs(int(exponent)) > limit + len(token):
                 raise ValueError(token)
-        value = as_rational(token)
+        value = as_rational(_DIGIT_GROUPING.sub("", token))
         if long_form and max(abs(value.numerator), value.denominator) >= 10**limit:
             raise ValueError(token)
     except (ValueError, ZeroDivisionError):

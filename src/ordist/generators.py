@@ -125,7 +125,6 @@ def random_two_valued_matrix(n: int, rng: random.Random) -> DistanceMatrix:
         raise ValueError("need at least 1 element")
     ground = index_ground(n)
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = rng.randint(1, 2)
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.randint(1, 2)
     return DistanceMatrix.from_scaled(ground, rows)

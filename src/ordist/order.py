@@ -61,6 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -311,13 +312,9 @@ def two_split_instance(
     each.  Returns (generated distance, blocks, the weighted system)."""
     if min(n1, n2, n3, n4) < 1:
         raise ValueError("all four blocks must be non-empty")
-    sizes = (n1, n2, n3, n4)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    blocks = tuple(range(offsets[k], offsets[k + 1]) for k in range(4))
-    n = offsets[-1]
-    ground = GroundSet(f"e{i}" for i in range(n))
+    offsets = list(accumulate((n1, n2, n3, n4), initial=0))
+    blocks = tuple(map(range, offsets, offsets[1:]))
+    ground = GroundSet(f"e{i}" for i in range(offsets[-1]))
     side_one = list(blocks[0]) + list(blocks[2])
     side_two = list(blocks[0]) + list(blocks[1])
     system = WeightedSplitSystem(

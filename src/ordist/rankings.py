@@ -19,6 +19,7 @@ runs, Python 3.11 on a shared 2-vCPU x86-64 host).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 from .core import DistanceMatrix, GroundSet, as_rational
@@ -87,12 +88,7 @@ def ranking_from_distance(matrix: DistanceMatrix, x: int) -> PartialRanking:
     contains x itself (plus anything at distance 0 from it).
     """
     order, _, past, _ = rank_table(matrix.comparison_rows()[x])
-    blocks: list[list[int]] = []
-    start = 0
-    while start < matrix.n:
-        end = past[order[start]]
-        blocks.append(order[start:end])
-        start = end
+    blocks = [list(block) for _, block in groupby(order, past.__getitem__)]
     return PartialRanking(matrix.ground, blocks)
 
 

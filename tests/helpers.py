@@ -517,6 +517,55 @@ def incompatible_pair_by_corners(splits):
     return None
 
 
+def four_point_check_by_loops(matrix: DistanceMatrix):
+    """``four_point_check`` as four nested index loops that hoist the row
+    entries by hand; the oracle for its ``combinations`` walk."""
+    rows = matrix.comparison_rows()
+    n = matrix.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_ij = rows[i][j]
+            for k in range(j + 1, n):
+                d_ik, d_jk = rows[i][k], rows[j][k]
+                for l in range(k + 1, n):
+                    s1 = d_ij + rows[k][l]
+                    s2 = d_ik + rows[j][l]
+                    s3 = rows[i][l] + d_jk
+                    hi = max(s1, s2, s3)
+                    if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
+                        return (i, j, k, l)
+    return None
+
+
+def is_ultrametric_by_loops(matrix: DistanceMatrix) -> bool:
+    """``is_ultrametric`` as three nested index loops; the oracle for its
+    ``combinations`` walk."""
+    rows = matrix.comparison_rows()
+    n = matrix.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_ij = rows[i][j]
+            for k in range(j + 1, n):
+                s1, s2, s3 = d_ij, rows[i][k], rows[j][k]
+                hi = max(s1, s2, s3)
+                if (s1 == hi) + (s2 == hi) + (s3 == hi) < 2:
+                    return False
+    return True
+
+
+def line_ultrametric(n: int, rng) -> DistanceMatrix:
+    """A random tie-rich ultrametric: the elements on a shuffled line with
+    a height in 1..4 at each gap, each pair at the largest height between
+    them."""
+    line = list(range(n))
+    rng.shuffle(line)
+    heights = [rng.randint(1, 4) for _ in range(n - 1)]
+    rows = [[0] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        rows[line[a]][line[b]] = rows[line[b]][line[a]] = max(heights[a:b])
+    return DistanceMatrix(index_ground(n), rows)
+
+
 def holds_in_by_inequalities(witness, matrix: DistanceMatrix) -> bool:
     """A six-point witness re-evaluated as one block of inequalities per
     (condition, branch), false for an element outside 0..n-1.  The oracle

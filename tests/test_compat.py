@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from ordist import (
     order_distance_eq1,
     parse_distance_matrix,
     random_binary_tree_system,
+    random_distance_matrix,
+    random_two_valued_matrix,
     six_point_witness,
     splits_from_xtree,
     xtree_from_compatible,
@@ -31,8 +34,11 @@ from ordist import (
 import ordist.compat as compat_module
 from helpers import (
     compatible_pair_brute,
+    four_point_check_by_loops,
     holds_in_by_inequalities,
     incompatible_pair_by_corners,
+    is_ultrametric_by_loops,
+    line_ultrametric,
     positive_side_crosses_by_scan,
     quartet_fixture,
     six_point_table,
@@ -234,6 +240,39 @@ def test_four_point_and_ultrametric_checks():
     )
     assert four_point_check(quartet_order) == (0, 1, 2, 3)
     assert not is_ultrametric(generate_distance(quartet_fixture()))
+
+
+def test_index_walks_match_the_nested_loops():
+    # four_point_check and is_ultrametric walk itertools.combinations; the
+    # nested loops they replaced pin the first failing quadruple and every
+    # verdict, on random, tie-rich, tree and ultrametric matrices and on
+    # trees and ultrametrics with one pair moved
+    rng = random.Random(3737)
+    seen = Counter()
+    for n in range(4, 10):
+        for _ in range(6):
+            tree = generate_distance(random_binary_tree_system(n, rng))
+            ultra = line_ultrametric(n, rng)
+            matrices = [
+                random_distance_matrix(n, rng),
+                random_distance_matrix(n, rng, tie_rich=True),
+                random_two_valued_matrix(n, rng),
+                tree,
+                ultra,
+            ]
+            for base in (tree, ultra):
+                rows = [[base[i, j] for j in range(n)] for i in range(n)]
+                i, j = rng.sample(range(n), 2)
+                rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1))
+                if rows[i][j] > 0:
+                    matrices.append(DistanceMatrix(base.ground, rows))
+            for m in matrices:
+                quad = four_point_check(m)
+                assert quad == four_point_check_by_loops(m)
+                assert is_ultrametric(m) == is_ultrametric_by_loops(m)
+                seen["none" if quad is None else "first" if quad == (0, 1, 2, 3) else "later"] += 1
+                seen[f"ultrametric {is_ultrametric(m)}"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_six_point_table_is_a_minimal_incompatible_example():

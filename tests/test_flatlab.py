@@ -365,6 +365,29 @@ def test_separation_shortcut_matches_exhaustive(system):
     assert pairwise_separation_check(system) == pairwise_separation_by_subsets(system)
 
 
+def test_separation_walk_matches_the_subsets_on_maximum_systems():
+    # the hypothesis test above stops at 7 splits, so for n >= 5 it never
+    # meets a system with every pair separated; maximum flat and maximum
+    # circular systems with 0-3 splits dropped, and random side sets, do
+    rng = random.Random(3737)
+    verdicts = Counter()
+    for n in range(4, 9):
+        g = index_ground(n)
+        every = [Split.from_bits(g, bits << 1) for bits in range(1, 1 << (n - 1))]
+        for drop in [0, 1, 2, 3] * 3:
+            flat = list(random_maximum_flat_system(n, rng).splits)
+            circular = list(random_maximum_circular_system(n, rng)[1].splits)
+            for splits in (
+                rng.sample(flat, len(flat) - drop),
+                rng.sample(circular, len(circular) - drop),
+                rng.sample(every, rng.randint(1, len(every))),
+            ):
+                found = pairwise_separation_check(splits)
+                assert found == pairwise_separation_by_subsets(splits)
+                verdicts[n, found is None] += 1
+    assert all(verdicts[n, True] >= 6 and verdicts[n, False] >= 18 for n in range(4, 9)), verdicts
+
+
 def test_separation_basics():
     g = index_ground(4)
     assert pairwise_separation_check([Split(g, [0])]) == (0, 1)

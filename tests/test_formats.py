@@ -19,6 +19,7 @@ from ordist import (
     parse_split_system,
 )
 from ordist.cli import run
+from ordist.formats import parse_value
 from helpers import (
     format_distance_matrix_by_values,
     fraction_parse_distance_matrix,
@@ -121,6 +122,37 @@ def test_read_matrix_shares_one_value_per_pair():
 @given(split_systems(weights=rationals()))
 def test_split_system_round_trip(system):
     assert parse_split_system(format_split_system(system)) == system
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("1_000", 1000), ("1_0/3", Fraction(10, 3)), ("1.5_0", Fraction(3, 2)),
+     ("1e1_0", 10**10), ("\u0661_\u0662", 12)],
+)
+def test_digits_grouped_by_single_underscores_read_on_every_python(token, value):
+    # Fraction reads these only from Python 3.11 on; the reader drops each
+    # underscore with a digit on both sides first
+    assert parse_value(token, "test") == value
+
+
+@pytest.mark.parametrize("token", ["1__0", "_1", "1_", "1_.5", "1._5", "1e_5"])
+def test_other_underscores_are_refused_by_their_own_spelling(token):
+    with pytest.raises(FormatError) as info:
+        parse_value(token, "test")
+    assert str(info.value) == f"bad value {token!r} in test"
+
+
+def test_grouped_digits_in_a_row_a_weight_and_the_order_parameters(tmp_path):
+    m = parse_distance_matrix("2\na 0 1_000\nb 1_000 0")
+    assert m[0, 1] == 1000
+    system = parse_split_system("2\na b\na | b : 1_000")
+    assert [w for _, w in system.items()] == [1000]
+    path = tmp_path / "grouped.dist"
+    path.write_text("2\na 0 1_000\nb 1_000 0\n", encoding="utf-8")
+    plain = run(["order", "-i", str(path), "-p", "2", "-q", "1"])
+    grouped = run(["order", "-i", str(path), "-p", "2_0/1_0", "-q", "1_0/1_0"])
+    assert (plain.exit_code, plain.report) == (0, "algo: eq1\np: 2\nq: 1\n2\na 0 2\nb 2 0")
+    assert (grouped.exit_code, grouped.report) == (plain.exit_code, plain.report)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -153,3 +154,28 @@ def test_distance_rows_and_block_indices_give_the_same_counts():
                     assert kendall_counts(rows[x], rows[y]) == kendall_counts(
                         blocks[x], blocks[y]
                     )
+
+
+def test_ranking_from_distance_groups_the_elements_by_distance():
+    # the blocks, cut from one sort by itertools.groupby, against the
+    # distinct distances from x in increasing order, each with its elements;
+    # entries of 0..2 put elements other than x into the first block
+    rng = Random(3838)
+    firsts = 0
+    for n in range(1, 13):
+        ground = index_ground(n)
+        for trial in range(6):
+            if trial % 2:
+                m = random_distance_matrix(n, rng, tie_rich=True)
+            else:
+                rows = [[0] * n for _ in range(n)]
+                for i, j in combinations(range(n), 2):
+                    rows[i][j] = rows[j][i] = rng.randint(0, 2)
+                m = DistanceMatrix(ground, rows)
+            for x in range(n):
+                row = [m[x, e] for e in range(n)]
+                expected = [{e for e in range(n) if row[e] == v} for v in sorted(set(row))]
+                blocks = ranking_from_distance(m, x).blocks
+                assert blocks == tuple(map(frozenset, expected))
+                firsts += len(blocks[0]) > 1
+    assert firsts >= 100, firsts

@@ -94,3 +94,41 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) >= 25
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_private_name_has_a_caller():
+    """Each module-level private function, class or constant of the package
+    is named somewhere in the package outside its own definition, so a
+    helper does not outlive its last caller."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    definitions = []
+    for path, tree in zip(SOURCES, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            definitions += [
+                (f"{path.name}:{node.lineno} {name}", name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    uses = {}  # each name that is read, to the nodes that read it
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.setdefault(node.id, []).append(node)
+        elif isinstance(node, ast.Attribute):
+            uses.setdefault(node.attr, []).append(node)
+    uncalled = []
+    for where, name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        if all(id(node) in inside for node in uses.get(name, ())):
+            uncalled.append(where)
+    assert len(definitions) >= 30
+    assert uncalled == []

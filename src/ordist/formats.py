@@ -65,6 +65,7 @@ __all__ = [
 
 
 _DIGIT_GROUPING = re.compile(r"(?<=\d)_(?=\d)")  # which Fraction reads from 3.11 on
+_DIGIT = re.compile(r"\d")
 
 
 class FormatError(ValueError):
@@ -102,10 +103,14 @@ def parse_value(token: str, context: str) -> Fraction:
     long_form = limit and (len(token) >= limit or "e" in token or "E" in token)
     try:
         if long_form:
-            exponent = token.lower().partition("e")[2]
-            # refuse huge exponents before Fraction expands them
+            mantissa, _, exponent = token.lower().partition("e")
+            # refuse huge exponents before Fraction expands them; a zero
+            # mantissa spells 0 in any exponent, so it is read with each
+            # exponent digit as 0
             if exponent and abs(int(exponent)) > limit + len(token):
-                raise ValueError(token)
+                if as_rational(_DIGIT_GROUPING.sub("", mantissa + "e" + _DIGIT.sub("0", exponent))):
+                    raise ValueError(token)
+                return Fraction(0)
         value = as_rational(_DIGIT_GROUPING.sub("", token))
         if long_form and max(abs(value.numerator), value.denominator) >= 10**limit:
             raise ValueError(token)

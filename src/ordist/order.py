@@ -51,9 +51,10 @@ transpose of the strict sets gives every closer-to-u side, and the
 equidistant set of {u, v} is what neither strict side holds.  The
 aggregated parts come out without comparing entries one z at a time.
 ``order_distance_kendall`` is a per-pair reformulation through penalized
-Kendall distances of the distance-from-x rankings.  The engines return
-identical exact results; a third engine for circular inputs lives in
-``ordist.circular``.
+Kendall distances of the distance-from-x rankings; it walks a row with no
+ties in its own order and sorts a pair only when both rows have ties.
+The engines return identical exact results; a third engine for circular
+inputs lives in ``ordist.circular``.
 """
 
 from __future__ import annotations
@@ -266,8 +267,8 @@ def order_distance_kendall(
 
     Row x of the matrix ranks the elements by distance from x, so the rows
     are the ranking keys as they are.  Each row's ``rank_table`` is built
-    once; each pair of rows then costs one sort and one walk in
-    ``pair_counts``.
+    once; each pair of rows then costs one walk in ``pair_counts``, after
+    one sort only when both rows have ties.
     """
     n = matrix.n
     tables = [rank_table(row) for row in matrix.comparison_rows()]

@@ -6,14 +6,15 @@ distance charges, per element pair, 1 when the two rankings order the pair
 in strictly opposite ways, a penalty ``pi`` when the pair is tied in exactly
 one ranking, and 0 otherwise.
 
-The counts come from one sort and one walk with an int bitmask per pair
-of rankings (``pair_counts``), after per-ranking tables built once
-(``rank_table``); the tests hold them to a brute O(n^2) pair scan.  The
-walk shifts an n-bit int per element, so a pair costs O(n^2 / 64) word
-operations besides the sort.  For a single pair of key vectors, the
-tables included, it takes 7 ms on distinct keys and 4-5 ms on keys 0..2
-at n = 4096, and 60-68 ms and 30-32 ms at n = 16384 (min of 9 calls, two
-runs, Python 3.11 on a shared 2-vCPU x86-64 host).
+The counts come from one walk with an int bitmask per pair of rankings
+(``pair_counts``), after per-ranking tables built once (``rank_table``);
+the tests hold them to a brute O(n^2) pair scan.  The walk follows a
+tie-free ranking's own order and sorts only when both rankings have ties.
+It shifts an n-bit int per element, so a pair costs O(n^2 / 64) word
+operations besides any sort.  For a single pair of key vectors, the
+tables included, it takes 5 ms on distinct keys and 3 ms on keys 0..2 at
+n = 4096, and 36-43 ms and 20 ms at n = 16384 (min of 9 calls, two runs,
+Python 3.11 on a shared 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations
@@ -120,33 +121,39 @@ def pair_counts(table_x: RankTable, table_y: RankTable) -> tuple[int, int]:
     """(discordant pairs, pairs tied in exactly one) of two rankings, from
     their ``rank_table``s.
 
-    One stable sort puts the second ranking's order in the first one's,
-    keyed by ``past``, which orders the elements as their keys do; ties
-    stay in the second ranking's order.  Walking it, an element u is
-    discordant with each element before it that the second ranking puts
-    strictly after u's tie block: those are the set bits of ``seen``, the
-    places of the elements passed so far, at or above ``past[u]``.  The
-    pairs tied in both rankings are the runs of one tie block of each, and
-    are counted only when both rankings have ties.
+    Both counts are symmetric, so when exactly one ranking has ties the
+    tie-free one is taken as the first.  The walk visits the elements in
+    the first ranking's order, ties in the second ranking's order: a
+    tie-free first ranking's own ``order``, else one stable sort of the
+    second ranking's order keyed by the first one's ``past``.  An element
+    u is discordant with each element before it that the second ranking
+    puts strictly after u's tie block: those are the set bits of ``seen``,
+    the places of the elements passed so far, at or above ``past[u]``.
+    With a tie-free first ranking, the pairs tied in exactly one are the
+    second ranking's ties.  Otherwise the same walk counts the pairs tied
+    in both, which are the runs of one tie block of each.
     """
-    _, _, past_x, ties_x = table_x
+    if table_x[3] and not table_y[3]:
+        table_x, table_y = table_y, table_x
+    order_x, _, past_x, ties_x = table_x
     order_y, place_y, past_y, ties_y = table_y
-    walk = sorted(order_y, key=past_x.__getitem__)
     discordant = seen = 0
-    for u in walk:
+    if not ties_x:
+        for u in order_x:
+            discordant += (seen >> past_y[u]).bit_count()
+            seen |= 1 << place_y[u]
+        return discordant, ties_y
+    tied_both = run = 0
+    block_x = block_y = -1
+    for u in sorted(order_y, key=past_x.__getitem__):
         discordant += (seen >> past_y[u]).bit_count()
         seen |= 1 << place_y[u]
-    tied_both = 0
-    if ties_x and ties_y:
-        run = 0
-        block_x = block_y = -1
-        for u in walk:
-            if past_x[u] == block_x and past_y[u] == block_y:
-                run += 1
-                tied_both += run
-            else:
-                run = 0
-                block_x, block_y = past_x[u], past_y[u]
+        if past_x[u] == block_x and past_y[u] == block_y:
+            run += 1
+            tied_both += run
+        else:
+            run = 0
+            block_x, block_y = past_x[u], past_y[u]
     return discordant, ties_x + ties_y - 2 * tied_both
 
 
@@ -156,7 +163,8 @@ def kendall_counts(b1: list[int], b2: list[int]) -> tuple[int, int]:
 
     Any int keys whose order is the ranking will do: block indices, or the
     distance rows themselves.  The count is ``pair_counts`` on the two
-    ``rank_table``s: O(n log n) comparisons for the sort and n shifts and
+    ``rank_table``s: O(n log n) comparisons for the two tables' sorts and
+    for one more when both key vectors have ties, and n shifts and
     popcounts of an n-bit int for the walk.
     """
     return pair_counts(rank_table(b1), rank_table(b2))

@@ -216,6 +216,33 @@ def test_values_too_long_to_print_are_refused(digit_limit, tmp_path, src_env):
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {info.value}\n")
 
 
+ZERO_IN_ANY_EXPONENT = ("0e4306", "0e4307", "0e5000", "0.0e-9000", "-0E5000", "00e99999", "0e99999999")
+NOT_ZERO_OR_NOT_A_VALUE = ("1e5000", "0.1e5000", "0/5e5000", "0e5000x", "0e", "e5000")
+
+
+@pytest.mark.parametrize("token", ZERO_IN_ANY_EXPONENT)
+def test_a_zero_mantissa_reads_as_zero_in_any_exponent(digit_limit, token):
+    # the exponent guard refuses a huge power before Fraction expands it,
+    # but a zero mantissa needs no power
+    assert parse_value(token, "test") == 0
+    m = parse_distance_matrix(f"2\na 0 {token}\nb {token} 0")
+    assert m[0, 1] == 0
+    system = parse_split_system(f"2\na b\na | b : {token}")
+    assert [w for _, w in system.items()] == [0]
+
+
+@pytest.mark.parametrize("token", NOT_ZERO_OR_NOT_A_VALUE)
+def test_a_huge_exponent_is_refused_unless_the_mantissa_is_zero(digit_limit, token):
+    with pytest.raises(FormatError) as info:
+        parse_value(token, "test")
+    assert str(info.value) == f"bad value {token!r} in test"
+    with pytest.raises(FormatError) as info:
+        parse_distance_matrix(f"2\na 0 {token}\nb {token} 0")
+    assert str(info.value) == f"bad value {token!r} in row 'a'"
+    with pytest.raises(FormatError, match="bad value"):
+        parse_split_system(f"2\na b\na | b : {token}")
+
+
 def test_unlimited_digits_read_long_values_exactly(digit_limit):
     wide = "7" * 5000
     texts = [f"2\na 0 {token}\nb {token} 0" for token in (wide, "1e5000")]

@@ -276,6 +276,25 @@ def test_kendall_engine_matches_pair_scan_and_eq1():
                 assert kendall == order_distance_eq1(matrix, params)
 
 
+def test_kendall_engine_matches_eq1_on_rows_with_and_without_ties():
+    # a distinct random matrix with a few entries copied onto other entries
+    # of the same row, mirrored, so that tie-free and tied rows meet in one
+    # matrix and pair_counts takes its tie-free walk both ways round and its
+    # sorted walk on the same input
+    rng = random.Random(38)
+    params_list = [OrderParams(p, q) for p, q in ((2, 1), (2, Fraction(3, 2)), (1, 3))]
+    for n in range(4, 21):
+        for _ in range(3):
+            rows = [list(row) for row in random_distance_matrix(n, rng).comparison_rows()]
+            for _ in range(rng.randint(1, max(1, n // 4))):
+                i, j, k = rng.sample(range(n), 3)
+                rows[i][k] = rows[k][i] = rows[i][j]
+            assert {len(set(row)) < n for row in rows} == {False, True}
+            matrix = DistanceMatrix.from_scaled(index_ground(n), rows)
+            for params in params_list:
+                assert order_distance_kendall(matrix, params) == order_distance_eq1(matrix, params)
+
+
 def test_two_split_unit_blocks():
     assert two_split_order_values(1, 1, 1, 1) == (6, 6, 10, 10, 6, 6)
     with pytest.raises(ValueError):

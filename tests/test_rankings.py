@@ -16,6 +16,7 @@ from ordist import (
     random_distance_matrix,
     ranking_from_distance,
 )
+from ordist.rankings import pair_counts, rank_table
 from helpers import kendall_counts_brute, kendall_penalized_brute, quartet_fixture
 
 
@@ -140,6 +141,23 @@ def test_kendall_counts_match_pair_scan_on_seeded_keys():
         ):
             assert kendall_counts(b1, b2) == kendall_counts_brute(b1, b2)
             assert kendall_counts(b2, b1) == kendall_counts_brute(b2, b1)
+
+
+def test_pair_counts_of_a_tie_free_and_a_tied_ranking_in_both_orders():
+    # the tie-free ranking is walked in its own order whichever argument it
+    # is; the other one's ties are then the pairs tied in exactly one
+    rng = Random(38)
+    for n in list(range(13)) + [64, 300]:
+        for _ in range(4):
+            tie_free = rng.sample(range(-(10**6), 10**6), n)
+            tied = [rng.randint(0, max(1, n // 3)) for _ in range(n)]
+            if n >= 2:
+                tied[-1] = tied[0]
+            table_free, table_tied = rank_table(tie_free), rank_table(tied)
+            assert table_free[3] == 0
+            assert (table_tied[3] > 0) == (n >= 2)
+            assert pair_counts(table_free, table_tied) == kendall_counts_brute(tie_free, tied)
+            assert pair_counts(table_tied, table_free) == kendall_counts_brute(tied, tie_free)
 
 
 def test_distance_rows_and_block_indices_give_the_same_counts():

@@ -63,6 +63,31 @@ def test_the_package_reads_no_environment_variables():
     assert found == []
 
 
+def test_the_package_reads_no_clock():
+    """Every report depends on the inputs alone, so no module imports time,
+    timeit or datetime (plain, dotted or from-imports) or names a clock
+    function, as an attribute or a bare name."""
+    modules = ("time", "timeit", "datetime")
+    clocks = (
+        "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time",
+        "process_time_ns", "thread_time", "thread_time_ns", "time_ns",
+    )
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] in modules for name in names) or any(
+                getattr(node, field, None) in clocks for field in ("attr", "id", "name")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_package_exports_exactly_the_library_modules_names():
     """ordist.__all__ holds each name of the eight library modules' __all__
     once and nothing else, so a name that leaves its module cannot stay

@@ -51,8 +51,11 @@ transpose of the strict sets gives every closer-to-u side, and the
 equidistant set of {u, v} is what neither strict side holds.  The
 aggregated parts come out without comparing entries one z at a time.
 ``order_distance_kendall`` is a per-pair reformulation through penalized
-Kendall distances of the distance-from-x rankings; it walks a row with no
-ties in its own order and sorts a pair only when both rows have ties.
+Kendall distances of the distance-from-x rankings; two rows with at most
+sqrt(n) distinct values each are counted from their table of tie-block
+intersections, with no sort.  Otherwise it walks a row with no ties in its
+own order, and sorts a pair only when both rows have ties and one of them
+has more than sqrt(n) distinct values.
 The engines return identical exact results; a third engine for circular
 inputs lives in ``ordist.circular``.
 """
@@ -267,8 +270,9 @@ def order_distance_kendall(
 
     Row x of the matrix ranks the elements by distance from x, so the rows
     are the ranking keys as they are.  Each row's ``rank_table`` is built
-    once; each pair of rows then costs one walk in ``pair_counts``, after
-    one sort only when both rows have ties.
+    once.  A pair of rows with at most sqrt(n) tie blocks each then costs
+    one table of block intersection popcounts in ``pair_counts``; any other
+    pair costs one walk, after one sort only when both rows have ties.
     """
     n = matrix.n
     tables = [rank_table(row) for row in matrix.comparison_rows()]

@@ -6,21 +6,24 @@ distance charges, per element pair, 1 when the two rankings order the pair
 in strictly opposite ways, a penalty ``pi`` when the pair is tied in exactly
 one ranking, and 0 otherwise.
 
-The counts come from one walk with an int bitmask per pair of rankings
-(``pair_counts``), after per-ranking tables built once (``rank_table``);
-the tests hold them to a brute O(n^2) pair scan.  The walk follows a
-tie-free ranking's own order and sorts only when both rankings have ties.
-It shifts an n-bit int per element, so a pair costs O(n^2 / 64) word
-operations besides any sort.  For a single pair of key vectors, the
-tables included, it takes 5 ms on distinct keys and 3 ms on keys 0..2 at
-n = 4096, and 36-43 ms and 20 ms at n = 16384 (min of 9 calls, two runs,
-Python 3.11 on a shared 2-vCPU x86-64 host).
+The counts come from per-ranking tables built once (``rank_table``) and
+one step per pair of rankings (``pair_counts``); the tests hold them to a
+brute O(n^2) pair scan.  When both rankings have at most sqrt(n) tie
+blocks, the step is a table of block intersection counts: at most n
+popcounts of n-bit ints, with no sort and no walk over the elements.
+Otherwise it is one walk with an int bitmask, which follows a tie-free
+ranking's own order and sorts only when both rankings have ties; it shifts
+an n-bit int per element, so a pair costs O(n^2 / 64) word operations
+besides any sort.  For a single pair of key vectors, the tables included,
+it takes 5 ms on distinct keys and 2 ms on keys 0..2 at n = 4096, and
+36-38 ms and 11-12 ms at n = 16384 (min of 9 calls, two runs, Python 3.11
+on a shared 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable
 
 from .core import DistanceMatrix, GroundSet, as_rational
@@ -32,8 +35,8 @@ __all__ = [
     "kendall_penalized",
 ]
 
-# (order, place, past, ties) of one ranking; see ``rank_table``
-RankTable = tuple[list[int], list[int], list[int], int]
+# (order, place, past, ties, blocks) of one ranking; see ``rank_table``
+RankTable = tuple[list[int], list[int], list[int], int, list[int] | None]
 
 
 class PartialRanking:
@@ -88,7 +91,7 @@ def ranking_from_distance(matrix: DistanceMatrix, x: int) -> PartialRanking:
     Elements at equal distance from x share a block; the first block always
     contains x itself (plus anything at distance 0 from it).
     """
-    order, _, past, _ = rank_table(matrix.comparison_rows()[x])
+    order, _, past, _, _ = rank_table(matrix.comparison_rows()[x])
     blocks = [list(block) for _, block in groupby(order, past.__getitem__)]
     return PartialRanking(matrix.ground, blocks)
 
@@ -97,46 +100,86 @@ def rank_table(keys: list[int]) -> RankTable:
     """The per-ranking tables that ``pair_counts`` reads, for int keys
     whose order is the ranking (block indices, or a distance row).
 
-    Returns (order, place, past, ties): the elements sorted by key (ties
-    by element), each element's index in that order, the index just past
-    its tie block, and the number of tied pairs.
+    Returns (order, place, past, ties, blocks): the elements sorted by key
+    (ties by element), each element's index in that order, the index just
+    past its tie block, the number of tied pairs, and the tie blocks as
+    element bitmasks in key order.  The masks are kept only for a ranking
+    of at most sqrt(n) blocks (blocks^2 <= n) and are built once the count
+    is known; ``blocks`` is None otherwise.
     """
     n = len(keys)
     order = sorted(range(n), key=keys.__getitem__)
     place = [0] * n
     past = [0] * n
-    ties = start = 0
+    ties = start = count = 0
     for end in range(1, n + 1):
         if end == n or keys[order[end]] != keys[order[start]]:
             size = end - start
             ties += size * (size - 1) // 2
+            count += 1
             for i in range(start, end):
                 place[order[i]] = i
                 past[order[i]] = end
             start = end
-    return order, place, past, ties
+    if count * count > n:
+        return order, place, past, ties, None
+    blocks = []
+    elements = iter(order)
+    start = 0
+    while start < n:
+        end = past[order[start]]
+        mask = 0
+        for e in islice(elements, end - start):
+            mask |= 1 << e
+        blocks.append(mask)
+        start = end
+    return order, place, past, ties, blocks
 
 
 def pair_counts(table_x: RankTable, table_y: RankTable) -> tuple[int, int]:
     """(discordant pairs, pairs tied in exactly one) of two rankings, from
     their ``rank_table``s.
 
-    Both counts are symmetric, so when exactly one ranking has ties the
-    tie-free one is taken as the first.  The walk visits the elements in
-    the first ranking's order, ties in the second ranking's order: a
-    tie-free first ranking's own ``order``, else one stable sort of the
+    When both tables keep their tie blocks, the counts come from the block
+    table c_ij = |B_x[i] & B_y[j]| alone, with no sort and no walk over
+    the elements: one sweep over the first ranking's blocks, with a running
+    count per block of the second, reads discordant = sum over i < i',
+    j > j' of c_ij * c_i'j' and the pairs tied in both, sum of C(c_ij, 2).
+    That is at most n popcounts of n-bit ints, as blocks_x * blocks_y <= n.
+
+    Otherwise the walk visits the elements in the first ranking's order,
+    ties in the second ranking's order.  Both counts are symmetric, so when
+    exactly one ranking has ties the tie-free one is taken as the first and
+    walked in its own ``order``; else the walk is one stable sort of the
     second ranking's order keyed by the first one's ``past``.  An element
     u is discordant with each element before it that the second ranking
     puts strictly after u's tie block: those are the set bits of ``seen``,
     the places of the elements passed so far, at or above ``past[u]``.
     With a tie-free first ranking, the pairs tied in exactly one are the
     second ranking's ties.  Otherwise the same walk counts the pairs tied
-    in both, which are the runs of one tie block of each.
+    in both, which are the runs of one tie block of each.  Either way the
+    pairs tied in exactly one are ties_x + ties_y - 2 * (tied in both).
     """
+    blocks_x, blocks_y = table_x[4], table_y[4]
+    if blocks_x is not None and blocks_y is not None:
+        # earlier[j]: elements of the x blocks swept so far in y block j;
+        # the cells sum to n, so the pairs tied in both are (squares - n) / 2
+        earlier = [0] * len(blocks_y)
+        backwards = range(len(blocks_y) - 1, -1, -1)
+        discordant = squares = 0
+        for mask in blocks_x:
+            after = 0
+            for j in backwards:
+                c = (mask & blocks_y[j]).bit_count()
+                discordant += c * after
+                squares += c * c
+                after += earlier[j]
+                earlier[j] += c
+        return discordant, table_x[3] + table_y[3] - (squares - len(table_x[0]))
     if table_x[3] and not table_y[3]:
         table_x, table_y = table_y, table_x
-    order_x, _, past_x, ties_x = table_x
-    order_y, place_y, past_y, ties_y = table_y
+    order_x, _, past_x, ties_x, _ = table_x
+    order_y, place_y, past_y, ties_y, _ = table_y
     discordant = seen = 0
     if not ties_x:
         for u in order_x:
@@ -163,10 +206,14 @@ def kendall_counts(b1: list[int], b2: list[int]) -> tuple[int, int]:
 
     Any int keys whose order is the ranking will do: block indices, or the
     distance rows themselves.  The count is ``pair_counts`` on the two
-    ``rank_table``s: O(n log n) comparisons for the two tables' sorts and
-    for one more when both key vectors have ties, and n shifts and
-    popcounts of an n-bit int for the walk.
+    ``rank_table``s: O(n log n) comparisons for the two tables' sorts, then
+    a table of at most n block popcounts when both vectors have at most
+    sqrt(n) distinct keys, and otherwise n shifts and popcounts of an n-bit
+    int for the walk, after one more sort when both vectors have ties.
+    Raises ``ValueError`` when the vectors differ in length.
     """
+    if len(b1) != len(b2):
+        raise ValueError(f"key vectors differ in length: {len(b1)} and {len(b2)}")
     return pair_counts(rank_table(b1), rank_table(b2))
 
 

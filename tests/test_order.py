@@ -295,6 +295,21 @@ def test_kendall_engine_matches_eq1_on_rows_with_and_without_ties():
                 assert order_distance_kendall(matrix, params) == order_distance_eq1(matrix, params)
 
 
+def test_kendall_engine_matches_eq1_on_few_valued_matrices():
+    # two-valued and tie-rich matrices: rows of at most 3 and 4 distinct
+    # values, so from n = 9 and 16 on, every pair of rows is counted from
+    # the block table, and below that the walks take the rest
+    rng = random.Random(390)
+    params_list = [OrderParams(p, q) for p, q in ((2, 1), (2, Fraction(3, 2)), (1, 3))]
+    for n in range(4, 41):
+        for matrix in (
+            random_two_valued_matrix(n, rng),
+            random_distance_matrix(n, rng, tie_rich=True),
+        ):
+            for params in params_list:
+                assert order_distance_kendall(matrix, params) == order_distance_eq1(matrix, params)
+
+
 def test_two_split_unit_blocks():
     assert two_split_order_values(1, 1, 1, 1) == (6, 6, 10, 10, 6, 6)
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from ordist import (
     random_distance_matrix,
     ranking_from_distance,
 )
+from ordist import rankings
 from ordist.rankings import pair_counts, rank_table
 from helpers import kendall_counts_brute, kendall_penalized_brute, quartet_fixture
 
@@ -197,3 +198,103 @@ def test_ranking_from_distance_groups_the_elements_by_distance():
                 assert blocks == tuple(map(frozenset, expected))
                 firsts += len(blocks[0]) > 1
     assert firsts >= 100, firsts
+
+
+def test_kendall_counts_rejects_key_vectors_of_different_lengths():
+    # tie-free, tied and empty vectors, each against a longer or shorter
+    # one, in both argument orders; the message names both lengths
+    cases = (
+        ([0, 1], [0, 1, 2]),
+        ([1, 0], [0, 1, 2]),
+        ([0, 0, 1], [1, 0]),
+        ([0, 0, 0], [5, 5]),
+        ([], [0]),
+        ([], [3, 3, 3]),
+        ([2, 1, 0, 3], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    )
+    for b1, b2 in cases:
+        for first, second in ((b1, b2), (b2, b1)):
+            message = f"{len(first)} and {len(second)}"
+            with pytest.raises(ValueError, match=message):
+                kendall_counts(first, second)
+
+
+def _keys_with_values(n, values, rng):
+    """n keys taking exactly min(n, values) distinct values 0.., shuffled."""
+    keys = [i % values for i in range(n)]
+    rng.shuffle(keys)
+    return keys
+
+
+def test_pair_counts_from_the_block_table_match_the_pair_scan():
+    # keys 0..h for h in 0..5 and n, in both argument orders; pairs where
+    # both, one or neither ranking keeps its tie blocks all meet here
+    rng = Random(39)
+    routes = set()
+    for n in list(range(14)) + [16, 17, 24, 25, 64, 300]:
+        highs = list(range(6)) + [n]
+        pairs = (
+            [(h1, h2) for h1 in highs for h2 in highs]
+            if n <= 25
+            else [(h, rng.choice(highs)) for h in highs]
+        )
+        for h1, h2 in pairs:
+            a = [rng.randint(0, h1) for _ in range(n)]
+            b = [rng.randint(0, h2) for _ in range(n)]
+            table_a, table_b = rank_table(a), rank_table(b)
+            for keys, table in ((a, table_a), (b, table_b)):
+                assert (table[4] is not None) == (len(set(keys)) ** 2 <= n)
+            routes.add((table_a[4] is not None, table_b[4] is not None))
+            assert pair_counts(table_a, table_b) == kendall_counts_brute(a, b)
+            assert pair_counts(table_b, table_a) == kendall_counts_brute(b, a)
+    assert routes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_block_table_boundary_at_blocks_squared_equal_to_n():
+    # blocks^2 = n keeps the masks (n=16 with 4 values, n=25 with 5);
+    # blocks^2 > n does not (n=24 with 5 values)
+    rng = Random(3939)
+    for n, values, keeps in ((16, 4, True), (25, 5, True), (24, 5, False)):
+        for _ in range(20):
+            a = _keys_with_values(n, values, rng)
+            b = _keys_with_values(n, values, rng)
+            distinct = rng.sample(range(n), n)
+            table_a, table_b, table_d = rank_table(a), rank_table(b), rank_table(distinct)
+            assert (table_a[4] is not None) == keeps
+            if keeps:
+                assert len(table_a[4]) == values
+                assert sum(table_a[4]) == (1 << n) - 1
+            for x, y, tx, ty in ((a, b, table_a, table_b), (a, distinct, table_a, table_d)):
+                assert pair_counts(tx, ty) == kendall_counts_brute(x, y)
+                assert pair_counts(ty, tx) == kendall_counts_brute(y, x)
+
+
+def test_rank_table_keeps_masks_only_for_few_blocks():
+    rng = Random(390)
+    for n in list(range(2, 40)) + [64, 300, 4096]:
+        assert rank_table(rng.sample(range(-n, 3 * n), n))[4] is None
+        if n >= 9:
+            keys = [rng.randint(0, 2) for _ in range(n)]
+            blocks = rank_table(keys)[4]
+            assert blocks is not None and len(blocks) == len(set(keys))
+            for value, mask in zip(sorted(set(keys)), blocks):
+                assert mask == sum(1 << e for e, key in enumerate(keys) if key == value)
+
+
+def test_tie_rich_pairs_take_the_block_table_with_no_sort(monkeypatch):
+    # rows of a tie-rich n=16 matrix have keys 0..3, so at most 4 <= sqrt(16)
+    # tie blocks each: every pair is counted from the block table, and the
+    # sorted walk, which would run on any pair of tied rows without masks,
+    # never starts
+    m = random_distance_matrix(16, Random(16), tie_rich=True)
+    rows = m.comparison_rows()
+    tables = [rank_table(row) for row in rows]
+    assert all(table[3] and table[4] is not None for table in tables)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("pair_counts sorted a pair")
+
+    monkeypatch.setattr(rankings, "sorted", no_sort, raising=False)
+    for x, y in combinations(range(16), 2):
+        assert pair_counts(tables[x], tables[y]) == kendall_counts_brute(rows[x], rows[y])
+        assert pair_counts(tables[y], tables[x]) == kendall_counts_brute(rows[y], rows[x])

@@ -44,7 +44,6 @@ from math import lcm
 from operator import or_
 from typing import Iterable, Mapping
 
-from .compat import _crosses
 from .core import (
     DistanceMatrix,
     GroundSet,
@@ -52,6 +51,8 @@ from .core import (
     PreconditionError,
     Split,
     WeightedSplitSystem,
+    _check_same_ground,
+    _crosses,
     as_rational,
     bit_indices,
     canonical_mask,
@@ -128,8 +129,8 @@ class CircularOrdering:
         it equals arc_bits(i, i + size - 1).  O(1) int operations on n-bit
         masks.
         """
-        if split.ground is not self.ground and split.ground != self.ground:
-            raise ValueError("ground set mismatch")
+        if split.ground is not self.ground:
+            _check_same_ground(self.ground, split.ground)
         prefix = self._prefix
         n = len(self.sequence)
         side = split.bits
@@ -190,8 +191,7 @@ def interval_weight_map(
     ordering, in the system's split order: one
     ``CircularOrdering.interval_of`` per split, O(1) int operations on
     n-bit masks, no walk over the elements."""
-    if system.ground != theta.ground:
-        raise ValueError("ground set mismatch")
+    _check_same_ground(theta.ground, system.ground)
     interval_of = theta.interval_of
     out: dict[tuple[int, int], Fraction] = {}
     for split, weight in system.items():
@@ -220,8 +220,7 @@ def kalmanson_check(
     Farach and Trick, "The structure of circular decomposable metrics",
     ESA 1996).  A violated instance is itself a violating quadruple.
     """
-    if matrix.ground != theta.ground:
-        raise ValueError("ground set mismatch")
+    _check_same_ground(theta.ground, matrix.ground)
     rows = matrix.comparison_rows()
     seq = theta.sequence
     n = len(seq)
@@ -273,7 +272,7 @@ def _consecutive_order(sets: Iterable[int], universe: int) -> list[int] | None:
     """An order of the universe's elements in which every set is
     consecutive, or None (Fulkerson and Gross, Pacific J. Math. 15, 1965).
 
-    Sets that cross (``compat._crosses``) form components.  In one, each
+    Sets that cross (``core._crosses``) form components.  In one, each
     set in search order crosses an earlier one, so its place is forced up
     to reversal: a run of the classes so far, whole but for the two ends,
     which it splits, then its new elements at one end.  Unions of different

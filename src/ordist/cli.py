@@ -24,6 +24,7 @@ from .core import (
     OrderParams,
     PreconditionError,
     WeightedSplitSystem,
+    as_rational,
 )
 from .flatlab import (
     CounterexampleFound,
@@ -43,7 +44,6 @@ from .formats import (
     format_split_system,
     parse_distance_matrix,
     parse_split_system,
-    parse_value,
 )
 from .generators import (
     random_binary_tree_system,
@@ -95,8 +95,8 @@ def _load_splits(arg: str) -> WeightedSplitSystem:
 
 def _parse_rational_flag(raw: str, flag: str) -> Fraction:
     try:
-        return parse_value(raw, flag)
-    except FormatError:
+        return as_rational(raw)
+    except ValueError:
         raise FormatError(f"bad value for {flag}: {raw!r}") from None
 
 

@@ -28,6 +28,8 @@ from .core import (
     GroundSet,
     Split,
     WeightedSplitSystem,
+    _check_same_ground,
+    _crosses,
     as_rational,
     bit_indices,
     canonical_mask,
@@ -50,18 +52,9 @@ __all__ = [
 ]
 
 
-def _crosses(a: int, b: int) -> bool:
-    """Whether the splits with stored sides a and b cross: the sides meet
-    and neither holds the other.  The fourth corner, outside both sides,
-    holds element 0, so it is never empty."""
-    both = a & b
-    return both != 0 and both != a and both != b
-
-
 def is_compatible_pair(s1: Split, s2: Split) -> bool:
     """True when some side of s1 is disjoint from some side of s2."""
-    if s1.ground != s2.ground:
-        raise ValueError("ground set mismatch")
+    _check_same_ground(s1.ground, s2.ground)
     return not _crosses(s1.bits, s2.bits)
 
 

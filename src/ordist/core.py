@@ -10,8 +10,10 @@ One kernel, ``separation_sums``, sums weighted splits into distances for
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, repeat
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 _LABEL_FORBIDDEN = set(",|:#")
+# an underscore between digits, which Fraction reads only from 3.11 on
+_DIGIT_GROUPING = re.compile(r"(?<=\d)_(?=\d)")
+_DIGIT = re.compile(r"\d")
 
 # '0'/'1' digits to 0/1 selector bytes for itertools.compress, and flipped
 _DIGIT_SELECTS = bytes.maketrans(b"01", b"\x00\x01")
@@ -48,20 +53,50 @@ _CHUNK_BITS = 1 << 16
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an exact value to Fraction.  Floats are refused on purpose:
-    they would silently contaminate exact computations."""
+    they would silently contaminate exact computations.
+
+    Text is read as the file formats read a value: an integer, a ratio like
+    ``3/2`` or a finite decimal like ``1.5`` or ``1e-3``, with digits
+    grouped by single underscores (``1_000``) on every supported Python.  A
+    value whose numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` is refused, as the same number
+    written out in digits is, and an exponent too large for that is refused
+    before any power of ten is expanded; a zero mantissa spells 0 in any
+    exponent.  Any refusal, ``1/0`` included, raises ValueError."""
     # exact types first: isinstance against Fraction, an ABC subclass, is slow
     kind = type(value)
     if kind is Fraction:
         return value
     if kind is int:
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise ValueError(f"refusing float {value!r}; pass int, str or Fraction")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise ValueError(f"cannot interpret {value!r} as an exact rational")
+    if not isinstance(value, str):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, float):
+            raise ValueError(f"refusing float {value!r}; pass int, str or Fraction")
+        if isinstance(value, int):
+            return Fraction(value)
+        raise ValueError(f"cannot interpret {value!r} as an exact rational")
+    limit = sys.get_int_max_str_digits()
+    # shorter than the limit and without an exponent, a text cannot spell
+    # a numerator or denominator with more digits than the limit
+    long_form = limit and (len(value) >= limit or "e" in value or "E" in value)
+    try:
+        if long_form:
+            mantissa, _, exponent = value.lower().partition("e")
+            # refuse huge exponents before Fraction expands them; a zero
+            # mantissa spells 0 in any exponent, so it is read with each
+            # exponent digit as 0
+            if exponent and abs(int(exponent)) > limit + len(value):
+                if Fraction(_DIGIT_GROUPING.sub("", mantissa + "e" + _DIGIT.sub("0", exponent))):
+                    raise ValueError
+                return Fraction(0)
+        number = Fraction(_DIGIT_GROUPING.sub("", value))
+        if long_form and max(abs(number.numerator), number.denominator) >= 10**limit:
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot interpret {value!r} as an exact rational") from None
+    return number
 
 
 class GroundSet:
@@ -245,6 +280,14 @@ def canonical_mask(mask: int, full: int) -> int:
     """The side of the bipartition (mask, full ^ mask) that does not contain
     element 0, which is how a split is stored."""
     return (full ^ mask) if mask & 1 else mask
+
+
+def _crosses(a: int, b: int) -> bool:
+    """Whether the splits with stored sides a and b cross: the sides meet
+    and neither holds the other.  The fourth corner, outside both sides,
+    holds element 0, so it is never empty."""
+    both = a & b
+    return both != 0 and both != a and both != b
 
 
 class Split:
@@ -533,21 +576,24 @@ class PreconditionError(ValueError):
     operation needs, such as non-circular input to the circular engine."""
 
 
+@dataclass(frozen=True, slots=True)
 class OrderParams:
     """Order distance parameters: p > 0 and q >= p/2, both rational;
-    PreconditionError otherwise."""
+    PreconditionError otherwise.  Immutable: p and q are read as
+    ``as_rational`` reads them and cannot be reassigned."""
 
-    __slots__ = ("p", "q")
+    p: Fraction
+    q: Fraction
 
-    def __init__(self, p: int | str | Fraction, q: int | str | Fraction):
-        p = as_rational(p)
-        q = as_rational(q)
+    def __post_init__(self) -> None:
+        p = as_rational(self.p)
+        q = as_rational(self.q)
         if p <= 0:
             raise PreconditionError(f"p must be positive, got {p}")
         if q < p / 2:
             raise PreconditionError(f"q must be at least p/2, got p={p}, q={q}")
-        self.p = p
-        self.q = q
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def half_p(self) -> Fraction:
@@ -557,16 +603,6 @@ class OrderParams:
     def e_coeff(self) -> Fraction:
         """Coefficient of the equidistance terms, q - p/2 (0 when q = p/2)."""
         return self.q - self.p / 2
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrderParams)
-            and self.p == other.p
-            and self.q == other.q
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
 
     def __repr__(self) -> str:
         return f"OrderParams(p={self.p}, q={self.q})"

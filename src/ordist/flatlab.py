@@ -39,13 +39,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
-from .compat import _crosses
 from .core import (
     DistanceMatrix,
     GroundSet,
     PreconditionError,
     Split,
     WeightedSplitSystem,
+    _check_same_ground,
+    _crosses,
     bit_indices,
     canonical_mask,
     gather,
@@ -203,8 +204,7 @@ class _ExactSolver:
         over |det| * 2 * scale."""
         if not self.is_independent:
             raise DependentBasisError("splits are linearly dependent")
-        if matrix.ground != self.ground:
-            raise ValueError("ground set mismatch")
+        _check_same_ground(self.ground, matrix.ground)
         rows = matrix.comparison_rows()
         signed = self._signed_weights([rows[i][j] for i, j in self.pairs])
         return None if signed is None else self._fractions(signed, matrix.scale)

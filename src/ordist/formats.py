@@ -9,12 +9,12 @@ Distance matrix format::
     c 2 2 0 1
     d 1 3 1 0
 
-Values may be integers, rationals like ``3/2`` or finite decimals like
-``1.5``; all are read exactly.  Digits may be grouped by single underscores,
-as in ``1_000``, on every supported Python.  A plain integer token is read
-straight into an int; any other token becomes a (numerator, denominator)
-pair, and the matrix stores every value as an int over one common
-denominator (see ``DistanceMatrix.from_scaled``).
+Values are read exactly, by the rules of ``core.as_rational``: integers,
+rationals like ``3/2`` or finite decimals like ``1.5``, with digits grouped
+by single underscores, as in ``1_000``, on every supported Python.  A plain
+integer token is read straight into an int; any other token becomes a
+(numerator, denominator) pair, and the matrix stores every value as an int
+over one common denominator (see ``DistanceMatrix.from_scaled``).
 
 A matrix is symmetric, so each unordered pair is read and written once.
 The reader keeps, for every column, the tokens the rows above wrote in it;
@@ -38,7 +38,6 @@ either format reproduces the object exactly.
 
 from __future__ import annotations
 
-import re
 import sys
 from collections import deque
 from fractions import Fraction
@@ -62,10 +61,6 @@ __all__ = [
     "parse_split_system",
     "format_split_system",
 ]
-
-
-_DIGIT_GROUPING = re.compile(r"(?<=\d)_(?=\d)")  # which Fraction reads from 3.11 on
-_DIGIT = re.compile(r"\d")
 
 
 class FormatError(ValueError):
@@ -93,30 +88,12 @@ def _content_lines(text: str) -> list[str]:
 
 
 def parse_value(token: str, context: str) -> Fraction:
-    """Read one exact value, or raise ``FormatError`` naming the token and
-    ``context``.  A value whose numerator or denominator could not be
-    printed back (more digits than ``sys.get_int_max_str_digits()``) is
-    refused like the same number written out in digits."""
-    limit = sys.get_int_max_str_digits()
-    # shorter than the limit and without an exponent, a token cannot spell
-    # a numerator or denominator with more digits than the limit
-    long_form = limit and (len(token) >= limit or "e" in token or "E" in token)
+    """Read one exact value by ``as_rational``, or raise ``FormatError``
+    naming the token and ``context``."""
     try:
-        if long_form:
-            mantissa, _, exponent = token.lower().partition("e")
-            # refuse huge exponents before Fraction expands them; a zero
-            # mantissa spells 0 in any exponent, so it is read with each
-            # exponent digit as 0
-            if exponent and abs(int(exponent)) > limit + len(token):
-                if as_rational(_DIGIT_GROUPING.sub("", mantissa + "e" + _DIGIT.sub("0", exponent))):
-                    raise ValueError(token)
-                return Fraction(0)
-        value = as_rational(_DIGIT_GROUPING.sub("", token))
-        if long_form and max(abs(value.numerator), value.denominator) >= 10**limit:
-            raise ValueError(token)
-    except (ValueError, ZeroDivisionError):
+        return as_rational(token)
+    except ValueError:
         raise FormatError(f"bad value {token!r} in {context}") from None
-    return value
 
 
 def _row_values(tokens: list[str], context: str, digits: int, denominators: list[int]) -> list:

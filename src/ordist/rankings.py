@@ -22,11 +22,11 @@ on a shared 2-vCPU x86-64 host).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
-from typing import Iterable
 
-from .core import DistanceMatrix, GroundSet, as_rational
+from .core import DistanceMatrix, GroundSet, _check_same_ground, as_rational
 
 __all__ = [
     "PartialRanking",
@@ -39,13 +39,17 @@ __all__ = [
 RankTable = tuple[list[int], list[int], list[int], int, list[int] | None]
 
 
+@dataclass(frozen=True, slots=True)
 class PartialRanking:
-    """An ordered partition of a ground set into tie blocks."""
+    """An ordered partition of a ground set into tie blocks.  Immutable:
+    the blocks are stored as a tuple of frozensets and cannot be
+    reassigned."""
 
-    __slots__ = ("ground", "blocks", "_block_index")
+    ground: GroundSet
+    blocks: tuple[frozenset[int], ...]
 
-    def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[int]]):
-        blocks = tuple(frozenset(b) for b in blocks)
+    def __post_init__(self) -> None:
+        blocks = tuple(frozenset(b) for b in self.blocks)
         seen: set[int] = set()
         for block in blocks:
             if not block:
@@ -53,29 +57,17 @@ class PartialRanking:
             if block & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= block
-        if seen != set(range(ground.n)):
+        if seen != set(range(self.ground.n)):
             raise ValueError("blocks must cover the ground set")
-        self.ground = ground
-        self.blocks = blocks
-        index = [0] * ground.n
-        for pos, block in enumerate(blocks):
-            for e in block:
-                index[e] = pos
-        self._block_index = index
+        object.__setattr__(self, "blocks", blocks)
 
     def block_indices(self) -> list[int]:
         """For each element, the position of its block (0 = closest)."""
-        return list(self._block_index)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PartialRanking)
-            and self.ground == other.ground
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
+        index = [0] * self.ground.n
+        for pos, block in enumerate(self.blocks):
+            for e in block:
+                index[e] = pos
+        return index
 
     def __repr__(self) -> str:
         labels = self.ground.labels
@@ -221,8 +213,7 @@ def kendall_penalized(
     r1: PartialRanking, r2: PartialRanking, pi: int | str | Fraction
 ) -> Fraction:
     """Penalized Kendall distance via ``kendall_counts``."""
-    if r1.ground != r2.ground:
-        raise ValueError("ground set mismatch")
+    _check_same_ground(r1.ground, r2.ground)
     pi = as_rational(pi)
     discordant, tied_one = kendall_counts(r1.block_indices(), r2.block_indices())
     return discordant + pi * tied_one

@@ -215,6 +215,13 @@ def test_kalmanson_check_matches_direct_scan(matrix):
         )
 
 
+def test_kalmanson_check_needs_one_ground_set():
+    theta = CircularOrdering(index_ground(4), range(4))
+    matrix = DistanceMatrix(GroundSet("abcd"), [[0] * 4 for _ in range(4)])
+    with pytest.raises(ValueError, match=r"^ground set mismatch$"):
+        kalmanson_check(matrix, theta)
+
+
 @given(
     distance_matrices(min_n=4, max_n=8, values=st.integers(0, 4)),
     st.randoms(use_true_random=False),

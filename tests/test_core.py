@@ -1,3 +1,5 @@
+import dataclasses
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -29,12 +31,33 @@ from strategies import canonical_masks, distance_matrices, rationals, split_syst
 def test_as_rational_accepts_exact_forms():
     assert as_rational(3) == 3
     assert as_rational("3/4") == Fraction(3, 4)
+    assert as_rational("1_000") == 1000  # on every Python, not only 3.11+
     assert as_rational(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_as_rational_refuses_floats():
     with pytest.raises(ValueError):
         as_rational(0.5)
+
+
+def test_a_zero_denominator_is_a_value_error():
+    g = GroundSet("ab")
+    for call in (
+        lambda: as_rational("1/0"),
+        lambda: OrderParams("1/0", 1),
+        lambda: DistanceMatrix(g, [[0, "1/0"], ["1/0", 0]]),
+    ):
+        with pytest.raises(ValueError, match=r"^cannot interpret '1/0' as an exact rational$"):
+            call()
+
+
+def test_a_huge_exponent_is_refused_before_it_is_expanded(digit_limit):
+    # Fraction alone spends tens of seconds building 10**30000000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^cannot interpret '1e30000000' as an exact rational$"):
+        as_rational("1e30000000")
+    assert time.perf_counter() - start < 1
+    assert as_rational("0e30000000") == 0
 
 
 def test_ground_set_rejects_bad_labels():
@@ -79,6 +102,11 @@ def test_split_rejects_degenerate_sides():
         Split(g, "abc")
     with pytest.raises(ValueError):
         Split(GroundSet("a"), "a")
+    with pytest.raises(ValueError, match=r"^element index 5 out of range$"):
+        Split(g, [5])
+    for bits in (0, 0b111, -1):
+        with pytest.raises(ValueError, match=r"^invalid split bitmask$"):
+            Split.from_bits(g, bits)
 
 
 def test_split_separates_matches_parts():
@@ -293,6 +321,18 @@ def test_order_params_bounds():
     with pytest.raises(PreconditionError):
         OrderParams(2, "3/4")
     assert OrderParams("2", "3").e_coeff == 2
+    assert OrderParams("1_0", 5) == OrderParams(10, 5)
+
+
+def test_order_params_are_immutable_values():
+    params = OrderParams(2, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.q = 0
+    assert (params.p, params.q) == (2, 1)
+    same = OrderParams("2", "2/2")
+    assert same == params and hash(same) == hash(params) and same in {params}
+    assert params != OrderParams(2, 2) and params != (2, 1)
+    assert repr(same) == "OrderParams(p=2, q=1)"
 
 
 def test_split_metric_is_the_indicator():

@@ -5,6 +5,10 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+# the warning flags of CI's tier-1 step, which the child interpreter does
+# not inherit from the one running the tests
+WARNING_FLAGS = ["-X", "dev", "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-W", "error::ResourceWarning", "-W", "error::DeprecationWarning"]
 
 
 def test_all_five_demos_are_found():
@@ -17,7 +21,7 @@ def test_demo_runs(demo, src_env):
     outputs = []
     for _ in range(2):
         result = subprocess.run(
-            [sys.executable, str(demo)],
+            [sys.executable, *WARNING_FLAGS, str(demo)],
             capture_output=True,
             encoding="utf-8",
             env=src_env,

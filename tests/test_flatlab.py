@@ -15,6 +15,7 @@ from ordist import (
     DependentBasisError,
     DistanceMatrix,
     FLAT_FIXTURE_NAMES,
+    GroundSet,
     NoCounterexampleFound,
     OrderParams,
     Split,
@@ -112,6 +113,13 @@ def test_express_outside_span_gives_none():
     basis = [Split(g, [i]) for i in range(4)] + [Split(g, [0, 1])]
     assert is_linearly_independent(basis)
     assert express_in_basis(split_metric(Split(g, [0, 2])), basis) is None
+
+
+def test_express_needs_one_ground_set():
+    basis = [Split(index_ground(4), [i]) for i in range(4)]
+    foreign = split_metric(Split(GroundSet("abcd"), [0]))
+    with pytest.raises(ValueError, match=r"^ground set mismatch$"):
+        express_in_basis(foreign, basis)
 
 
 def test_express_may_need_negative_weights():

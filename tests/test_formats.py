@@ -11,6 +11,7 @@ from ordist import (
     DistanceMatrix,
     FormatError,
     GroundSet,
+    as_rational,
     format_distance_matrix,
     format_rational,
     format_split_system,
@@ -124,18 +125,19 @@ def test_split_system_round_trip(system):
     assert parse_split_system(format_split_system(system)) == system
 
 
-@pytest.mark.parametrize(
-    "token, value",
-    [("1_000", 1000), ("1_0/3", Fraction(10, 3)), ("1.5_0", Fraction(3, 2)),
-     ("1e1_0", 10**10), ("\u0661_\u0662", 12)],
-)
+GROUPED = [("1_000", 1000), ("1_0/3", Fraction(10, 3)), ("1.5_0", Fraction(3, 2)),
+           ("1e1_0", 10**10), ("\u0661_\u0662", 12)]
+OTHER_UNDERSCORES = ("1__0", "_1", "1_", "1_.5", "1._5", "1e_5")
+
+
+@pytest.mark.parametrize("token, value", GROUPED)
 def test_digits_grouped_by_single_underscores_read_on_every_python(token, value):
     # Fraction reads these only from Python 3.11 on; the reader drops each
     # underscore with a digit on both sides first
     assert parse_value(token, "test") == value
 
 
-@pytest.mark.parametrize("token", ["1__0", "_1", "1_", "1_.5", "1._5", "1e_5"])
+@pytest.mark.parametrize("token", OTHER_UNDERSCORES)
 def test_other_underscores_are_refused_by_their_own_spelling(token):
     with pytest.raises(FormatError) as info:
         parse_value(token, "test")
@@ -241,6 +243,21 @@ def test_a_huge_exponent_is_refused_unless_the_mantissa_is_zero(digit_limit, tok
     assert str(info.value) == f"bad value {token!r} in row 'a'"
     with pytest.raises(FormatError, match="bad value"):
         parse_split_system(f"2\na b\na | b : {token}")
+
+
+@pytest.mark.parametrize(
+    "token",
+    [token for token, _ in GROUPED] + [*OTHER_UNDERSCORES, *ZERO_IN_ANY_EXPONENT, *NOT_ZERO_OR_NOT_A_VALUE],
+)
+def test_the_library_reads_text_as_files_do(digit_limit, token):
+    # as_rational holds the rules; parse_value only names the token
+    try:
+        expected = parse_value(token, "test")
+    except FormatError:
+        with pytest.raises(ValueError, match=r"^cannot interpret .* as an exact rational$"):
+            as_rational(token)
+    else:
+        assert as_rational(token) == expected
 
 
 def test_unlimited_digits_read_long_values_exactly(digit_limit):
@@ -439,6 +456,17 @@ def test_split_parse_error_order():
     for line, message in cases.items():
         with pytest.raises(FormatError) as caught:
             parse_split_system(f"3\na b c\n{line}")
+        assert str(caught.value) == message
+
+
+def test_split_file_labels_are_checked_by_the_ground_set():
+    cases = {
+        "2\na a\n": "labels must be distinct",
+        "2\na b,c\n": "label 'b,c' contains a separator character",
+    }
+    for text, message in cases.items():
+        with pytest.raises(FormatError) as caught:
+            parse_split_system(text)
         assert str(caught.value) == message
 
 

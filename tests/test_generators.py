@@ -74,6 +74,10 @@ def test_random_matrices():
     two = random_two_valued_matrix(5, random.Random(5))
     assert {two[i, j] for i, j in combinations(range(5), 2)} <= {1, 2}
 
+    for generate in (random_distance_matrix, random_two_valued_matrix):
+        with pytest.raises(ValueError, match=r"^need at least 1 element$"):
+            generate(0, random.Random(0))
+
 
 def test_same_seed_reproduces():
     a = random_binary_tree_system(7, random.Random(11))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordist import (
     DistanceMatrix,
+    GroundSet,
     PartialRanking,
     generate_distance,
     index_ground,
@@ -44,6 +46,30 @@ def test_partial_ranking_must_partition():
         PartialRanking(g, [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         PartialRanking(g, [[0, 1], [], [2]])
+
+
+def test_partial_rankings_are_immutable_values():
+    g = index_ground(3)
+    r = PartialRanking(g, [[2], [0, 1]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.blocks = ()
+    assert r.blocks == (frozenset({2}), frozenset({0, 1}))
+    same = PartialRanking(index_ground(3), ({2}, (1, 0)))
+    assert same == r and hash(same) == hash(r) and same in {r}
+    assert r != PartialRanking(g, [[0, 1], [2]])
+    assert repr(r) == "PartialRanking({x2} < {x0,x1})"
+    # each call builds its own list
+    indices = r.block_indices()
+    assert indices == [1, 1, 0]
+    indices[0] = 0
+    assert r.block_indices() == [1, 1, 0]
+
+
+def test_kendall_distance_needs_one_ground_set():
+    r = PartialRanking(index_ground(2), [[0], [1]])
+    other = PartialRanking(GroundSet("ab"), [[0], [1]])
+    with pytest.raises(ValueError, match=r"^ground set mismatch$"):
+        kendall_penalized(r, other, 1)
 
 
 def test_ranking_groups_equal_distances():
